@@ -22,11 +22,11 @@ import numpy as np
 from . import __version__
 from ._svg import boxplot_svg, linechart_svg
 from .confidence import band as make_band
-from .confidence import quantile_q_alpha
-from .errors import EmptyInputError, InsufficientSampleError, InvalidPmfError, ParameterError
+from .confidence import MIN_QUANTILE_DRAWS, quantile_q_alpha
 from .estimators import stacked
 from .harness import (
     ESTIMATOR_CODES,
+    TRUTH_TRUNCATION,
     ExperimentConfig,
     fit_estimator,
     run_coverage,
@@ -35,7 +35,7 @@ from .harness import (
     run_risk_curve,
     worst_case_timing,
 )
-from .models import FrequencyData, parse_model
+from .models import FrequencyData, parse_model, pmf_truncate
 
 SEED_ENV_VAR = "STACKPMF_SEED"
 
@@ -96,6 +96,39 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
     return np.asarray(values[:trimmed], dtype=np.int64), warnings
 
 
+def _int_at_least(low: int):
+    """argparse type for integers ``>= low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _level(text: str) -> float:
+    """argparse type for a band level in the open interval (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
+def _parse_model(text: str):
+    try:
+        return parse_model(text)
+    except ValueError as exc:
+        raise _UsageError(f"--model: {exc}") from None
+
+
 def _parse_codes(text: str) -> tuple[str, ...]:
     codes = tuple(c.strip() for c in text.split(",") if c.strip())
     for code in codes:
@@ -128,6 +161,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
     if not values:
         raise _UsageError("expected at least one integer")
+    if min(values) < 1:
+        raise _UsageError(f"expected positive integers, got {text!r}")
     return values
 
 
@@ -231,8 +266,6 @@ def _cmd_estimate(args) -> int:
         estimate = fit_estimator(args.kind, x)
     payload["estimate"] = [float(v) for v in estimate]
     if args.band is not None:
-        if not 0.0 < args.band < 1.0:
-            raise _UsageError(f"--band alpha must lie in (0, 1), got {args.band!r}")
         q_hat = quantile_q_alpha(estimate, args.band, args.mc, seed)
         cb = make_band(estimate, x.n, q_hat, alpha=args.band, mc_reps=args.mc, seed=seed)
         payload["band"] = {
@@ -255,7 +288,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    model = parse_model(args.model)
+    model = _parse_model(args.model)
     codes = _parse_codes(args.est)
     norms = _parse_norms(args.norm)
     modes = [m for m, on in (("risk", args.risk), ("coverage", args.coverage)) if on]
@@ -369,8 +402,11 @@ def _cmd_band(args) -> int:
 
 def _cmd_qq(args) -> int:
     seed = _resolve_seed(args)
-    model = parse_model(args.model)
+    model = _parse_model(args.model)
     codes = _parse_codes(args.est)
+    support = pmf_truncate(model, TRUTH_TRUNCATION).probs.size
+    if args.coord >= support:
+        raise _UsageError(f"--coord {args.coord} lies outside the support of {args.model} (length {support})")
     cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, n=args.n,
                            seed=seed, workers=args.workers)
     res = run_qq_samples(cfg, args.coord)
@@ -426,7 +462,7 @@ def _cmd_bench(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"random seed (fallback: ${SEED_ENV_VAR}, then 0)")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes for replications")
+    parser.add_argument("--workers", type=_int_at_least(1), default=1, help="worker processes for replications")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table output format")
     parser.add_argument("--svg", action="store_true", help="also write a minimal SVG chart")
@@ -441,23 +477,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="fit one estimator to a counts file")
     p.add_argument("--input", required=True, help="counts file (whitespace-separated integers)")
     p.add_argument("--kind", required=True, choices=ESTIMATOR_CODES, help="estimator code")
-    p.add_argument("--band", type=float, default=None, metavar="ALPHA",
+    p.add_argument("--band", type=_level, default=None, metavar="ALPHA",
                    help="also compute a global confidence band at this level")
-    p.add_argument("--mc", type=int, default=100_000, help="Monte-Carlo draws for the band quantile")
+    p.add_argument("--mc", type=_int_at_least(MIN_QUANTILE_DRAWS), default=100_000,
+                   help="Monte-Carlo draws for the band quantile")
     _add_common(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="loss, risk or coverage experiments")
     p.add_argument("--model", required=True, help="model string (M1..M7 or e.g. geom:0.25)")
-    p.add_argument("--n", type=int, default=None, help="sample size")
+    p.add_argument("--n", type=_int_at_least(1), default=None, help="sample size")
     p.add_argument("--ngrid", default=None, help="comma-separated sample sizes (risk mode)")
-    p.add_argument("--reps", type=int, required=True, help="Monte-Carlo replications")
+    p.add_argument("--reps", type=_int_at_least(1), required=True, help="Monte-Carlo replications")
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
     p.add_argument("--norm", default="1,2,inf", help="comma-separated norms from 1,2,inf")
     p.add_argument("--risk", action="store_true", help="scaled-risk curve over --ngrid")
     p.add_argument("--coverage", action="store_true", help="confidence-band coverage at --n")
-    p.add_argument("--alpha", type=float, default=0.05, help="band level for coverage mode")
-    p.add_argument("--bandmc", type=int, default=100_000, help="band quantile draws for coverage mode")
+    p.add_argument("--alpha", type=_level, default=0.05, help="band level for coverage mode")
+    p.add_argument("--bandmc", type=_int_at_least(MIN_QUANTILE_DRAWS), default=100_000,
+                   help="band quantile draws for coverage mode")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -466,24 +504,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="sG", choices=ESTIMATOR_CODES,
                    help="estimator to fit when --input is given")
     p.add_argument("--theta", default=None, help="estimate.json file to reuse as the band center")
-    p.add_argument("--alpha", type=float, required=True, help="band level")
-    p.add_argument("--mc", type=int, default=100_000, help="Monte-Carlo draws for the quantile")
+    p.add_argument("--alpha", type=_level, required=True, help="band level")
+    p.add_argument("--mc", type=_int_at_least(MIN_QUANTILE_DRAWS), default=100_000,
+                   help="Monte-Carlo draws for the quantile")
     _add_common(p)
     p.set_defaults(func=_cmd_band)
 
     p = sub.add_parser("qq", help="normal QQ samples of one coordinate")
     p.add_argument("--model", required=True, help="model string")
-    p.add_argument("--coord", type=int, required=True, help="coordinate under study")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--reps", type=int, required=True, help="Monte-Carlo replications")
+    p.add_argument("--coord", type=_int_at_least(0), required=True, help="coordinate under study")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="sample size")
+    p.add_argument("--reps", type=_int_at_least(1), required=True, help="Monte-Carlo replications")
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
     _add_common(p)
     p.set_defaults(func=_cmd_qq)
 
     p = sub.add_parser("bench", help="worst-case timings of the core computations")
     p.add_argument("--sgrid", required=True, help="comma-separated support sizes")
-    p.add_argument("--runs", type=int, default=10, help="runs to average over")
-    p.add_argument("--mc", type=int, default=100_000, help="quantile draws per run")
+    p.add_argument("--runs", type=_int_at_least(1), default=10, help="runs to average over")
+    p.add_argument("--mc", type=_int_at_least(MIN_QUANTILE_DRAWS), default=100_000,
+                   help="quantile draws per run")
     _add_common(p)
     p.set_defaults(func=_cmd_bench)
 
@@ -504,16 +544,10 @@ def main(argv=None) -> int:
     except CountsParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ParameterError, InvalidPmfError, EmptyInputError, InsufficientSampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as exc:
-        # model strings and flag combinations surface as plain ValueError
-        message = str(exc)
-        if "model string" in message:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"error: {message}", file=sys.stderr)
+        # the parser and the subcommands reject bad flag values as usage
+        # errors, so what reaches here is a numeric failure
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -23,6 +23,9 @@ from .rng import substream
 #: Target number of scalar normals per chunk of draws.
 _CHUNK_TARGET = 1 << 21
 
+#: Fewest Monte-Carlo draws a quantile estimate accepts.
+MIN_QUANTILE_DRAWS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class ConfidenceBand:
@@ -104,8 +107,8 @@ def quantile_q_alpha(theta, alpha: float, reps: int, seed: int) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if reps < 100:
-        raise ValueError(f"need at least 100 draws for a quantile, got reps={reps}")
+    if reps < MIN_QUANTILE_DRAWS:
+        raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} draws for a quantile, got reps={reps}")
     draws = sample_sup_norm(theta, reps, seed)
     k = min(max(int(math.ceil((1.0 - alpha) * reps)), 1), reps)
     return float(np.partition(draws, k - 1)[k - 1])

@@ -41,8 +41,9 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _shape_transform(kind: str, v: np.ndarray) -> np.ndarray:
-    if kind == GRENANDER:
+def shape_transform(kind: str, v: np.ndarray) -> np.ndarray:
+    """The isotonic fit (``grenander``) or the decreasing rearrangement of ``v``."""
+    if _check_kind(kind) == GRENANDER:
         return isotonic_decreasing(v)[0]
     return rearrange_decreasing(v)
 
@@ -94,22 +95,25 @@ def empirical(x: FrequencyData) -> Pmf:
 
 def rearrangement(x: FrequencyData) -> Pmf:
     """Empirical estimator sorted into nonincreasing order."""
-    return Pmf(rearrange_decreasing(x.counts / x.n))
+    return Pmf(shape_transform(REARRANGEMENT, x.counts / x.n))
 
 
 def grenander(x: FrequencyData) -> Pmf:
     """Isotonic (nonincreasing) projection of the empirical estimator."""
-    fitted, _ = isotonic_decreasing(x.counts / x.n)
-    return Pmf(fitted)
+    return Pmf(shape_transform(GRENANDER, x.counts / x.n))
 
 
 def minimax(x: FrequencyData) -> Pmf:
     """Shrink the empirical estimator toward the uniform vector on the
     observed range with weight ``sqrt(n) / (n + sqrt(n))``."""
-    n = x.n
+    return Pmf(minimax_probs(x.counts / x.n, x.n))
+
+
+def minimax_probs(base: np.ndarray, n: int) -> np.ndarray:
+    """:func:`minimax` from the empirical vector ``base`` of ``n`` observations."""
     alpha = math.sqrt(n) / (n + math.sqrt(n))
-    uniform = np.full(x.counts.size, 1.0 / x.counts.size)
-    return Pmf(alpha * uniform + (1.0 - alpha) * (x.counts / n))
+    uniform = np.full(base.size, 1.0 / base.size)
+    return alpha * uniform + (1.0 - alpha) * base
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +137,7 @@ def loo_vectors(x: FrequencyData, kind: str) -> LooVectors:
         modified[j] -= 1.0
         modified /= n - 1
         pi[j] = (counts[j] - 1) / (n - 1)
-        shape_loo[j] = _shape_transform(kind, modified)[j]
+        shape_loo[j] = shape_transform(kind, modified)[j]
     return LooVectors(pi=pi, shape_loo=shape_loo, kind=kind)
 
 
@@ -324,8 +328,11 @@ def loo_vectors_fast(x: FrequencyData, kind: str) -> LooVectors:
 # Cross-validated mixture weight and the stacked estimator
 
 
-def cv_beta(x: FrequencyData, kind: str, fast: bool = True) -> tuple[float, float, float]:
+def cv_beta(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> tuple[float, float, float]:
     """Closed-form leave-one-out least-squares mixture weight.
+
+    ``shape`` is ``shape_transform(kind, x.counts / x.n)`` when the caller
+    already has it; otherwise it is computed here.
 
     Returns ``(beta_hat, a_n, b_n)`` where
 
@@ -340,9 +347,10 @@ def cv_beta(x: FrequencyData, kind: str, fast: bool = True) -> tuple[float, floa
     if x.n < 2:
         raise InsufficientSampleError("the cross-validation criterion needs at least 2 observations")
     base = x.counts / x.n
-    shape = _shape_transform(kind, base)
+    if shape is None:
+        shape = shape_transform(kind, base)
     a_n = float(np.sum((shape - base) ** 2))
-    loo = loo_vectors_fast(x, kind) if fast else loo_vectors(x, kind)
+    loo = loo_vectors_fast(x, kind)
     b_n = float(np.sum(base * (loo.shape_loo - loo.pi)) - np.sum(base * (shape - base)))
     if a_n <= A_N_TOL:
         beta = 0.0
@@ -363,23 +371,28 @@ def stacked(x: FrequencyData, kind: str) -> StackedFit:
     fit degrades to the empirical estimator with ``beta_hat = 0`` and a
     diagnostics note instead of raising.
     """
+    base = x.counts / x.n
+    return stacked_from(x, kind, base, shape_transform(kind, base))
+
+
+def stacked_from(x: FrequencyData, kind: str, base: np.ndarray, shape: np.ndarray) -> StackedFit:
+    """:func:`stacked` from ``base = x.counts / x.n`` and
+    ``shape = shape_transform(kind, base)`` computed by the caller."""
     _check_kind(kind)
-    base = empirical(x)
-    shape = Pmf(_shape_transform(kind, base.probs))
     diagnostics: dict = {}
     if x.n < 2:
         beta, b_n = 0.0, None
-        a_n = float(np.sum((shape.probs - base.probs) ** 2))
+        a_n = float(np.sum((shape - base) ** 2))
         diagnostics["degenerate"] = "n = 1: cross-validation undefined, returned the empirical estimator"
     else:
-        beta, a_n, b_n = cv_beta(x, kind)
-    estimate = Pmf(beta * shape.probs + (1.0 - beta) * base.probs)
+        beta, a_n, b_n = cv_beta(x, kind, shape)
+    estimate = Pmf(beta * shape + (1.0 - beta) * base)
     return StackedFit(
         beta_hat=beta,
         a_n=a_n,
         b_n=b_n,
-        base=base,
-        shape=shape,
+        base=Pmf(base),
+        shape=Pmf(shape),
         estimate=estimate,
         kind=kind,
         diagnostics=diagnostics,

@@ -29,21 +29,42 @@ ESTIMATOR_CODES = ("e", "mm", "r", "G", "sr", "sG")
 #: Truth vectors are materialized with this tail tolerance.
 TRUTH_TRUNCATION = 1e-12
 
+#: Shape transform behind each shape-based estimator code.
+_SHAPE_KINDS = {"r": est.REARRANGEMENT, "G": est.GRENANDER, "sr": est.REARRANGEMENT, "sG": est.GRENANDER}
 
-def fit_estimator(code: str, x) -> np.ndarray:
-    """Probability vector of the estimator named by ``code`` on data ``x``."""
+
+class SharedFits:
+    """The empirical vector of one data set and its shape fits, each
+    computed at most once however many estimators are derived from them."""
+
+    def __init__(self, x: FrequencyData):
+        self.base = x.counts / x.n
+        self._shapes = {}
+
+    def shape(self, kind: str) -> np.ndarray:
+        if kind not in self._shapes:
+            self._shapes[kind] = est.shape_transform(kind, self.base)
+        return self._shapes[kind]
+
+
+def fit_estimator(code: str, x, shared: SharedFits | None = None) -> np.ndarray:
+    """Probability vector of the estimator named by ``code`` on data ``x``.
+
+    Callers fitting several estimators to the same ``x`` pass one
+    ``SharedFits(x)`` to all of them; the results are bitwise equal to the
+    standalone estimator functions either way.
+    """
+    if shared is None:
+        shared = SharedFits(x)
     if code == "e":
-        return est.empirical(x).probs
+        return shared.base
     if code == "mm":
-        return est.minimax(x).probs
-    if code == "r":
-        return est.rearrangement(x).probs
-    if code == "G":
-        return est.grenander(x).probs
-    if code == "sr":
-        return est.stacked(x, est.REARRANGEMENT).estimate.probs
-    if code == "sG":
-        return est.stacked(x, est.GRENANDER).estimate.probs
+        return est.minimax_probs(shared.base, x.n)
+    if code in ("r", "G"):
+        return shared.shape(_SHAPE_KINDS[code])
+    if code in ("sr", "sG"):
+        kind = _SHAPE_KINDS[code]
+        return est.stacked_from(x, kind, shared.base, shared.shape(kind)).estimate.probs
     raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
 
 
@@ -122,9 +143,10 @@ def _map_ordered(fn, payloads, workers: int):
 def _loss_rep(payload):
     model, n, rep_seed, codes, norms, truth = payload
     x = sample(model, n, rep_seed)
+    shared = SharedFits(x)
     row = np.empty((len(codes), len(norms)))
     for a, code in enumerate(codes):
-        probs = fit_estimator(code, x)
+        probs = fit_estimator(code, x, shared)
         for b, k in enumerate(norms):
             row[a, b] = est.lk_distance(probs, truth, k)
     return row
@@ -133,9 +155,10 @@ def _loss_rep(payload):
 def _coverage_rep(payload):
     model, n, rep_seed, band_seed, codes, alpha, band_mc_reps, truth = payload
     x = sample(model, n, rep_seed)
+    shared = SharedFits(x)
     hits = np.empty(len(codes), dtype=bool)
     for a, code in enumerate(codes):
-        center = fit_estimator(code, x)
+        center = fit_estimator(code, x, shared)
         q_hat = quantile_q_alpha(center, alpha, band_mc_reps, band_seed)
         padded = np.zeros(max(center.size, truth.size))
         padded[: center.size] = center
@@ -149,10 +172,11 @@ def _coverage_rep(payload):
 def _qq_rep(payload):
     model, n, rep_seed, codes, coord, p_coord = payload
     x = sample(model, n, rep_seed)
+    shared = SharedFits(x)
     row = np.empty(len(codes))
     root_n = math.sqrt(n)
     for a, code in enumerate(codes):
-        probs = fit_estimator(code, x)
+        probs = fit_estimator(code, x, shared)
         value = probs[coord] if coord < probs.size else 0.0
         row[a] = root_n * (value - p_coord)
     return row

@@ -14,6 +14,7 @@ Conventions fixed here:
   ``p_j = C(j + r - 1, j) * theta**j * (1 - theta)**r``.
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ class Geometric:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ParameterError(f"geometric theta must lie in (0, 1), got {self.theta!r}")
+        object.__setattr__(self, "theta", float(self.theta))
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,7 @@ class NegativeBinomial:
         if not 0.0 < self.theta < 1.0:
             raise ParameterError(f"negative binomial theta must lie in (0, 1), got {self.theta!r}")
         object.__setattr__(self, "r", int(self.r))
+        object.__setattr__(self, "theta", float(self.theta))
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,7 @@ class Poisson:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ParameterError(f"poisson rate must be positive, got {self.lam!r}")
+        object.__setattr__(self, "lam", float(self.lam))
 
 
 @dataclass(frozen=True)
@@ -330,14 +334,25 @@ def sample(model: ModelSpec, n: int, seed: int) -> FrequencyData:
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    pmf = pmf_truncate(model, SAMPLING_TRUNCATION)
-    cum = np.cumsum(pmf.probs)
+    cum = _sampling_table(model)
     rng = substream(seed)
     u = rng.random(int(n))
     idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, pmf.probs.size - 1)
+    idx = np.minimum(idx, cum.size - 1)
     counts = np.bincount(idx)
     return FrequencyData(counts)
+
+
+@functools.lru_cache(maxsize=64)
+def _sampling_table(model: ModelSpec) -> np.ndarray:
+    """Read-only cumulative sums of ``model`` truncated at ``SAMPLING_TRUNCATION``.
+
+    Built once per distinct model for the life of the process; models are
+    frozen dataclasses, so equal descriptions share one entry.
+    """
+    cum = np.cumsum(pmf_truncate(model, SAMPLING_TRUNCATION).probs)
+    cum.flags.writeable = False
+    return cum
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@
 These deliberately avoid the library's algorithms: the partition oracle
 enumerates every blockwise-mean candidate, and the repeated-argmax scan
 follows the textbook maximum-upper-sets description step by step.
+:func:`reference_sample` rebuilds the sampling table on every call, as the
+library's sampler did before it cached one table per model.
 """
 
 import numpy as np
 
-from stackpmf import FrequencyData
+from stackpmf import FrequencyData, pmf_truncate
+from stackpmf.models import SAMPLING_TRUNCATION
+from stackpmf.rng import substream
 
 
 def brute_force_isotonic_decreasing(v: np.ndarray) -> np.ndarray:
@@ -82,3 +86,12 @@ def random_frequency_data(rng: np.random.Generator, max_len: int = 50, max_n: in
     if counts.sum() < 2:
         counts[-1] += 2
     return FrequencyData(counts)
+
+
+def reference_sample(model, n: int, seed: int) -> FrequencyData:
+    """Inversion sampling from a freshly truncated table, no caching."""
+    pmf = pmf_truncate(model, SAMPLING_TRUNCATION)
+    cum = np.cumsum(pmf.probs)
+    u = substream(seed).random(int(n))
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), pmf.probs.size - 1)
+    return FrequencyData(np.bincount(idx))

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from stackpmf.cli import main
 
 
@@ -229,3 +231,36 @@ class TestManifests:
         assert run(["simulate", "--model", "M1", "--n", 10, "--reps", 4, "--est", "e",
                     "--norm", "1", "--seed", 123, "--out", tmp_path / "flag"]) == 0
         assert (tmp_path / "env/losses.csv").read_bytes() == (tmp_path / "flag/losses.csv").read_bytes()
+
+
+SIMULATE = ["simulate", "--model", "M1", "--n", 10, "--reps", 2]
+QQ = ["qq", "--model", "M1", "--coord", 0, "--n", 10, "--reps", 2]
+
+
+class TestBadFlagValuesAreUsageErrors:
+    """An invalid flag value exits 2 (usage), never 4 (numeric failure)."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(SIMULATE[:-1] + [0], id="simulate-reps-0"),
+        pytest.param(["simulate", "--model", "M1", "--n", 0, "--reps", 2], id="simulate-n-0"),
+        pytest.param(SIMULATE + ["--workers", 0], id="simulate-workers-0"),
+        pytest.param(["simulate", "--model", "geom:1.5", "--n", 10, "--reps", 2], id="simulate-model-geom-1.5"),
+        pytest.param(SIMULATE + ["--coverage", "--alpha", 0], id="simulate-alpha-0"),
+        pytest.param(SIMULATE + ["--coverage", "--bandmc", 50], id="simulate-bandmc-50"),
+        pytest.param(["simulate", "--model", "M1", "--reps", 2, "--risk", "--ngrid", "0,5"],
+                     id="simulate-ngrid-0"),
+        pytest.param(["band", "--theta", "unused.json", "--alpha", 1.5], id="band-alpha-1.5"),
+        pytest.param(["band", "--theta", "unused.json", "--alpha", 0.05, "--mc", 50], id="band-mc-50"),
+        pytest.param(QQ[:3] + ["--coord", 99] + QQ[5:], id="qq-coord-99"),
+        pytest.param(QQ[:3] + ["--coord", -1] + QQ[5:], id="qq-coord-negative"),
+        pytest.param(["estimate", "--input", "unused.txt", "--kind", "e", "--band", 1.5], id="estimate-band-1.5"),
+        pytest.param(["bench", "--sgrid", 0], id="bench-sgrid-0"),
+        pytest.param(["bench", "--sgrid", 3, "--runs", 0], id="bench-runs-0"),
+    ])
+    def test_exit_code(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", tmp_path]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_last_coordinate_of_the_support_is_accepted(self, tmp_path):
+        assert run(QQ[:3] + ["--coord", 11] + QQ[5:] + ["--out", tmp_path]) == 0

@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import scaled_risk_closed_form
 from stackpmf import (
+    ESTIMATOR_CODES,
+    GRENANDER,
+    REARRANGEMENT,
     ExperimentConfig,
+    FrequencyData,
     UniformRange,
     builtin_models,
     pmf_truncate,
@@ -17,6 +23,8 @@ from stackpmf import (
     run_risk_curve,
     worst_case_timing,
 )
+from stackpmf import estimators as est
+from stackpmf.harness import SharedFits, fit_estimator
 
 M = builtin_models()
 
@@ -31,6 +39,55 @@ class TestConfig:
             ExperimentConfig(model=M["M1"], reps=1, norms=(3,))
         with pytest.raises(ValueError):
             ExperimentConfig(model=M["M1"], reps=1, alpha=1.5)
+
+
+#: Counts vectors with zeros and ties, ending in a positive count; the
+#: single-observation vectors [1] and [0, 0, 1] have n = 1.
+counts_vectors = st.lists(st.integers(0, 5), min_size=0, max_size=30).flatmap(
+    lambda head: st.integers(1, 5).map(lambda last: np.asarray(head + [last], dtype=np.int64))
+)
+
+
+class TestSharedFits:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(counts_vectors)
+    @example(np.array([1]))
+    @example(np.array([0, 0, 1]))
+    @example(np.array([2, 2, 2, 2]))
+    def test_bitwise_equal_to_standalone_estimators(self, counts):
+        x = FrequencyData(counts)
+        standalone = {
+            "e": est.empirical(x).probs,
+            "mm": est.minimax(x).probs,
+            "r": est.rearrangement(x).probs,
+            "G": est.grenander(x).probs,
+            "sr": est.stacked(x, REARRANGEMENT).estimate.probs,
+            "sG": est.stacked(x, GRENANDER).estimate.probs,
+        }
+        shared = SharedFits(x)
+        for code in ESTIMATOR_CODES:
+            got = fit_estimator(code, x, shared)
+            assert got.tobytes() == standalone[code].tobytes(), code
+            assert fit_estimator(code, x).tobytes() == standalone[code].tobytes(), code
+        for kind in (REARRANGEMENT, GRENANDER):
+            fit = est.stacked_from(x, kind, shared.base, shared.shape(kind))
+            assert 0.0 <= fit.beta_hat <= 1.0
+            assert fit.beta_hat == est.stacked(x, kind).beta_hat
+
+    def test_each_shape_is_fitted_once(self, monkeypatch):
+        calls = []
+        original = est.shape_transform
+
+        def counting(kind, v):
+            calls.append(kind)
+            return original(kind, v)
+
+        monkeypatch.setattr(est, "shape_transform", counting)
+        x = FrequencyData(np.array([1, 3, 0, 2, 5]))
+        shared = SharedFits(x)
+        for code in ESTIMATOR_CODES:
+            fit_estimator(code, x, shared)
+        assert sorted(calls) == sorted([REARRANGEMENT, GRENANDER])
 
 
 class TestLossExperiment:

@@ -1,10 +1,12 @@
 """Tests for the distribution families, truncation and sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import reference_sample
 from stackpmf import (
     FrequencyData,
     Geometric,
@@ -24,6 +26,7 @@ from stackpmf import (
     sample,
     support_size,
 )
+from stackpmf.models import _sampling_table
 
 ALL_BUILTIN = tuple(builtin_models().items())
 
@@ -136,6 +139,52 @@ class TestSample:
         x = sample(builtin_models()["M4"], 200, seed=3)
         assert x.counts[-1] > 0
         assert x.t_n == len(x) - 1
+
+
+class TestSamplingTableCache:
+    MODELS = ALL_BUILTIN + (
+        ("geom:0.9", parse_model("geom:0.9")),
+        ("nbin:3,0.7", parse_model("nbin:3,0.7")),
+        ("mix", parse_model("mix:0.3*pois:4+0.7*geom:0.5")),
+    )
+
+    @pytest.mark.parametrize("name,model", MODELS)
+    def test_bitwise_equal_to_uncached_reference(self, name, model):
+        for n in (1, 7, 300, 20_000):
+            for seed in (0, 3, 2**40 + 11):
+                got = sample(model, n, seed)
+                want = reference_sample(model, n, seed)
+                assert got.counts.dtype == want.counts.dtype
+                np.testing.assert_array_equal(got.counts, want.counts)
+
+    def test_table_is_read_only(self):
+        cum = _sampling_table(builtin_models()["M7"])
+        with pytest.raises(ValueError):
+            cum[0] = 0.5
+        assert cum[-1] <= 1.0
+
+    def test_equal_models_share_one_entry(self):
+        _sampling_table.cache_clear()
+        a = _sampling_table(builtin_models()["M7"])
+        b = _sampling_table(builtin_models()["M7"])
+        assert a is b
+        fraction = Mixture(((0.375, Poisson(2)), (0.625, Poisson(15))))
+        assert _sampling_table(fraction) is a
+        assert _sampling_table(Geometric(0.25)) is _sampling_table(parse_model("geom:1/4"))
+        info = _sampling_table.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_equal_fields_of_different_families_do_not_collide(self):
+        uniform = _sampling_table(UniformRange(3))
+        decreasing = _sampling_table(TriangularDecreasing(3))
+        np.testing.assert_array_equal(uniform, np.cumsum(pmf_values(UniformRange(3), 4)))
+        np.testing.assert_array_equal(decreasing, np.cumsum(pmf_values(TriangularDecreasing(3), 4)))
+        assert not np.array_equal(uniform, decreasing)
+
+    def test_float_parameters_are_normalized(self):
+        assert Geometric(Fraction(1, 4)).theta == 0.25 and type(Geometric(Fraction(1, 4)).theta) is float
+        assert type(Poisson(2).lam) is float
+        assert type(NegativeBinomial(3, Fraction(7, 10)).theta) is float
 
 
 class TestContainers:

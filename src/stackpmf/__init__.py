@@ -26,7 +26,6 @@ from .estimators import (
     empirical,
     grenander,
     lk_distance,
-    loo_vectors,
     loo_vectors_fast,
     minimax,
     rearrangement,
@@ -101,7 +100,6 @@ __all__ = [
     "isotonic_decreasing",
     "iter_limit_process",
     "lk_distance",
-    "loo_vectors",
     "loo_vectors_fast",
     "minimax",
     "parse_model",

@@ -18,11 +18,12 @@ import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from ._svg import boxplot_svg, linechart_svg
 from .confidence import band as make_band
-from .confidence import MIN_QUANTILE_DRAWS, quantile_q_alpha
+from .confidence import MIN_QUANTILE_DRAWS, _as_theta, quantile_q_alpha
 from .estimators import stacked
 from .harness import (
     ESTIMATOR_CODES,
@@ -381,8 +382,10 @@ def _cmd_band(args) -> int:
         try:
             with open(args.theta, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            center = np.asarray(payload["estimate"], dtype=float)
+            center = _as_theta(payload["estimate"])
             n = int(payload["n"])
+            if n < 1:
+                raise ValueError(f"sample size must be at least 1, got {n}")
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise CountsParseError(f"cannot read estimate json {args.theta}: {exc}", line=0) from exc
         source = {"theta": args.theta}
@@ -450,7 +453,7 @@ def _cmd_bench(args) -> int:
             "--seed", str(seed), "--format", args.format, "--out", args.out]
     config = {"sgrid": list(s_grid), "runs": args.runs, "mc_reps": args.mc, "seed": seed,
               "machine": platform.platform(), "python": platform.python_version(),
-              "numpy": np.__version__}
+              "numpy": np.__version__, "scipy": scipy.__version__}
     _write_manifest(args, "bench", argv, config, [path])
     return EXIT_OK
 

@@ -11,9 +11,8 @@ whose mixture weight ``beta`` minimizes a leave-one-out least-squares
 cross-validation criterion and is available in closed form from two
 scalars ``a_n`` and ``b_n`` (see :func:`cv_beta`).
 
-The leave-one-out machinery has a definitional implementation
-(:func:`loo_vectors`, one full refit per observed support point) and a
-fast one (:func:`loo_vectors_fast`) that produces identical values in
+The leave-one-out vectors come from :func:`loo_vectors_fast`, which
+produces the values of one full refit per observed support point in
 O(D log D) instead of O(D^2).
 """
 
@@ -29,6 +28,9 @@ from .shape import isotonic_decreasing, rearrange_decreasing
 REARRANGEMENT = "rearrangement"
 GRENANDER = "grenander"
 KINDS = (REARRANGEMENT, GRENANDER)
+
+#: The l_k norms :func:`lk_distance` supports.
+NORMS = (1, 2, math.inf)
 
 #: Below this, the squared distance between shape and base is treated as zero
 #: and the mixture weight defaults to 0 (the estimate is unchanged either way).
@@ -118,27 +120,6 @@ def minimax_probs(base: np.ndarray, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Leave-one-out vectors
-
-
-def loo_vectors(x: FrequencyData, kind: str) -> LooVectors:
-    """Reference leave-one-out computation: one full refit per support point."""
-    _check_kind(kind)
-    if x.n < 2:
-        raise InsufficientSampleError("leave-one-out needs at least 2 observations")
-    counts = x.counts
-    n = x.n
-    d = counts.size
-    pi = np.zeros(d)
-    shape_loo = np.zeros(d)
-    for j in range(d):
-        if counts[j] == 0:
-            continue
-        modified = counts.astype(float)
-        modified[j] -= 1.0
-        modified /= n - 1
-        pi[j] = (counts[j] - 1) / (n - 1)
-        shape_loo[j] = shape_transform(kind, modified)[j]
-    return LooVectors(pi=pi, shape_loo=shape_loo, kind=kind)
 
 
 def _loo_rearrangement_fast(counts: np.ndarray, n: int) -> np.ndarray:
@@ -239,11 +220,7 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
     tangent searches.
     """
     d = counts.size
-    cum = [0] * (d + 1)
-    acc = 0
-    for i, c in enumerate(counts.tolist()):
-        acc += c
-        cum[i + 1] = acc
+    cum = [0] + np.cumsum(counts).tolist()
     suffix = _SuffixHulls(cum)
 
     def left_tangent(hull: list[int], w: int) -> int:
@@ -279,7 +256,9 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
             continue
         u = hull[-1]
         w = suffix.max_slope_vertex(u, q + 1)
-        for _ in range(64):
+        # Terminates: each tangent line supports one hull, so u only moves
+        # left on the prefix hull and w only right on the suffix hull.
+        while True:
             u2 = left_tangent(hull, w)
             if u2 == u:
                 break
@@ -288,21 +267,12 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
             if w2 == w:
                 break
             w = w2
-        else:
-            # safety net: exhaustive minimum over prefix hull vertices
-            best = None
-            for u2 in hull:
-                w2 = suffix.max_slope_vertex(u2, q + 1)
-                s = (cum[w2] - 1 - cum[u2]) / (w2 - u2)
-                if best is None or s < best:
-                    best = s
-                    u, w = u2, w2
         out[q] = (cum[w] - 1 - cum[u]) / ((w - u) * (n - 1))
     return out
 
 
 def loo_vectors_fast(x: FrequencyData, kind: str) -> LooVectors:
-    """Same output as :func:`loo_vectors` without refitting per index.
+    """Leave-one-out vectors for ``kind`` without refitting per index.
 
     The rearrangement variant maintains one sorted order and relocates each
     decremented value by binary search; the isotonic variant reuses the
@@ -406,8 +376,10 @@ def stacked_from(x: FrequencyData, kind: str, base: np.ndarray, shape: np.ndarra
 def lk_distance(u, v, k) -> float:
     """l_k distance between two vectors, the shorter zero-padded.
 
-    ``k`` is 1, 2, any integer >= 1, or ``math.inf``.
+    ``k`` is 1, 2 or ``math.inf``.
     """
+    if k not in NORMS:
+        raise ValueError(f"k must be 1, 2 or inf, got {k!r}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     size = max(u.size, v.size)
@@ -419,6 +391,4 @@ def lk_distance(u, v, k) -> float:
         return float(diff.max())
     if k == 1:
         return float(diff.sum())
-    if k == 2:
-        return float(math.sqrt(np.sum(diff * diff)))
-    return float(np.sum(diff**k) ** (1.0 / k))
+    return float(math.sqrt(np.sum(diff * diff)))

@@ -81,7 +81,7 @@ class ExperimentConfig:
     model: ModelSpec
     reps: int
     estimators: tuple = ("e", "sG")
-    norms: tuple = (1, 2, math.inf)
+    norms: tuple = est.NORMS
     n: int | None = None
     n_grid: tuple = ()
     alpha: float = 0.05
@@ -98,7 +98,7 @@ class ExperimentConfig:
         if not self.estimators:
             raise ValueError("select at least one estimator")
         for k in self.norms:
-            if k not in (1, 2, math.inf):
+            if k not in est.NORMS:
                 raise ValueError(f"norms must be 1, 2 or inf, got {k!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")

@@ -3,15 +3,16 @@
 Two primitives used by every constrained estimator in the package:
 
 * :func:`isotonic_decreasing` computes the least-squares projection of a
-  vector onto the cone of nonincreasing vectors with the stack-based
-  pool-adjacent-violators scan, returning both the fitted vector and its
-  partition into constant blocks.
+  vector onto the cone of nonincreasing vectors with SciPy's
+  pool-adjacent-violators algorithm (PAVA), returning both the fitted
+  vector and its partition into constant blocks.
 * :func:`rearrange_decreasing` sorts a vector into nonincreasing order.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .errors import EmptyInputError
 
@@ -58,30 +59,19 @@ def isotonic_decreasing(v) -> tuple[np.ndarray, BlockPartition]:
     if not np.all(np.isfinite(v)):
         raise ValueError("entries must be finite")
 
-    # Stack of blocks as (start index, sum, count). A new element opens a
-    # block; adjacent blocks pool while the later mean is >= the earlier one
-    # (merging on ties keeps levels strictly decreasing).
-    starts = []
-    sums = []
-    counts = []
-    for j in range(v.size):
-        starts.append(j)
-        sums.append(float(v[j]))
-        counts.append(1)
-        while len(sums) > 1 and sums[-1] * counts[-2] >= sums[-2] * counts[-1]:
-            s = sums.pop()
-            c = counts.pop()
-            starts.pop()
-            sums[-1] += s
-            counts[-1] += c
-
-    start_idx = np.asarray(starts, dtype=np.intp)
-    widths = np.diff(np.append(start_idx, v.size))
-    # Recompute block means with pairwise summation; the running sums above
-    # only decide the partition.
-    levels = np.add.reduceat(v, start_idx) / widths
+    # SciPy's PAVA fixes the partition; equal-level neighbours it leaves
+    # apart are merged so the blocks are maximal. Levels are block means
+    # recomputed with pairwise summation.
+    starts = isotonic_regression(v, increasing=False).blocks[:-1]
+    while True:
+        widths = np.diff(np.append(starts, v.size))
+        levels = np.add.reduceat(v, starts) / widths
+        strict = np.append(True, levels[1:] < levels[:-1])
+        if strict.all():
+            break
+        starts = starts[strict]
     fitted = np.repeat(levels, widths)
-    boundaries = np.append(start_idx[1:], v.size) - 1
+    boundaries = np.append(starts[1:], v.size) - 1
     return fitted, BlockPartition(boundaries=boundaries, levels=levels)
 
 

@@ -3,15 +3,26 @@
 These deliberately avoid the library's algorithms: the partition oracle
 enumerates every blockwise-mean candidate, and the repeated-argmax scan
 follows the textbook maximum-upper-sets description step by step.
-:func:`reference_sample` rebuilds the sampling table on every call, as the
-library's sampler did before it cached one table per model.
+:func:`loo_vectors` computes leave-one-out vectors from their definition,
+one full refit per support point, against which the library's
+O(D log D) pass is checked. :func:`reference_sample` rebuilds the sampling
+table on every call, as the library's sampler did before it cached one
+table per model.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
-from stackpmf import FrequencyData, pmf_truncate
+from stackpmf import KINDS, FrequencyData, InsufficientSampleError, LooVectors, pmf_truncate
+from stackpmf.estimators import shape_transform
 from stackpmf.models import SAMPLING_TRUNCATION
 from stackpmf.rng import substream
+
+#: Counts vectors with zeros and ties, ending in a positive count; the
+#: single-observation vectors [1] and [0, 0, 1] have n = 1.
+counts_vectors = st.lists(st.integers(0, 5), min_size=0, max_size=30).flatmap(
+    lambda head: st.integers(1, 5).map(lambda last: np.asarray(head + [last], dtype=np.int64))
+)
 
 
 def brute_force_isotonic_decreasing(v: np.ndarray) -> np.ndarray:
@@ -59,6 +70,32 @@ def maximum_upper_sets(v: np.ndarray) -> np.ndarray:
         fitted[start : start + best + 1] = means[best]
         start += best + 1
     return fitted
+
+
+def loo_vectors(x: FrequencyData, kind: str) -> LooVectors:
+    """Leave-one-out vectors by definition: one full refit per support point.
+
+    The shape refit goes through the library's ``shape_transform``, which the
+    two isotonic oracles above check on their own. O(D^2).
+    """
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if x.n < 2:
+        raise InsufficientSampleError("leave-one-out needs at least 2 observations")
+    counts = x.counts
+    n = x.n
+    d = counts.size
+    pi = np.zeros(d)
+    shape_loo = np.zeros(d)
+    for j in range(d):
+        if counts[j] == 0:
+            continue
+        modified = counts.astype(float)
+        modified[j] -= 1.0
+        modified /= n - 1
+        pi[j] = (counts[j] - 1) / (n - 1)
+        shape_loo[j] = shape_transform(kind, modified)[j]
+    return LooVectors(pi=pi, shape_loo=shape_loo, kind=kind)
 
 
 def scaled_risk_closed_form(truth: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from scipy.stats import norm
 
 from oracles import (
     brute_force_isotonic_decreasing,
+    loo_vectors,
     maximum_upper_sets,
     random_frequency_data,
     scaled_risk_closed_form,
@@ -35,7 +36,6 @@ from stackpmf import (
     grenander,
     isotonic_decreasing,
     iter_limit_process,
-    loo_vectors,
     loo_vectors_fast,
     pmf_truncate,
     quantile_q_alpha,

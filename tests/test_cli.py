@@ -4,6 +4,7 @@ import csv
 import json
 
 import pytest
+import scipy
 
 from stackpmf.cli import main
 
@@ -164,6 +165,20 @@ class TestBand:
     def test_needs_exactly_one_source(self, tmp_path):
         assert run(["band", "--alpha", 0.05, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"estimate": [0.5, 0.2], "n": 10},
+            {"estimate": [0.5, 0.5], "n": 0},
+            {"estimate": [], "n": 10},
+        ],
+        ids=["not-summing-to-one", "n-zero", "empty-estimate"],
+    )
+    def test_bad_estimate_json_is_data_error(self, tmp_path, payload):
+        theta = tmp_path / "estimate.json"
+        theta.write_text(json.dumps(payload))
+        assert run(["band", "--theta", theta, "--alpha", 0.05, "--mc", 500, "--out", tmp_path]) == 3
+
 
 class TestQq:
     def test_columns(self, tmp_path):
@@ -212,6 +227,7 @@ class TestBench:
         assert len(rows) == 3
         manifest = json.loads((tmp_path / "bench.manifest.json").read_text())
         assert "machine" in manifest["config"]
+        assert manifest["config"]["scipy"] == scipy.__version__
 
 
 class TestManifests:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from oracles import random_frequency_data
+from oracles import counts_vectors, loo_vectors, random_frequency_data
 from stackpmf import (
     GRENANDER,
     KINDS,
@@ -16,7 +17,6 @@ from stackpmf import (
     empirical,
     grenander,
     lk_distance,
-    loo_vectors,
     loo_vectors_fast,
     minimax,
     rearrangement,
@@ -98,6 +98,21 @@ class TestLooVectors:
                 fast = loo_vectors_fast(x, kind)
                 np.testing.assert_allclose(fast.pi, slow.pi, atol=1e-12)
                 np.testing.assert_allclose(fast.shape_loo, slow.shape_loo, atol=1e-12)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(counts_vectors)
+    def test_fast_equals_reference_on_zeros_and_ties(self, counts):
+        x = FrequencyData(counts)
+        for kind in KINDS:
+            if x.n < 2:
+                for fn in (loo_vectors, loo_vectors_fast):
+                    with pytest.raises(InsufficientSampleError):
+                        fn(x, kind)
+                continue
+            slow = loo_vectors(x, kind)
+            fast = loo_vectors_fast(x, kind)
+            np.testing.assert_allclose(fast.pi, slow.pi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fast.shape_loo, slow.shape_loo, rtol=0, atol=1e-12)
 
     def test_fast_equals_reference_long_vectors(self):
         rng = np.random.default_rng(24)
@@ -249,3 +264,8 @@ class TestDistance:
         assert lk_distance(u, v, 1) == pytest.approx(5.0)
         assert lk_distance(u, v, 2) == pytest.approx(3.0)
         assert lk_distance(u, v, math.inf) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("k", [0, 0.5, 3, -1, math.nan])
+    def test_other_norms_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be 1, 2 or inf"):
+            lk_distance([1.0, 0.5], [0.5], k)

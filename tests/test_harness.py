@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from oracles import scaled_risk_closed_form
+from oracles import counts_vectors, scaled_risk_closed_form
 from stackpmf import (
     ESTIMATOR_CODES,
     GRENANDER,
@@ -39,13 +38,6 @@ class TestConfig:
             ExperimentConfig(model=M["M1"], reps=1, norms=(3,))
         with pytest.raises(ValueError):
             ExperimentConfig(model=M["M1"], reps=1, alpha=1.5)
-
-
-#: Counts vectors with zeros and ties, ending in a positive count; the
-#: single-observation vectors [1] and [0, 0, 1] have n = 1.
-counts_vectors = st.lists(st.integers(0, 5), min_size=0, max_size=30).flatmap(
-    lambda head: st.integers(1, 5).map(lambda last: np.asarray(head + [last], dtype=np.int64))
-)
 
 
 class TestSharedFits:

@@ -4,8 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from oracles import brute_force_isotonic_decreasing, maximum_upper_sets
+from oracles import brute_force_isotonic_decreasing, counts_vectors, maximum_upper_sets
 from stackpmf import EmptyInputError, isotonic_decreasing, rearrange_decreasing
 
 
@@ -99,6 +100,18 @@ class TestIsotonicDecreasing:
                 assert abs(seg.mean() - level) <= 1e-10
                 np.testing.assert_allclose(fitted[start : end + 1], level)
                 start = end + 1
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(counts_vectors)
+    def test_tied_frequencies_match_oracles_with_maximal_blocks(self, counts):
+        v = counts / counts.sum()
+        fitted, blocks = isotonic_decreasing(v)
+        if v.size <= 10:
+            np.testing.assert_allclose(fitted, brute_force_isotonic_decreasing(v), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fitted, maximum_upper_sets(v), rtol=0, atol=1e-12)
+        assert np.all(np.diff(blocks.levels) < 0)
+        changes = np.flatnonzero(np.diff(fitted) != 0)
+        np.testing.assert_array_equal(blocks.boundaries, np.append(changes, v.size - 1))
 
     def test_near_linear_runtime_growth(self):
         # quadratic growth from 1e4 to 1e6 entries would blow past this ratio

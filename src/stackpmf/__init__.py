@@ -26,6 +26,7 @@ from .estimators import (
     empirical,
     grenander,
     lk_distance,
+    lk_distances,
     loo_vectors_fast,
     minimax,
     rearrangement,
@@ -100,6 +101,7 @@ __all__ = [
     "isotonic_decreasing",
     "iter_limit_process",
     "lk_distance",
+    "lk_distances",
     "loo_vectors_fast",
     "minimax",
     "parse_model",

@@ -382,7 +382,10 @@ def _cmd_band(args) -> int:
         try:
             with open(args.theta, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            center = _as_theta(payload["estimate"])
+            estimate = np.asarray(payload["estimate"], dtype=float)
+            if estimate.ndim != 1:
+                raise ValueError(f"the estimate must be a vector, got {estimate.ndim} dimensions")
+            center = _as_theta(estimate)[0]
             n = int(payload["n"])
             if n < 1:
                 raise ValueError(f"sample size must be at least 1, got {n}")
@@ -453,7 +456,8 @@ def _cmd_bench(args) -> int:
             "--seed", str(seed), "--format", args.format, "--out", args.out]
     config = {"sgrid": list(s_grid), "runs": args.runs, "mc_reps": args.mc, "seed": seed,
               "machine": platform.platform(), "python": platform.python_version(),
-              "numpy": np.__version__, "scipy": scipy.__version__}
+              "numpy": np.__version__, "scipy": scipy.__version__,
+              "cpu_count": os.cpu_count()}
     _write_manifest(args, "bench", argv, config, [path])
     return EXIT_OK
 

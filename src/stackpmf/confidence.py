@@ -9,6 +9,9 @@ that limit is estimated by Monte Carlo, and the band around a center vector
 Draws use the representation ``Y_j = sqrt(theta_j) * Z_j - theta_j * S``
 with ``S = sum_k sqrt(theta_k) * Z_k`` and i.i.d. standard normal ``Z``,
 which costs O(D) per draw and needs no factorization of the covariance.
+The sampler and the quantile also take a ``(c, D)`` stack of plug-in
+vectors: the stack shares one set of normals ``Z`` per chunk, and each row's
+draws and quantile are bitwise equal to what that row gets on its own.
 """
 
 import math
@@ -46,17 +49,19 @@ class ConfidenceBand:
 
 
 def _as_theta(theta) -> np.ndarray:
+    """``theta`` as a validated ``(c, D)`` stack of plug-in pmfs; a vector is one row."""
     if isinstance(theta, Pmf):
         theta = theta.probs
     theta = np.ascontiguousarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size == 0:
-        raise InvalidPmfError("theta must be a nonempty vector")
-    if np.any(theta < 0.0) or not np.all(np.isfinite(theta)):
+    stack = theta[None, :] if theta.ndim == 1 else theta
+    if stack.ndim != 2 or stack.size == 0:
+        raise InvalidPmfError("theta must be a nonempty vector or a (c, D) stack of them")
+    if np.any(stack < 0.0) or not np.all(np.isfinite(stack)):
         raise InvalidPmfError("theta entries must be finite and nonnegative")
-    total = float(theta.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise InvalidPmfError(f"theta must sum to 1 within 1e-6, got {total!r}")
-    return theta
+    for total in stack.sum(axis=1):
+        if abs(total - 1.0) > 1e-6:
+            raise InvalidPmfError(f"theta must sum to 1 within 1e-6, got {float(total)!r}")
+    return stack
 
 
 def _chunk_draws(dim: int) -> int:
@@ -68,42 +73,53 @@ def iter_limit_process(theta, reps: int, seed: int):
 
     Chunk k comes from the substream ``(seed, "supnorm", k)`` with a chunk
     size that depends only on D, so the pooled draws are a deterministic
-    function of ``(seed, reps)`` regardless of scheduling.
+    function of ``(seed, reps)`` regardless of scheduling. For a ``(c, D)``
+    stack of plug-in vectors, chunk k's normals are drawn once and chunk k
+    of every row is yielded in row order, each bitwise equal to what that
+    row alone yields. Every yield reuses one buffer, overwritten by the next.
     """
-    theta = _as_theta(theta)
+    stack = _as_theta(theta)
     if reps < 1:
         raise ValueError(f"need at least one draw, got reps={reps}")
-    root = np.sqrt(theta)
-    chunk = _chunk_draws(theta.size)
-    done = 0
-    k = 0
-    while done < reps:
+    # one allocation per root, as for a lone vector, so the BLAS dot product
+    # sees the same operand alignment in a stack as on its own
+    roots = [np.sqrt(row) for row in stack]
+    chunk = _chunk_draws(stack.shape[1])
+    buf = np.empty((min(chunk, reps), stack.shape[1]))
+    for k, done in enumerate(range(0, reps, chunk)):
         m = min(chunk, reps - done)
-        rng = substream(seed, "supnorm", k)
-        z = rng.standard_normal((m, theta.size))
-        weighted = z @ root
-        yield z * root - np.outer(weighted, theta)
-        done += m
-        k += 1
+        z = substream(seed, "supnorm", k).standard_normal((m, stack.shape[1]))
+        y = buf[:m]
+        for row, root in zip(stack, roots):
+            weighted = z @ root
+            np.multiply(z, root, out=y)
+            y -= weighted[:, None] * row
+            yield y
 
 
 def sample_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
-    """``reps`` draws of the sup norm of the limit Gaussian vector."""
-    out = np.empty(reps)
-    done = 0
-    for y in iter_limit_process(theta, reps, seed):
-        m = y.shape[0]
-        out[done : done + m] = np.max(np.abs(y), axis=1)
-        done += m
-    return out
+    """``reps`` draws of the sup norm of the limit Gaussian vector.
+
+    One row of draws per plug-in vector for a ``(c, D)`` stack, which shares
+    its normals across rows; a vector gives a ``(reps,)`` array.
+    """
+    stack = _as_theta(theta)
+    out = np.empty((stack.shape[0], reps))
+    chunk = _chunk_draws(stack.shape[1])
+    for j, y in enumerate(iter_limit_process(stack, reps, seed)):
+        k, row = divmod(j, stack.shape[0])
+        np.abs(y, out=y)
+        y.max(axis=1, out=out[row, k * chunk : k * chunk + y.shape[0]])
+    return out if np.ndim(theta) == 2 else out[0]
 
 
-def quantile_q_alpha(theta, alpha: float, reps: int, seed: int) -> float:
+def quantile_q_alpha(theta, alpha: float, reps: int, seed: int):
     """Monte-Carlo estimate of the upper alpha-quantile of the sup norm.
 
     Uses the smallest order statistic whose empirical distribution function
     reaches ``1 - alpha`` (the conservative choice). Deterministic given
-    ``seed``.
+    ``seed``. A vector gives a ``float``; a ``(c, D)`` stack gives one
+    quantile per row, each equal to that row's own quantile.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -111,7 +127,8 @@ def quantile_q_alpha(theta, alpha: float, reps: int, seed: int) -> float:
         raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} draws for a quantile, got reps={reps}")
     draws = sample_sup_norm(theta, reps, seed)
     k = min(max(int(math.ceil((1.0 - alpha) * reps)), 1), reps)
-    return float(np.partition(draws, k - 1)[k - 1])
+    q = np.partition(draws, k - 1, axis=-1)[..., k - 1]
+    return float(q) if q.ndim == 0 else q
 
 
 def band(center, n: int, q_hat: float, alpha=None, mc_reps=None, seed=None) -> ConfidenceBand:

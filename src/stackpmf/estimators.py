@@ -373,22 +373,25 @@ def stacked_from(x: FrequencyData, kind: str, base: np.ndarray, shape: np.ndarra
 # Distances
 
 
+def lk_distances(u, v, norms) -> list:
+    """l_k distances between two vectors, the shorter zero-padded, one per
+    ``k`` in ``norms`` (each 1, 2 or ``math.inf``)."""
+    for k in norms:
+        if k not in NORMS:
+            raise ValueError(f"k must be 1, 2 or inf, got {k!r}")
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    diff = np.zeros(max(u.size, v.size))
+    diff[: u.size] = u
+    diff[: v.size] -= v
+    np.abs(diff, out=diff)
+    reductions = {1: diff.sum, 2: lambda: math.sqrt(np.sum(diff * diff)), math.inf: diff.max}
+    return [float(reductions[k]()) for k in norms]
+
+
 def lk_distance(u, v, k) -> float:
     """l_k distance between two vectors, the shorter zero-padded.
 
     ``k`` is 1, 2 or ``math.inf``.
     """
-    if k not in NORMS:
-        raise ValueError(f"k must be 1, 2 or inf, got {k!r}")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    size = max(u.size, v.size)
-    diff = np.zeros(size)
-    diff[: u.size] = u
-    diff[: v.size] -= v
-    np.abs(diff, out=diff)
-    if k == math.inf:
-        return float(diff.max())
-    if k == 1:
-        return float(diff.sum())
-    return float(math.sqrt(np.sum(diff * diff)))
+    return lk_distances(u, v, (k,))[0]

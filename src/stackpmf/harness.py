@@ -146,9 +146,7 @@ def _loss_rep(payload):
     shared = SharedFits(x)
     row = np.empty((len(codes), len(norms)))
     for a, code in enumerate(codes):
-        probs = fit_estimator(code, x, shared)
-        for b, k in enumerate(norms):
-            row[a, b] = est.lk_distance(probs, truth, k)
+        row[a] = est.lk_distances(fit_estimator(code, x, shared), truth, norms)
     return row
 
 
@@ -156,10 +154,10 @@ def _coverage_rep(payload):
     model, n, rep_seed, band_seed, codes, alpha, band_mc_reps, truth = payload
     x = sample(model, n, rep_seed)
     shared = SharedFits(x)
+    centers = np.stack([fit_estimator(code, x, shared) for code in codes])
+    q_hats = quantile_q_alpha(centers, alpha, band_mc_reps, band_seed)
     hits = np.empty(len(codes), dtype=bool)
-    for a, code in enumerate(codes):
-        center = fit_estimator(code, x, shared)
-        q_hat = quantile_q_alpha(center, alpha, band_mc_reps, band_seed)
+    for a, (center, q_hat) in enumerate(zip(centers, q_hats)):
         padded = np.zeros(max(center.size, truth.size))
         padded[: center.size] = center
         b = band(padded, n, q_hat)

@@ -7,14 +7,26 @@ follows the textbook maximum-upper-sets description step by step.
 one full refit per support point, against which the library's
 O(D log D) pass is checked. :func:`reference_sample` rebuilds the sampling
 table on every call, as the library's sampler did before it cached one
-table per model.
+table per model. :func:`reference_coverage` estimates one sup-norm
+quantile per center, each from its own normals, as coverage replications
+did before they shared one set of normals across their centers.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-from stackpmf import KINDS, FrequencyData, InsufficientSampleError, LooVectors, pmf_truncate
+from stackpmf import (
+    KINDS,
+    FrequencyData,
+    InsufficientSampleError,
+    LooVectors,
+    band,
+    pmf_truncate,
+    quantile_q_alpha,
+    sample,
+)
 from stackpmf.estimators import shape_transform
+from stackpmf.harness import fit_estimator
 from stackpmf.models import SAMPLING_TRUNCATION
 from stackpmf.rng import substream
 
@@ -132,3 +144,19 @@ def reference_sample(model, n: int, seed: int) -> FrequencyData:
     u = substream(seed).random(int(n))
     idx = np.minimum(np.searchsorted(cum, u, side="right"), pmf.probs.size - 1)
     return FrequencyData(np.bincount(idx))
+
+
+def reference_coverage(payload) -> tuple:
+    """Band hits and quantiles of one coverage replication (the payload of
+    ``harness._coverage_rep``), with a standalone quantile per center."""
+    model, n, rep_seed, band_seed, codes, alpha, band_mc_reps, truth = payload
+    x = sample(model, n, rep_seed)
+    hits, q_hats = [], []
+    for code in codes:
+        center = fit_estimator(code, x)
+        q_hats.append(quantile_q_alpha(center, alpha, band_mc_reps, band_seed))
+        padded = np.zeros(max(center.size, truth.size))
+        padded[: center.size] = center
+        b = band(padded, n, q_hats[-1])
+        hits.append(bool(np.all(b.lower[: truth.size] <= truth) and np.all(truth <= b.upper[: truth.size])))
+    return np.array(hits), q_hats

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 import scipy
@@ -171,8 +172,9 @@ class TestBand:
             {"estimate": [0.5, 0.2], "n": 10},
             {"estimate": [0.5, 0.5], "n": 0},
             {"estimate": [], "n": 10},
+            {"estimate": [[0.5, 0.5]], "n": 10},
         ],
-        ids=["not-summing-to-one", "n-zero", "empty-estimate"],
+        ids=["not-summing-to-one", "n-zero", "empty-estimate", "nested-estimate"],
     )
     def test_bad_estimate_json_is_data_error(self, tmp_path, payload):
         theta = tmp_path / "estimate.json"
@@ -228,6 +230,7 @@ class TestBench:
         manifest = json.loads((tmp_path / "bench.manifest.json").read_text())
         assert "machine" in manifest["config"]
         assert manifest["config"]["scipy"] == scipy.__version__
+        assert manifest["config"]["cpu_count"] == os.cpu_count()
 
 
 class TestManifests:

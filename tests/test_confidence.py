@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from stackpmf import (
     InvalidPmfError,
+    TriangularDecreasing,
     band,
     builtin_models,
     confidence_band,
@@ -53,7 +56,66 @@ class TestSampler:
         np.testing.assert_array_equal(a, b)
 
 
+#: Stacks of 1 to 3 pmfs on a common support of size 1 to 40, with zero
+#: entries, built from integer weights that are not all zero.
+pmf_stacks = st.integers(1, 40).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(0, 4), min_size=d, max_size=d).filter(any), min_size=1, max_size=3
+    )
+).map(lambda rows: np.array([np.asarray(w, dtype=float) / sum(w) for w in rows]))
+
+
+class TestStackedCenters:
+    """A (c, D) stack shares one set of normals across its rows, and each row
+    gets exactly the draws and quantile it would get on its own."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(pmf_stacks, st.sampled_from((100, 8191, 8200)), st.integers(0, 2**32 - 1))
+    def test_rows_bitwise_equal_to_single_centers(self, stack, reps, seed):
+        draws = sample_sup_norm(stack, reps, seed)
+        quantiles = quantile_q_alpha(stack, 0.05, reps, seed)
+        assert draws.shape == (len(stack), reps)
+        assert quantiles.shape == (len(stack),)
+        for i, theta in enumerate(stack):
+            np.testing.assert_array_equal(draws[i], sample_sup_norm(theta, reps, seed))
+            assert quantiles[i] == quantile_q_alpha(theta, 0.05, reps, seed)
+
+    def test_vector_keeps_its_return_types(self):
+        theta = np.array([0.2, 0.3, 0.5])
+        assert sample_sup_norm(theta, 150, seed=1).shape == (150,)
+        assert type(quantile_q_alpha(theta, 0.05, 150, seed=1)) is float
+
+    def test_rejects_a_bad_row(self):
+        with pytest.raises(InvalidPmfError):
+            quantile_q_alpha(np.array([[0.5, 0.5], [0.5, 0.2]]), 0.05, 1000, seed=1)
+        with pytest.raises(InvalidPmfError):
+            sample_sup_norm(np.array([[0.5, 0.5], [-0.2, 1.2]]), 100, seed=1)
+
+    @pytest.mark.parametrize(
+        "theta", [np.full((1, 2, 2), 0.5), np.empty((0, 3)), np.empty((2, 0))], ids=["3-d", "no-rows", "no-columns"]
+    )
+    def test_rejects_bad_shapes(self, theta):
+        with pytest.raises(InvalidPmfError):
+            sample_sup_norm(theta, 100, seed=1)
+
+
 class TestQuantile:
+    @pytest.mark.parametrize(
+        "theta, reps, seed, expected",
+        [
+            (pmf_truncate(builtin_models()["M1"], 1e-12).probs, 20_000, 5, 0.7859891775031469),
+            # D = 5001: chunks of 419 draws, the third one short
+            (pmf_truncate(TriangularDecreasing(5000), 1e-12).probs, 1000, 9, 0.07830266644966465),
+            # a short last chunk and a zero entry
+            ([0.5, 0.5, 0.0], 8200, 1, 0.9781836950625433),
+        ],
+        ids=["M1", "tri-dec-5000", "zero-entry"],
+    )
+    def test_golden_values(self, theta, reps, seed, expected):
+        # the exact bytes of the sampler: a change to the draws, their order
+        # or the arithmetic that forms them moves these values
+        assert quantile_q_alpha(theta, 0.05, reps, seed) == expected
+
     def test_degenerate(self):
         assert quantile_q_alpha(np.array([1.0]), 0.05, 1000, seed=1) == 0.0
 

@@ -17,6 +17,7 @@ from stackpmf import (
     empirical,
     grenander,
     lk_distance,
+    lk_distances,
     loo_vectors_fast,
     minimax,
     rearrangement,
@@ -265,7 +266,14 @@ class TestDistance:
         assert lk_distance(u, v, 2) == pytest.approx(3.0)
         assert lk_distance(u, v, math.inf) == pytest.approx(2.0)
 
+    def test_several_norms_in_one_call(self):
+        u, v = [1.0, 2.0, 0.0], [0.0, 0.0, 2.0, 0.5]
+        assert lk_distances(u, v, (math.inf, 1, 2)) == pytest.approx([2.0, 5.5, math.sqrt(9.25)])
+        assert lk_distances(u, v, ()) == []
+
     @pytest.mark.parametrize("k", [0, 0.5, 3, -1, math.nan])
     def test_other_norms_rejected(self, k):
         with pytest.raises(ValueError, match="k must be 1, 2 or inf"):
             lk_distance([1.0, 0.5], [0.5], k)
+        with pytest.raises(ValueError, match="k must be 1, 2 or inf"):
+            lk_distances([1.0, 0.5], [0.5], (1, k))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from oracles import counts_vectors, scaled_risk_closed_form
+from oracles import counts_vectors, reference_coverage, scaled_risk_closed_form
 from stackpmf import (
     ESTIMATOR_CODES,
     GRENANDER,
@@ -23,7 +23,9 @@ from stackpmf import (
     worst_case_timing,
 )
 from stackpmf import estimators as est
-from stackpmf.harness import SharedFits, fit_estimator
+from stackpmf import harness
+from stackpmf.harness import SharedFits, _coverage_rep, fit_estimator
+from stackpmf.rng import substream_seed
 
 M = builtin_models()
 
@@ -147,6 +149,28 @@ class TestCoverage:
                                alpha=0.999, band_mc_reps=5000, seed=8)
         res = run_coverage(cfg)
         assert res.coverage["e"] <= 0.2
+
+    def test_shared_normals_give_the_standalone_bands(self, monkeypatch):
+        original_band = harness.band
+        built = []
+
+        def recording_band(*args):
+            built.append(original_band(*args))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "band", recording_band)
+        truth = pmf_truncate(M["M2"], 1e-12).probs
+        hits = []
+        for alpha in (0.05, 0.5):
+            for i in range(10):
+                payload = (M["M2"], 200, substream_seed(10, "rep", i), substream_seed(10, "band", i),
+                           ESTIMATOR_CODES, alpha, 1000, truth)
+                built.clear()
+                hits.append(_coverage_rep(payload))
+                ref_hits, ref_q_hats = reference_coverage(payload)
+                np.testing.assert_array_equal(hits[-1], ref_hits)
+                assert [b.q_hat for b in built] == ref_q_hats
+        assert 0 < np.mean(hits) < 1
 
     def test_deterministic_across_workers(self):
         base = dict(model=M["M1"], reps=12, estimators=("e",), n=200, band_mc_reps=2000, seed=9)

@@ -41,7 +41,6 @@ from .harness import (
     run_loss_experiment,
     run_qq_samples,
     run_risk_curve,
-    worst_case_timing,
 )
 from .models import (
     FrequencyData,
@@ -119,5 +118,4 @@ __all__ = [
     "sample_sup_norm",
     "stacked",
     "support_size",
-    "worst_case_timing",
 ]

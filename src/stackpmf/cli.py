@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``estimate`` (fit one estimator to a counts file), ``simulate``
-(loss, risk or coverage experiments), ``band`` (global confidence band),
-``qq`` (normal QQ samples) and ``bench`` (worst-case timings). Every run
-writes its data files plus a manifest recording the resolved arguments, so
-rerunning the manifest's argv reproduces the files byte for byte.
+(loss, risk or coverage experiments), ``band`` (global confidence band) and
+``qq`` (normal QQ samples). Every run writes its data files plus a manifest
+recording the resolved arguments, so rerunning the manifest's argv
+reproduces the files byte for byte.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -14,11 +14,9 @@ import csv
 import json
 import math
 import os
-import platform
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._svg import boxplot_svg, linechart_svg
@@ -34,7 +32,6 @@ from .harness import (
     run_loss_experiment,
     run_qq_samples,
     run_risk_curve,
-    worst_case_timing,
 )
 from .models import FrequencyData, parse_model, pmf_truncate
 
@@ -44,6 +41,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+#: Largest total count, and largest ``band --theta`` sample size, accepted.
+MAX_COUNT = np.iinfo(np.int64).max
 
 
 class CountsParseError(ValueError):
@@ -67,7 +67,7 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
 
     Index equals position. Leading zeros are kept; trailing zeros are
     stripped with a warning because the vector length encodes the largest
-    observed value.
+    observed value. The total count must fit in an int64.
     """
     values: list[int] = []
     warnings: list[str] = []
@@ -87,6 +87,8 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
             values.append(value)
     if not values:
         raise CountsParseError("no counts found", line=len(lines))
+    if sum(values) > MAX_COUNT:
+        raise CountsParseError(f"total count exceeds {MAX_COUNT}", line=len(lines))
     trimmed = len(values)
     while trimmed > 0 and values[trimmed - 1] == 0:
         trimmed -= 1
@@ -386,9 +388,11 @@ def _cmd_band(args) -> int:
             if estimate.ndim != 1:
                 raise ValueError(f"the estimate must be a vector, got {estimate.ndim} dimensions")
             center = _as_theta(estimate)[0]
-            n = int(payload["n"])
-            if n < 1:
-                raise ValueError(f"sample size must be at least 1, got {n}")
+            n = payload["n"]
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"sample size must be an integer, got {n!r}")
+            if not 1 <= n <= MAX_COUNT:
+                raise ValueError(f"sample size must lie in [1, {MAX_COUNT}], got {n}")
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise CountsParseError(f"cannot read estimate json {args.theta}: {exc}", line=0) from exc
         source = {"theta": args.theta}
@@ -435,30 +439,6 @@ def _cmd_qq(args) -> int:
     config = {"model": args.model, "coord": args.coord, "n": args.n, "reps": args.reps,
               "estimators": list(codes), "seed": seed, "workers": args.workers}
     _write_manifest(args, "qq", argv, config, [path])
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
-    s_grid = _parse_int_list(args.sgrid)
-    timings = worst_case_timing(s_grid, args.runs, mc_reps=args.mc, seed=seed)
-    rows = []
-    for s in s_grid:
-        entry = timings[s]
-        rows.append([s, args.runs, entry["cv_beta_sr"], entry["cv_beta_sg"],
-                     entry["loo_fast_r"], entry["loo_fast_g"], entry["quantile"]])
-    os.makedirs(args.out, exist_ok=True)
-    path = _write_table(
-        args, "bench",
-        ["s", "runs", "cv_beta_sr_s", "cv_beta_sg_s", "loo_fast_r_s", "loo_fast_g_s", "quantile_s"],
-        rows)
-    argv = ["bench", "--sgrid", args.sgrid, "--runs", str(args.runs), "--mc", str(args.mc),
-            "--seed", str(seed), "--format", args.format, "--out", args.out]
-    config = {"sgrid": list(s_grid), "runs": args.runs, "mc_reps": args.mc, "seed": seed,
-              "machine": platform.platform(), "python": platform.python_version(),
-              "numpy": np.__version__, "scipy": scipy.__version__,
-              "cpu_count": os.cpu_count()}
-    _write_manifest(args, "bench", argv, config, [path])
     return EXIT_OK
 
 
@@ -525,14 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
     _add_common(p)
     p.set_defaults(func=_cmd_qq)
-
-    p = sub.add_parser("bench", help="worst-case timings of the core computations")
-    p.add_argument("--sgrid", required=True, help="comma-separated support sizes")
-    p.add_argument("--runs", type=_int_at_least(1), default=10, help="runs to average over")
-    p.add_argument("--mc", type=_int_at_least(MIN_QUANTILE_DRAWS), default=100_000,
-                   help="quantile draws per run")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -333,22 +333,21 @@ def cv_beta(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> tup
     return beta, a_n, b_n
 
 
-def stacked(x: FrequencyData, kind: str) -> StackedFit:
+def stacked(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> StackedFit:
     """Convex combination of the shape estimator and the empirical one with
     the cross-validated weight.
+
+    ``shape`` is ``shape_transform(kind, x.counts / x.n)`` when the caller
+    already has it; otherwise it is computed here.
 
     A single observation leaves the criterion undefined; in that case the
     fit degrades to the empirical estimator with ``beta_hat = 0`` and a
     diagnostics note instead of raising.
     """
-    base = x.counts / x.n
-    return stacked_from(x, kind, base, shape_transform(kind, base))
-
-
-def stacked_from(x: FrequencyData, kind: str, base: np.ndarray, shape: np.ndarray) -> StackedFit:
-    """:func:`stacked` from ``base = x.counts / x.n`` and
-    ``shape = shape_transform(kind, base)`` computed by the caller."""
     _check_kind(kind)
+    base = x.counts / x.n
+    if shape is None:
+        shape = shape_transform(kind, base)
     diagnostics: dict = {}
     if x.n < 2:
         beta, b_n = 0.0, None

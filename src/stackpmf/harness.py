@@ -3,8 +3,7 @@
 Four experiment types over a chosen true distribution: per-replication
 estimation losses (boxplot data), scaled-risk curves over a sample-size
 grid, empirical coverage of the global confidence bands, and samples for
-normal QQ diagnostics of a single coordinate. A separate driver times the
-worst-case inputs of the mixture-weight and quantile computations.
+normal QQ diagnostics of a single coordinate.
 
 Replication i always draws from the stream ``(seed, "rep", ...)`` and its
 band Monte Carlo from ``(seed, "band", i)``, so results are identical for
@@ -13,7 +12,6 @@ any worker count, with single-threaded and pooled runs byte-equal.
 
 import math
 import multiprocessing
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,7 @@ from scipy.stats import norm as _norm
 
 from . import estimators as est
 from .confidence import band, quantile_q_alpha
-from .models import FrequencyData, ModelSpec, TriangularDecreasing, pmf_truncate, sample
+from .models import FrequencyData, ModelSpec, pmf_truncate, sample
 from .rng import substream_seed
 
 ESTIMATOR_CODES = ("e", "mm", "r", "G", "sr", "sG")
@@ -64,7 +62,7 @@ def fit_estimator(code: str, x, shared: SharedFits | None = None) -> np.ndarray:
         return shared.shape(_SHAPE_KINDS[code])
     if code in ("sr", "sG"):
         kind = _SHAPE_KINDS[code]
-        return est.stacked_from(x, kind, shared.base, shared.shape(kind)).estimate.probs
+        return est.stacked(x, kind, shared.shape(kind)).estimate.probs
     raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
 
 
@@ -124,7 +122,6 @@ class ExperimentResult:
     coverage_se: dict = field(default_factory=dict)
     qq_samples: dict = field(default_factory=dict)
     qq_theoretical: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
 
 
 def _map_ordered(fn, payloads, workers: int):
@@ -271,35 +268,3 @@ def run_qq_samples(cfg: ExperimentConfig, coord: int) -> ExperimentResult:
         sd = float(samples.std(ddof=1)) if cfg.reps > 1 else 0.0
         result.qq_theoretical[code] = sd * normal_q
     return result
-
-
-def worst_case_timing(s_grid, runs: int, alpha: float = 0.05, mc_reps: int = 100_000, seed: int = 0) -> dict:
-    """Wall times on the strictly increasing counts vector ``x_j = j + 1``.
-
-    For each ``s``: the mixture-weight computation for both stacked kinds,
-    the fast leave-one-out pass for both kinds, and the sup-norm quantile
-    with a strictly decreasing triangular plug-in of the same size. Times
-    are means over ``runs``.
-    """
-    timings = {}
-    for s in s_grid:
-        if s < 1:
-            raise ValueError(f"s must be at least 1, got {s}")
-        x = FrequencyData(np.arange(1, s + 2))
-        theta = pmf_truncate(TriangularDecreasing(int(s)), TRUTH_TRUNCATION)
-        entry = {}
-        for label, fn in (
-            ("cv_beta_sr", lambda: est.cv_beta(x, est.REARRANGEMENT)),
-            ("cv_beta_sg", lambda: est.cv_beta(x, est.GRENANDER)),
-            ("loo_fast_r", lambda: est.loo_vectors_fast(x, est.REARRANGEMENT)),
-            ("loo_fast_g", lambda: est.loo_vectors_fast(x, est.GRENANDER)),
-            ("quantile", lambda: quantile_q_alpha(theta, alpha, mc_reps, seed)),
-        ):
-            total = 0.0
-            for _ in range(runs):
-                start = time.perf_counter()
-                fn()
-                total += time.perf_counter() - start
-            entry[label] = total / runs
-        timings[int(s)] = entry
-    return timings

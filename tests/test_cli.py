@@ -1,13 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import json
-import os
 
 import pytest
-import scipy
 
-from stackpmf.cli import main
+import stackpmf
+from stackpmf.cli import build_parser, main
 
 
 def run(args):
@@ -68,6 +68,21 @@ class TestEstimate:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run(["estimate", "--input", tmp_path / "absent.txt", "--kind", "e", "--out", tmp_path]) == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"{2**63}\n", f"{2**62} {2**62} {2**62}\n", f"{2**62}\n" * 5],
+        ids=["one-count-2p63", "three-counts-2p62", "five-counts-2p62"],
+    )
+    def test_total_past_int64_is_data_error(self, tmp_path, capsys, text):
+        counts = write_counts(tmp_path, text)
+        assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 3
+        assert "total count exceeds" in capsys.readouterr().err
+
+    def test_total_at_int64_max_is_accepted(self, tmp_path):
+        counts = write_counts(tmp_path, f"{2**62} {2**62 - 1}\n")
+        assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "estimate.json").read_text())["n"] == 2**63 - 1
 
     def test_usage_error_without_kind(self, tmp_path):
         counts = write_counts(tmp_path, "1 2\n")
@@ -173,8 +188,12 @@ class TestBand:
             {"estimate": [0.5, 0.5], "n": 0},
             {"estimate": [], "n": 10},
             {"estimate": [[0.5, 0.5]], "n": 10},
+            {"estimate": [0.5, 0.5], "n": 10.7},
+            {"estimate": [0.5, 0.5], "n": True},
+            {"estimate": [0.5, 0.5], "n": 10**400},
         ],
-        ids=["not-summing-to-one", "n-zero", "empty-estimate", "nested-estimate"],
+        ids=["not-summing-to-one", "n-zero", "empty-estimate", "nested-estimate", "n-float", "n-bool",
+             "n-past-int64"],
     )
     def test_bad_estimate_json_is_data_error(self, tmp_path, payload):
         theta = tmp_path / "estimate.json"
@@ -220,17 +239,20 @@ class TestFormatsAndFlags:
         assert main(["--version"]) == 0
         assert "stackpmf" in capsys.readouterr().out
 
+    def test_removed_bench_subcommand_is_usage_error(self, tmp_path, capsys):
+        assert run(["bench", "--sgrid", 10, "--out", tmp_path]) == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
-class TestBench:
-    def test_rows(self, tmp_path):
-        assert run(["bench", "--sgrid", "10,20", "--runs", 1, "--mc", 500, "--out", tmp_path]) == 0
-        rows = read_rows(tmp_path / "bench.csv")
-        assert rows[0].strip().startswith("s,runs,cv_beta_sr_s")
-        assert len(rows) == 3
-        manifest = json.loads((tmp_path / "bench.manifest.json").read_text())
-        assert "machine" in manifest["config"]
-        assert manifest["config"]["scipy"] == scipy.__version__
-        assert manifest["config"]["cpu_count"] == os.cpu_count()
+
+class TestPublicSurface:
+    def test_every_export_resolves(self):
+        missing = [name for name in stackpmf.__all__ if not hasattr(stackpmf, name)]
+        assert not missing
+
+    def test_subcommands(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == ["band", "estimate", "qq", "simulate"]
 
 
 class TestManifests:
@@ -273,8 +295,6 @@ class TestBadFlagValuesAreUsageErrors:
         pytest.param(QQ[:3] + ["--coord", 99] + QQ[5:], id="qq-coord-99"),
         pytest.param(QQ[:3] + ["--coord", -1] + QQ[5:], id="qq-coord-negative"),
         pytest.param(["estimate", "--input", "unused.txt", "--kind", "e", "--band", 1.5], id="estimate-band-1.5"),
-        pytest.param(["bench", "--sgrid", 0], id="bench-sgrid-0"),
-        pytest.param(["bench", "--sgrid", 3, "--runs", 0], id="bench-runs-0"),
     ])
     def test_exit_code(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", tmp_path]) == 2

@@ -20,7 +20,6 @@ from stackpmf import (
     run_loss_experiment,
     run_qq_samples,
     run_risk_curve,
-    worst_case_timing,
 )
 from stackpmf import estimators as est
 from stackpmf import harness
@@ -64,7 +63,7 @@ class TestSharedFits:
             assert got.tobytes() == standalone[code].tobytes(), code
             assert fit_estimator(code, x).tobytes() == standalone[code].tobytes(), code
         for kind in (REARRANGEMENT, GRENANDER):
-            fit = est.stacked_from(x, kind, shared.base, shared.shape(kind))
+            fit = est.stacked(x, kind, shared.shape(kind))
             assert 0.0 <= fit.beta_hat <= 1.0
             assert fit.beta_hat == est.stacked(x, kind).beta_hat
 
@@ -204,15 +203,3 @@ class TestQqSamples:
         cfg = ExperimentConfig(model=UniformRange(2), reps=2, estimators=("e",), n=10, seed=13)
         with pytest.raises(ValueError):
             run_qq_samples(cfg, coord=99)
-
-
-class TestWorstCaseTiming:
-    def test_smoke(self):
-        timings = worst_case_timing([1, 30], runs=1, mc_reps=500)
-        for s in (1, 30):
-            for key in ("cv_beta_sr", "cv_beta_sg", "loo_fast_r", "loo_fast_g", "quantile"):
-                assert timings[s][key] > 0.0
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            worst_case_timing([0], runs=1, mc_reps=500)

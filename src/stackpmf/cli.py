@@ -33,7 +33,7 @@ from .harness import (
     run_qq_samples,
     run_risk_curve,
 )
-from .models import FrequencyData, parse_model, pmf_truncate
+from .models import MAX_COUNT, FrequencyData, parse_model, pmf_truncate
 
 SEED_ENV_VAR = "STACKPMF_SEED"
 
@@ -41,9 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-#: Largest total count, and largest ``band --theta`` sample size, accepted.
-MAX_COUNT = np.iinfo(np.int64).max
 
 
 class CountsParseError(ValueError):
@@ -65,9 +62,10 @@ class _UsageError(ValueError):
 def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
     """Read whitespace- or newline-separated nonnegative integer counts.
 
-    Index equals position. Leading zeros are kept; trailing zeros are
-    stripped with a warning because the vector length encodes the largest
-    observed value. The total count must fit in an int64.
+    Each count is a run of ASCII digits ``0-9``. Index equals position.
+    Leading zeros are kept; trailing zeros are stripped with a warning
+    because the vector length encodes the largest observed value. The total
+    count must fit in an int64.
     """
     values: list[int] = []
     warnings: list[str] = []
@@ -78,13 +76,9 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
         raise CountsParseError(f"cannot read {path}: {exc.strerror}", line=0) from exc
     for lineno, line in enumerate(lines, start=1):
         for token in line.split():
-            try:
-                value = int(token)
-            except ValueError:
-                raise CountsParseError(f"not an integer count: {token!r}", line=lineno) from None
-            if value < 0:
-                raise CountsParseError(f"negative count: {token!r}", line=lineno)
-            values.append(value)
+            if not (token.isascii() and token.isdigit()):
+                raise CountsParseError(f"not a nonnegative integer count: {token!r}", line=lineno)
+            values.append(int(token))
     if not values:
         raise CountsParseError("no counts found", line=len(lines))
     if sum(values) > MAX_COUNT:

@@ -12,6 +12,10 @@ which costs O(D) per draw and needs no factorization of the covariance.
 The sampler and the quantile also take a ``(c, D)`` stack of plug-in
 vectors: the stack shares one set of normals ``Z`` per chunk, and each row's
 draws and quantile are bitwise equal to what that row gets on its own.
+The draws are built in row blocks of about ``2**17`` entries, each laid out
+with its longer axis (D or the number of draws) contiguous, so the sup norm
+reduces along memory order at small and large D alike. A band at large D
+holds one chunk of normals plus two small block buffers.
 """
 
 import math
@@ -25,6 +29,9 @@ from .rng import substream
 
 #: Target number of scalar normals per chunk of draws.
 _CHUNK_TARGET = 1 << 21
+
+#: Target number of entries in one row block of draws.
+_BLOCK_TARGET = 1 << 17
 
 #: Fewest Monte-Carlo draws a quantile estimate accepts.
 MIN_QUANTILE_DRAWS = 100
@@ -69,32 +76,43 @@ def _chunk_draws(dim: int) -> int:
 
 
 def iter_limit_process(theta, reps: int, seed: int):
-    """Yield chunks of draws of the limit Gaussian vector, ``(m, D)`` arrays.
+    """Yield blocks of draws of the limit Gaussian vector, ``(rows, D)`` arrays.
 
     Chunk k comes from the substream ``(seed, "supnorm", k)`` with a chunk
     size that depends only on D, so the pooled draws are a deterministic
     function of ``(seed, reps)`` regardless of scheduling. For a ``(c, D)``
-    stack of plug-in vectors, chunk k's normals are drawn once and chunk k
-    of every row is yielded in row order, each bitwise equal to what that
-    row alone yields. Every yield reuses one buffer, overwritten by the next.
+    stack of plug-in vectors, chunk k's normals are drawn once and its draws
+    are yielded for every row in row order, each bitwise equal to what that
+    row alone yields. Each chunk of a row is yielded in row blocks of at
+    most ``_BLOCK_TARGET // D`` draws, formed in a ``(D, rows)`` buffer whose
+    longer axis is contiguous; every yield is a view of that buffer,
+    overwritten by the next.
     """
     stack = _as_theta(theta)
     if reps < 1:
         raise ValueError(f"need at least one draw, got reps={reps}")
+    dim = stack.shape[1]
     # one allocation per root, as for a lone vector, so the BLAS dot product
     # sees the same operand alignment in a stack as on its own
     roots = [np.sqrt(row) for row in stack]
-    chunk = _chunk_draws(stack.shape[1])
-    buf = np.empty((min(chunk, reps), stack.shape[1]))
+    chunk = _chunk_draws(dim)
+    rows = min(chunk, reps, max(1, _BLOCK_TARGET // dim))
+    order = "C" if dim < rows else "F"
+    zbuf = np.empty((min(chunk, reps), dim))
+    y_t = np.empty((dim, rows), order=order)
+    tmp_t = np.empty((dim, rows), order=order)
     for k, done in enumerate(range(0, reps, chunk)):
         m = min(chunk, reps - done)
-        z = substream(seed, "supnorm", k).standard_normal((m, stack.shape[1]))
-        y = buf[:m]
+        z = substream(seed, "supnorm", k).standard_normal(out=zbuf[:m])
         for row, root in zip(stack, roots):
             weighted = z @ root
-            np.multiply(z, root, out=y)
-            y -= weighted[:, None] * row
-            yield y
+            for a in range(0, m, rows):
+                e = min(a + rows, m)
+                y, tmp = y_t[:, : e - a], tmp_t[:, : e - a]
+                np.multiply(z[a:e].T, root[:, None], out=y)
+                np.multiply(row[:, None], weighted[a:e], out=tmp)
+                y -= tmp
+                yield y.T
 
 
 def sample_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
@@ -106,10 +124,16 @@ def sample_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
     stack = _as_theta(theta)
     out = np.empty((stack.shape[0], reps))
     chunk = _chunk_draws(stack.shape[1])
-    for j, y in enumerate(iter_limit_process(stack, reps, seed)):
-        k, row = divmod(j, stack.shape[0])
+    filled = [0] * stack.shape[0]
+    row = 0
+    for y in iter_limit_process(stack, reps, seed):
+        start = filled[row]
+        filled[row] += y.shape[0]
         np.abs(y, out=y)
-        y.max(axis=1, out=out[row, k * chunk : k * chunk + y.shape[0]])
+        y.max(axis=1, out=out[row, start : filled[row]])
+        # blocks come chunk by chunk, and within a chunk row by row
+        if filled[row] % chunk == 0 or filled[row] == reps:
+            row = (row + 1) % stack.shape[0]
     return out if np.ndim(theta) == 2 else out[0]
 
 

@@ -30,6 +30,9 @@ from .rng import substream
 #: Tail mass discarded when an infinite support is materialized for sampling.
 SAMPLING_TRUNCATION = 1e-12
 
+#: Largest total count of frequency data: the total must fit in an int64.
+MAX_COUNT = np.iinfo(np.int64).max
+
 _MIXTURE_WEIGHT_TOL = 1e-12
 
 
@@ -204,7 +207,9 @@ class FrequencyData:
             raise ValueError("counts must be nonnegative")
         if counts[-1] == 0:
             raise ValueError("last count must be positive (trailing zeros are not part of the support)")
-        n = int(counts.sum())
+        n = sum(counts.tolist())
+        if n > MAX_COUNT:
+            raise ValueError(f"total count {n} exceeds {MAX_COUNT}")
         if n < 1:
             raise EmptyInputError("total count must be at least 1")
         if self.n not in (0, n):

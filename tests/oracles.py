@@ -10,6 +10,9 @@ table on every call, as the library's sampler did before it cached one
 table per model. :func:`reference_coverage` estimates one sup-norm
 quantile per center, each from its own normals, as coverage replications
 did before they shared one set of normals across their centers.
+:func:`reference_sup_norm` forms each chunk of limit draws as a fresh
+``(m, D)`` array and reduces it row by row, as the library's sampler did
+before it built the draws in row blocks.
 """
 
 import numpy as np
@@ -160,3 +163,24 @@ def reference_coverage(payload) -> tuple:
         b = band(padded, n, q_hats[-1])
         hits.append(bool(np.all(b.lower[: truth.size] <= truth) and np.all(truth <= b.upper[: truth.size])))
     return np.array(hits), q_hats
+
+
+def reference_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
+    """Sup-norm draws of the limit Gaussian vector, one whole chunk at a time.
+
+    Chunk k holds ``max(64, min(8192, 2**21 // D))`` draws (fewer in the
+    last) from the substream ``(seed, "supnorm", k)``; every row of a
+    ``(c, D)`` stack uses the same normals. A vector gives ``(reps,)``.
+    """
+    stack = np.atleast_2d(np.asarray(theta, dtype=float))
+    dim = stack.shape[1]
+    chunk = max(64, min(8192, (1 << 21) // dim))
+    out = np.empty((stack.shape[0], reps))
+    for k, done in enumerate(range(0, reps, chunk)):
+        m = min(chunk, reps - done)
+        z = substream(seed, "supnorm", k).standard_normal((m, dim))
+        for i, row in enumerate(stack):
+            root = np.sqrt(row)
+            y = z * root - (z @ root)[:, None] * row
+            out[i, done : done + m] = np.abs(y).max(axis=1)
+    return out if np.ndim(theta) == 2 else out[0]

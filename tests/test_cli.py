@@ -55,6 +55,18 @@ class TestEstimate:
         counts = write_counts(tmp_path, "1 oops\n")
         assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0 2\n", "+5 2\n", "\u0663 2\n", "\uff11\uff12\n"],
+        ids=["digit-group-underscore", "plus-sign", "arabic-indic-digit", "fullwidth-digits"],
+    )
+    def test_non_ascii_digit_count_is_data_error(self, tmp_path, capsys, text):
+        counts = tmp_path / "counts.txt"
+        counts.write_text(text, encoding="utf-8")
+        assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 3
+        assert "line 1" in capsys.readouterr().err
+        assert not (tmp_path / "estimate.json").exists()
+
     def test_all_zero_counts_rejected(self, tmp_path):
         counts = write_counts(tmp_path, "0 0 0\n")
         assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 3

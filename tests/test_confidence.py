@@ -1,11 +1,15 @@
 """Tests for the limit-process sampler, quantile estimation and the band."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from oracles import reference_sup_norm
 from stackpmf import (
     InvalidPmfError,
     TriangularDecreasing,
@@ -63,6 +67,59 @@ pmf_stacks = st.integers(1, 40).flatmap(
         st.lists(st.integers(0, 4), min_size=d, max_size=d).filter(any), min_size=1, max_size=3
     )
 ).map(lambda rows: np.array([np.asarray(w, dtype=float) / sum(w) for w in rows]))
+
+
+#: Stacks of 1 to 3 pmfs on a support of size 300 to 2000, about a third of
+#: the entries zero. From D = 362 on, a row block holds at most D draws.
+wide_pmf_stacks = st.tuples(st.integers(1, 3), st.integers(300, 2000), st.integers(0, 2**32 - 1)).map(
+    lambda args: _random_stack(*args)
+)
+
+
+def _random_stack(rows: int, dim: int, seed: int) -> np.ndarray:
+    weights = np.random.default_rng(seed).integers(0, 3, size=(rows, dim)).astype(float)
+    weights[:, -1] += 1.0
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestBlockedSampler:
+    """Draws built in row blocks equal the whole-chunk reference bitwise."""
+
+    @staticmethod
+    def check_against_reference(stack, reps, seed):
+        expected = reference_sup_norm(stack, reps, seed)
+        np.testing.assert_array_equal(sample_sup_norm(stack, reps, seed), expected)
+        k = min(max(math.ceil(0.95 * reps), 1), reps)
+        np.testing.assert_array_equal(quantile_q_alpha(stack, 0.05, reps, seed), np.sort(expected)[:, k - 1])
+
+    # D < 41, so a row block (up to 8192 draws) is longer than D; 8191 and
+    # 8200 draws end on a short block, 8200 also on a short chunk
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(pmf_stacks, st.sampled_from((100, 8191, 8200)), st.integers(0, 2**32 - 1))
+    def test_small_support_matches_reference(self, stack, reps, seed):
+        self.check_against_reference(stack, reps, seed)
+
+    # chunks of 1048 to 6990 draws and row blocks of 65 to 436
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(wide_pmf_stacks, st.integers(100, 3000), st.integers(0, 2**32 - 1))
+    def test_wide_support_matches_reference(self, stack, reps, seed):
+        self.check_against_reference(stack, reps, seed)
+
+    def test_vector_matches_reference(self):
+        theta = pmf_truncate(TriangularDecreasing(5000), 1e-12).probs
+        np.testing.assert_array_equal(sample_sup_norm(theta, 1000, 9), reference_sup_norm(theta, 1000, 9))
+
+    def test_peak_memory_is_about_one_chunk_of_normals(self):
+        # one chunk of normals at D = 5001 is 419 x 5001 doubles, 16.8 MB;
+        # the bound is 1.5 chunks, fixed before measuring
+        theta = pmf_truncate(TriangularDecreasing(5000), 1e-12).probs
+        tracemalloc.start()
+        try:
+            quantile_q_alpha(theta, 0.05, 1000, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6, peak
 
 
 class TestStackedCenters:

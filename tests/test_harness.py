@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import counts_vectors, reference_coverage, scaled_risk_closed_form
 from stackpmf import (
@@ -176,6 +177,28 @@ class TestCoverage:
         a = run_coverage(ExperimentConfig(**base, workers=1))
         b = run_coverage(ExperimentConfig(**base, workers=4))
         assert a.coverage == b.coverage
+
+
+class TestWorkerCount:
+    """Results are bitwise the same with one worker process and with two."""
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from(sorted(M)),
+        st.integers(1, 200),
+        st.integers(2, 8),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(ESTIMATOR_CODES), min_size=1, max_size=3, unique=True),
+    )
+    def test_loss_and_coverage_independent_of_workers(self, name, n, reps, seed, codes):
+        base = dict(model=M[name], reps=reps, estimators=tuple(codes), n=n, band_mc_reps=100, seed=seed)
+        serial = ExperimentConfig(**base, workers=1)
+        pooled = ExperimentConfig(**base, workers=2)
+        np.testing.assert_array_equal(
+            run_loss_experiment(serial).per_rep_losses, run_loss_experiment(pooled).per_rep_losses
+        )
+        a, b = run_coverage(serial), run_coverage(pooled)
+        assert (a.coverage, a.coverage_se) == (b.coverage, b.coverage_se)
 
 
 class TestQqSamples:

@@ -201,6 +201,17 @@ class TestContainers:
         with pytest.raises(ValueError):
             FrequencyData(np.array([2, -1, 1]))
 
+    @pytest.mark.parametrize("copies", [2, 3, 5], ids=["two-2p62", "three-2p62", "five-2p62"])
+    def test_frequency_data_rejects_total_past_int64(self, copies):
+        # an int64 sum would wrap to 2**63 - 2**64, 3 * 2**62 - 2**64 and 2**62
+        with pytest.raises(ValueError, match="exceeds"):
+            FrequencyData(np.full(copies, 2**62, dtype=np.int64))
+
+    def test_frequency_data_total_is_exact_at_int64_max(self):
+        x = FrequencyData(np.array([2**62, 2**62 - 1], dtype=np.int64))
+        assert x.n == 2**63 - 1
+        assert type(x.n) is int
+
     def test_pmf_requires_normalization(self):
         with pytest.raises(ValueError):
             Pmf(np.array([0.5, 0.2]))

@@ -26,6 +26,7 @@ from .estimators import stacked
 from .harness import (
     ESTIMATOR_CODES,
     TRUTH_TRUNCATION,
+    _SHAPE_KINDS,
     ExperimentConfig,
     fit_estimator,
     run_coverage,
@@ -252,7 +253,7 @@ def _cmd_estimate(args) -> int:
         "warnings": warnings,
     }
     if args.kind in ("sr", "sG"):
-        fit = stacked(x, "rearrangement" if args.kind == "sr" else "grenander")
+        fit = stacked(x, _SHAPE_KINDS[args.kind])
         estimate = fit.estimate.probs
         payload["beta_hat"] = fit.beta_hat
         payload["a_n"] = fit.a_n

@@ -13,7 +13,10 @@ scalars ``a_n`` and ``b_n`` (see :func:`cv_beta`).
 
 The leave-one-out vectors come from :func:`loo_vectors_fast`, which
 produces the values of one full refit per observed support point in
-O(D log D) instead of O(D^2).
+O(D log D) instead of O(D^2). For the isotonic fit, removing one
+observation at q lowers the cumulative counts right of q; the new
+majorant's bridge across q touches them at or after the first vertex of
+the sample's own majorant past q, so no hull of the lowered points is built.
 """
 
 import math
@@ -149,60 +152,14 @@ def _loo_rearrangement_fast(counts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-class _SuffixHulls:
-    """Persistent upper hulls of the cumulative-sum points ``(i, C_i)``.
-
-    Built right to left; ``next_vertex(i)`` walks the hull of the points
-    ``P_i, ..., P_D`` as it existed when ``P_i`` was inserted, which later
-    insertions never invalidate. Binary-lifting tables give logarithmic
-    tangent searches along those chains.
-    """
-
-    def __init__(self, cum: list[int]):
-        d1 = len(cum)  # number of points, indices 0 .. D
-        self.cum = cum
-        nxt = [-1] * d1
-        stack = [d1 - 1]
-        for i in range(d1 - 2, -1, -1):
-            while len(stack) >= 2:
-                a = stack[-1]
-                b = stack[-2]
-                # pop a unless the turn i -> a -> b is strictly concave
-                if (cum[a] - cum[i]) * (b - a) <= (cum[b] - cum[a]) * (a - i):
-                    stack.pop()
-                else:
-                    break
-            nxt[i] = stack[-1]
-            stack.append(i)
-        levels = [nxt]
-        span = 1
-        while span < d1:
-            prev = levels[-1]
-            levels.append([-1 if w < 0 else prev[w] for w in prev])
-            span *= 2
-        self.levels = levels
-
-    def max_slope_vertex(self, u: int, start: int) -> int:
-        """Vertex w of the hull of ``P_start..P_D`` maximizing the slope
-        ``(C_w - 1 - C_u) / (w - u)`` (ties resolved to the left)."""
-        cum = self.cum
-        base = cum[u] + 1
-        nxt = self.levels[0]
-
-        def improves(w: int) -> bool:
-            w2 = nxt[w]
-            if w2 < 0:
-                return False
-            return (cum[w2] - base) * (w - u) > (cum[w] - base) * (w2 - u)
-
-        w = start
-        for table in reversed(self.levels):
-            w2 = table[w]
-            if w2 >= 0 and improves(w2):
-                w = w2
-        if improves(w):
-            w = nxt[w]
-        return w
+def _push_hull(hull: list[int], cum: list[int], i: int) -> None:
+    """Append ``P_i = (i, C_i)`` to the upper hull ``hull``, keeping its turns strictly concave."""
+    while len(hull) >= 2:
+        a, b = hull[-1], hull[-2]
+        if (cum[i] - cum[a]) * (a - b) < (cum[a] - cum[b]) * (i - a):
+            break
+        hull.pop()
+    hull.append(i)
 
 
 def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
@@ -210,60 +167,65 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
 
     Works on the cumulative-sum diagram: decrementing index q lowers every
     point right of q by one, and the fitted value at q is the slope of the
-    bridge of the least concave majorant across the gap between the intact
-    prefix points and the lowered suffix points,
+    bridge of the least concave majorant across q,
 
         value(q) = min over u <= q of max over w > q of (C_w - 1 - C_u)/(w - u).
 
-    The inner maxima live on persistent suffix hulls, the outer minima on an
-    incrementally grown prefix hull, and the bridge is found by alternating
-    tangent searches.
+    Let V be the majorant's vertices, s <= q < t its neighbours around q
+    and sigma the slope of s-t. The bridge slope is below sigma (take
+    u = s), while the lowered points q+1 .. t lie under s-t, so their hull
+    edges have slopes of at least sigma. The bridge thus touches the
+    lowered suffix at or after t, where its hull is V, and the max needs
+    only w in V, w >= t. The min runs over a prefix hull grown with q, t is
+    a pointer into V that only moves forward, and the bridge comes from
+    alternating binary tangent searches.
     """
     d = counts.size
     cum = [0] + np.cumsum(counts).tolist()
-    suffix = _SuffixHulls(cum)
+    vertices: list[int] = []
+    for i in range(d + 1):
+        _push_hull(vertices, cum, i)
+
+    def first_unbeaten(chain: list[int], lo: int, better) -> int:
+        # first chain vertex from index lo on that its successor does not beat
+        hi = len(chain) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if better(chain[mid + 1], chain[mid]):
+                lo = mid + 1
+            else:
+                hi = mid
+        return chain[lo]
 
     def left_tangent(hull: list[int], w: int) -> int:
         # vertex u on the prefix hull minimizing (C_w - 1 - C_u)/(w - u)
         top = cum[w] - 1
+        return first_unbeaten(hull, 0, lambda u2, u1: (top - cum[u2]) * (w - u1) < (top - cum[u1]) * (w - u2))
 
-        def better(u2: int, u1: int) -> bool:
-            # slope from u2 strictly smaller than from u1
-            return (top - cum[u2]) * (w - u1) < (top - cum[u1]) * (w - u2)
-
-        lo, hi = 0, len(hull) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if better(hull[mid + 1], hull[mid]):
-                lo = mid + 1
-            else:
-                hi = mid
-        return hull[lo]
+    def right_tangent(u: int, k: int) -> int:
+        # vertex w in vertices[k:] maximizing (C_w - 1 - C_u)/(w - u)
+        base = cum[u] + 1
+        return first_unbeaten(vertices, k, lambda w2, w1: (cum[w2] - base) * (w1 - u) > (cum[w1] - base) * (w2 - u))
 
     out = np.zeros(d)
     hull: list[int] = []
+    k = 0
     for q in range(d):
-        # grow the prefix hull with P_q
-        while len(hull) >= 2:
-            a = hull[-1]
-            b = hull[-2]
-            if (cum[q] - cum[a]) * (a - b) >= (cum[a] - cum[b]) * (q - a):
-                hull.pop()
-            else:
-                break
-        hull.append(q)
+        _push_hull(hull, cum, q)
+        while vertices[k] <= q:
+            k += 1
         if counts[q] == 0:
             continue
         u = hull[-1]
-        w = suffix.max_slope_vertex(u, q + 1)
-        # Terminates: each tangent line supports one hull, so u only moves
-        # left on the prefix hull and w only right on the suffix hull.
+        w = right_tangent(u, k)
+        # Terminates: each tangent line supports one chain, so u only moves
+        # left on the prefix hull and w only right on V.
         while True:
             u2 = left_tangent(hull, w)
             if u2 == u:
                 break
             u = u2
-            w2 = suffix.max_slope_vertex(u, q + 1)
+            w2 = right_tangent(u, k)
             if w2 == w:
                 break
             w = w2
@@ -275,9 +237,12 @@ def loo_vectors_fast(x: FrequencyData, kind: str) -> LooVectors:
     """Leave-one-out vectors for ``kind`` without refitting per index.
 
     The rearrangement variant maintains one sorted order and relocates each
-    decremented value by binary search; the isotonic variant reuses the
-    partition left of the perturbed point through hulls of the cumulative
-    sums. Both run in O(D log D) overall.
+    decremented value by binary search. The isotonic variant finds, for
+    each q, the bridge between the hull of the intact prefix points and
+    the sample's own majorant from its first vertex past q on, lowered by
+    one: no hull of the lowered suffix is ever built, because the bridge
+    slope lies below the majorant's slope across q and so cannot touch a
+    lowered point before that vertex. Both run in O(D log D) overall.
     """
     _check_kind(kind)
     if x.n < 2:

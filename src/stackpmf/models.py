@@ -207,7 +207,9 @@ class FrequencyData:
             raise ValueError("counts must be nonnegative")
         if counts[-1] == 0:
             raise ValueError("last count must be positive (trailing zeros are not part of the support)")
-        n = sum(counts.tolist())
+        # Exact total without an int64 wrap: each half sums to under 2**63
+        # while D < 2**31, and the halves are combined as Python ints.
+        n = (int(np.sum(counts >> 32)) << 32) + int(np.sum(counts & 0xFFFFFFFF))
         if n > MAX_COUNT:
             raise ValueError(f"total count {n} exceeds {MAX_COUNT}")
         if n < 1:

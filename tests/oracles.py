@@ -5,15 +5,19 @@ enumerates every blockwise-mean candidate, and the repeated-argmax scan
 follows the textbook maximum-upper-sets description step by step.
 :func:`loo_vectors` computes leave-one-out vectors from their definition,
 one full refit per support point, against which the library's
-O(D log D) pass is checked. :func:`reference_sample` rebuilds the sampling
-table on every call, as the library's sampler did before it cached one
-table per model. :func:`reference_coverage` estimates one sup-norm
-quantile per center, each from its own normals, as coverage replications
-did before they shared one set of normals across their centers.
+O(D log D) pass is checked; :func:`exact_loo_grenander` does the same for
+the isotonic fit in exact rational arithmetic. :func:`reference_sample`
+rebuilds the sampling table on every call, as the library's sampler did
+before it cached one table per model. :func:`reference_coverage`
+estimates one sup-norm quantile per center, each from its own normals, as
+coverage replications did before they shared one set of normals across
+their centers.
 :func:`reference_sup_norm` forms each chunk of limit draws as a fresh
 ``(m, D)`` array and reduces it row by row, as the library's sampler did
 before it built the draws in row blocks.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -38,6 +42,59 @@ from stackpmf.rng import substream
 counts_vectors = st.lists(st.integers(0, 5), min_size=0, max_size=30).flatmap(
     lambda head: st.integers(1, 5).map(lambda last: np.asarray(head + [last], dtype=np.int64))
 )
+
+
+def _staircase(steps: list[tuple[int, int]], bump_at: int, bump: int) -> np.ndarray:
+    """Counts falling by ``drop`` then holding for ``width`` indices per step,
+    ending at 1, with ``bump`` added at index ``bump_at`` if it exists."""
+    level = sum(drop for drop, _ in steps) + 1
+    counts = []
+    for drop, width in steps:
+        level -= drop
+        counts += [level] * width
+    if bump_at < len(counts):
+        counts[bump_at] += bump
+    return np.asarray(counts, dtype=np.int64)
+
+
+#: Staircases of up to 12 steps of 1-8 equal counts, each step 0-2 below
+#: the last, with 0-2 observations added at one index. Steps whose levels
+#: differ by little make the leave-one-out bridge cross several blocks.
+staircase_vectors = st.builds(
+    _staircase,
+    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 8)), min_size=1, max_size=12),
+    st.integers(0, 95),
+    st.integers(0, 2),
+)
+
+
+def exact_pav_decreasing(counts: list[int]) -> list[Fraction]:
+    """Nonincreasing least-squares fit of integer counts by
+    pool-adjacent-violators, exact: blocks hold integer sums and widths,
+    and a block is merged into its left neighbour while its mean is at
+    least the neighbour's."""
+    blocks: list[list[int]] = []  # [sum, width]
+    for c in counts:
+        blocks.append([c, 1])
+        while len(blocks) >= 2 and blocks[-1][0] * blocks[-2][1] >= blocks[-2][0] * blocks[-1][1]:
+            total, width = blocks.pop()
+            blocks[-1][0] += total
+            blocks[-1][1] += width
+    return [Fraction(total, width) for total, width in blocks for _ in range(width)]
+
+
+def exact_loo_grenander(counts) -> list[Fraction]:
+    """Coordinate j of the isotonic fit of ``(counts - e_j) / (n - 1)`` for
+    every j with a positive count (0 elsewhere), as exact rationals."""
+    counts = [int(c) for c in counts]
+    n = sum(counts)
+    out = [Fraction(0)] * len(counts)
+    for j, c in enumerate(counts):
+        if c > 0:
+            modified = counts.copy()
+            modified[j] -= 1
+            out[j] = exact_pav_decreasing(modified)[j] / (n - 1)
+    return out
 
 
 def brute_force_isotonic_decreasing(v: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_sample
 from stackpmf import (
@@ -26,7 +28,7 @@ from stackpmf import (
     sample,
     support_size,
 )
-from stackpmf.models import _sampling_table
+from stackpmf.models import MAX_COUNT, _sampling_table
 
 ALL_BUILTIN = tuple(builtin_models().items())
 
@@ -211,6 +213,28 @@ class TestContainers:
         x = FrequencyData(np.array([2**62, 2**62 - 1], dtype=np.int64))
         assert x.n == 2**63 - 1
         assert type(x.n) is int
+
+    # totals on both sides of 2**63 - 1, with counts near the 2**32 split
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.integers(0, 62).flatmap(
+            lambda bits: st.lists(
+                st.one_of(st.integers(0, 2**bits), st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1])),
+                min_size=1,
+                max_size=40,
+            )
+        )
+    )
+    def test_frequency_data_total_is_exact(self, values):
+        values[-1] = max(values[-1], 1)
+        exact = sum(values)
+        counts = np.array(values, dtype=np.int64)
+        assert exact == sum(counts.tolist())
+        if exact > MAX_COUNT:
+            with pytest.raises(ValueError, match="exceeds"):
+                FrequencyData(counts)
+        else:
+            assert FrequencyData(counts).n == exact
 
     def test_pmf_requires_normalization(self):
         with pytest.raises(ValueError):

@@ -75,11 +75,17 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
             lines = fh.readlines()
     except OSError as exc:
         raise CountsParseError(f"cannot read {path}: {exc.strerror}", line=0) from exc
+    except UnicodeDecodeError as exc:
+        raise CountsParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})", line=0) from exc
     for lineno, line in enumerate(lines, start=1):
         for token in line.split():
             if not (token.isascii() and token.isdigit()):
                 raise CountsParseError(f"not a nonnegative integer count: {token!r}", line=lineno)
-            values.append(int(token))
+            # a count longer than MAX_COUNT exceeds it; checking first keeps int() in its digit limit
+            digits = token.lstrip("0")
+            if len(digits) > len(str(MAX_COUNT)):
+                raise CountsParseError(f"total count exceeds {MAX_COUNT}", line=lineno)
+            values.append(int(digits or "0"))
     if not values:
         raise CountsParseError("no counts found", line=len(lines))
     if sum(values) > MAX_COUNT:
@@ -180,20 +186,20 @@ def _resolve_seed(args) -> int:
 # Output writing
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header: list[str], rows: list[list], comments: list[str] = ()) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerows(rows)
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"--out {path}: cannot create the output directory: {exc.strerror}") from None
 
 
 def _write_json(path: str, payload) -> None:
@@ -274,7 +280,7 @@ def _cmd_estimate(args) -> int:
             "lower": [float(v) for v in cb.lower],
             "upper": [float(v) for v in cb.upper],
         }
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     out_path = os.path.join(args.out, "estimate.json")
     _write_json(out_path, payload)
     argv = ["estimate", "--input", args.input, "--kind", args.kind, "--seed", str(seed), "--out", args.out]
@@ -293,7 +299,7 @@ def _cmd_simulate(args) -> int:
     if len(modes) > 1:
         raise _UsageError("choose at most one of --risk and --coverage")
     mode = modes[0] if modes else "loss"
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     artifacts = []
     argv = ["simulate", "--model", args.model, "--reps", str(args.reps), "--est", ",".join(codes),
             "--norm", args.norm, "--seed", str(seed), "--workers", str(args.workers),
@@ -394,7 +400,7 @@ def _cmd_band(args) -> int:
         argv = ["band", "--theta", args.theta]
     q_hat = quantile_q_alpha(center, args.alpha, args.mc, seed)
     cb = make_band(center, n, q_hat, alpha=args.alpha, mc_reps=args.mc, seed=seed)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     rows = [[j, float(cb.lower[j]), float(cb.upper[j])] for j in range(len(cb.lower))]
     comments = [f"q_hat={cb.q_hat!r} alpha={args.alpha!r} n={n} mc_reps={args.mc} seed={seed}"]
     path = _write_table(args, "band", ["j", "lower", "upper"], rows, comments)
@@ -426,7 +432,7 @@ def _cmd_qq(args) -> int:
         for sample_col, theo_col in columns:
             row += [float(sample_col[i]), float(theo_col[i])]
         rows.append(row)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     path = _write_table(args, "qq", header, rows)
     argv = ["qq", "--model", args.model, "--coord", str(args.coord), "--n", str(args.n),
             "--reps", str(args.reps), "--est", ",".join(codes), "--seed", str(seed),

@@ -10,6 +10,7 @@ band Monte Carlo from ``(seed, "band", i)``, so results are identical for
 any worker count, with single-threaded and pooled runs byte-equal.
 """
 
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass, field
@@ -124,57 +125,49 @@ class ExperimentResult:
     qq_theoretical: dict = field(default_factory=dict)
 
 
-def _map_ordered(fn, payloads, workers: int):
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    ctx = multiprocessing.get_context("fork")
-    chunksize = max(1, len(payloads) // (workers * 8))
-    with ctx.Pool(workers) as pool:
-        return pool.map(fn, payloads, chunksize=chunksize)
-
-
 # ---------------------------------------------------------------------------
-# Per-replication workers (top level so they pickle for worker pools)
+# The replication loop (top level, so its partials pickle for worker pools)
 
 
-def _loss_rep(payload):
-    model, n, rep_seed, codes, norms, truth = payload
-    x = sample(model, n, rep_seed)
+def _replicate(cfg: ExperimentConfig, n: int, path: tuple, reduce, i: int):
+    """Replication ``i``: sample ``n`` values from ``(seed, "rep", *path, i)``,
+    fit each requested estimator once and return ``reduce(fits, n, i)``."""
+    x = sample(cfg.model, n, substream_seed(cfg.seed, "rep", *path, i))
     shared = SharedFits(x)
-    row = np.empty((len(codes), len(norms)))
-    for a, code in enumerate(codes):
-        row[a] = est.lk_distances(fit_estimator(code, x, shared), truth, norms)
-    return row
+    return reduce([fit_estimator(code, x, shared) for code in cfg.estimators], n, i)
 
 
-def _coverage_rep(payload):
-    model, n, rep_seed, band_seed, codes, alpha, band_mc_reps, truth = payload
-    x = sample(model, n, rep_seed)
-    shared = SharedFits(x)
-    centers = np.stack([fit_estimator(code, x, shared) for code in codes])
-    q_hats = quantile_q_alpha(centers, alpha, band_mc_reps, band_seed)
-    hits = np.empty(len(codes), dtype=bool)
-    for a, (center, q_hat) in enumerate(zip(centers, q_hats)):
+def _replications(cfg: ExperimentConfig, n: int, reduce, path: tuple = ()) -> np.ndarray:
+    """Stacked rows of replications ``0 .. reps - 1``, in order for any
+    worker count."""
+    fn = functools.partial(_replicate, cfg, n, path, reduce)
+    if cfg.workers <= 1 or cfg.reps <= 1:
+        return np.stack([fn(i) for i in range(cfg.reps)])
+    ctx = multiprocessing.get_context("fork")
+    chunksize = max(1, cfg.reps // (cfg.workers * 8))
+    with ctx.Pool(cfg.workers) as pool:
+        return np.stack(pool.map(fn, range(cfg.reps), chunksize=chunksize))
+
+
+def _losses(fits, n, i, *, truth, norms):
+    return np.array([est.lk_distances(probs, truth, norms) for probs in fits])
+
+
+def _band_hits(fits, n, i, *, truth, cfg):
+    band_seed = substream_seed(cfg.seed, "band", i)
+    q_hats = quantile_q_alpha(np.stack(fits), cfg.alpha, cfg.band_mc_reps, band_seed)
+    hits = []
+    for center, q_hat in zip(fits, q_hats):
         padded = np.zeros(max(center.size, truth.size))
         padded[: center.size] = center
         b = band(padded, n, q_hat)
-        hits[a] = bool(
-            np.all(b.lower[: truth.size] <= truth) and np.all(truth <= b.upper[: truth.size])
-        )
-    return hits
+        hits.append(bool(np.all(b.lower[: truth.size] <= truth) and np.all(truth <= b.upper[: truth.size])))
+    return np.array(hits)
 
 
-def _qq_rep(payload):
-    model, n, rep_seed, codes, coord, p_coord = payload
-    x = sample(model, n, rep_seed)
-    shared = SharedFits(x)
-    row = np.empty(len(codes))
+def _qq_deviations(fits, n, i, *, coord, p_coord):
     root_n = math.sqrt(n)
-    for a, code in enumerate(codes):
-        probs = fit_estimator(code, x, shared)
-        value = probs[coord] if coord < probs.size else 0.0
-        row[a] = root_n * (value - p_coord)
-    return row
+    return np.array([root_n * ((probs[coord] if coord < probs.size else 0.0) - p_coord) for probs in fits])
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +179,8 @@ def run_loss_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.n is None:
         raise ValueError("loss experiments need a single sample size n")
     truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs
-    payloads = [
-        (cfg.model, cfg.n, substream_seed(cfg.seed, "rep", i), cfg.estimators, cfg.norms, truth)
-        for i in range(cfg.reps)
-    ]
-    rows = _map_ordered(_loss_rep, payloads, cfg.workers)
-    return ExperimentResult(config=cfg, per_rep_losses=np.stack(rows))
+    rows = _replications(cfg, cfg.n, functools.partial(_losses, truth=truth, norms=cfg.norms))
+    return ExperimentResult(config=cfg, per_rep_losses=rows)
 
 
 def run_risk_curve(cfg: ExperimentConfig) -> ExperimentResult:
@@ -201,13 +190,9 @@ def run_risk_curve(cfg: ExperimentConfig) -> ExperimentResult:
     truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs
     risks = np.empty((len(cfg.n_grid), len(cfg.estimators)))
     ses = np.empty_like(risks)
+    l2_loss = functools.partial(_losses, truth=truth, norms=(2,))
     for g, n in enumerate(cfg.n_grid):
-        payloads = [
-            (cfg.model, n, substream_seed(cfg.seed, "rep", g, i), cfg.estimators, (2,), truth)
-            for i in range(cfg.reps)
-        ]
-        rows = _map_ordered(_loss_rep, payloads, cfg.workers)
-        sq = np.stack(rows)[:, :, 0] ** 2
+        sq = _replications(cfg, n, l2_loss, path=(g,))[:, :, 0] ** 2
         risks[g] = n * sq.mean(axis=0)
         ses[g] = n * sq.std(axis=0, ddof=1) / math.sqrt(cfg.reps) if cfg.reps > 1 else 0.0
     return ExperimentResult(config=cfg, risk_estimates=risks, risk_se=ses)
@@ -224,20 +209,7 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.n is None:
         raise ValueError("coverage experiments need a single sample size n")
     truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs
-    payloads = [
-        (
-            cfg.model,
-            cfg.n,
-            substream_seed(cfg.seed, "rep", i),
-            substream_seed(cfg.seed, "band", i),
-            cfg.estimators,
-            cfg.alpha,
-            cfg.band_mc_reps,
-            truth,
-        )
-        for i in range(cfg.reps)
-    ]
-    rows = np.stack(_map_ordered(_coverage_rep, payloads, cfg.workers))
+    rows = _replications(cfg, cfg.n, functools.partial(_band_hits, truth=truth, cfg=cfg))
     result = ExperimentResult(config=cfg)
     for a, code in enumerate(cfg.estimators):
         p = float(rows[:, a].mean())
@@ -254,11 +226,8 @@ def run_qq_samples(cfg: ExperimentConfig, coord: int) -> ExperimentResult:
     truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs
     if not 0 <= coord < truth.size:
         raise ValueError(f"coordinate {coord} outside the truth support of length {truth.size}")
-    payloads = [
-        (cfg.model, cfg.n, substream_seed(cfg.seed, "rep", i), cfg.estimators, coord, float(truth[coord]))
-        for i in range(cfg.reps)
-    ]
-    rows = np.stack(_map_ordered(_qq_rep, payloads, cfg.workers))
+    deviations = functools.partial(_qq_deviations, coord=coord, p_coord=float(truth[coord]))
+    rows = _replications(cfg, cfg.n, deviations)
     result = ExperimentResult(config=cfg)
     positions = (np.arange(cfg.reps) + 0.5) / cfg.reps
     normal_q = _norm.ppf(positions)

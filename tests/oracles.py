@@ -35,7 +35,7 @@ from stackpmf import (
 from stackpmf.estimators import shape_transform
 from stackpmf.harness import fit_estimator
 from stackpmf.models import SAMPLING_TRUNCATION
-from stackpmf.rng import substream
+from stackpmf.rng import substream, substream_seed
 
 #: Counts vectors with zeros and ties, ending in a positive count; the
 #: single-observation vectors [1] and [0, 0, 1] have n = 1.
@@ -206,18 +206,20 @@ def reference_sample(model, n: int, seed: int) -> FrequencyData:
     return FrequencyData(np.bincount(idx))
 
 
-def reference_coverage(payload) -> tuple:
-    """Band hits and quantiles of one coverage replication (the payload of
-    ``harness._coverage_rep``), with a standalone quantile per center."""
-    model, n, rep_seed, band_seed, codes, alpha, band_mc_reps, truth = payload
-    x = sample(model, n, rep_seed)
+def reference_coverage(cfg, truth, i: int) -> tuple:
+    """Band hits and quantiles of coverage replication ``i`` under the
+    ``ExperimentConfig`` ``cfg`` (one step of ``harness.run_coverage``), with
+    a standalone quantile per center. The sample comes from the stream
+    ``(seed, "rep", i)`` and every quantile from ``(seed, "band", i)``."""
+    x = sample(cfg.model, cfg.n, substream_seed(cfg.seed, "rep", i))
+    band_seed = substream_seed(cfg.seed, "band", i)
     hits, q_hats = [], []
-    for code in codes:
+    for code in cfg.estimators:
         center = fit_estimator(code, x)
-        q_hats.append(quantile_q_alpha(center, alpha, band_mc_reps, band_seed))
+        q_hats.append(quantile_q_alpha(center, cfg.alpha, cfg.band_mc_reps, band_seed))
         padded = np.zeros(max(center.size, truth.size))
         padded[: center.size] = center
-        b = band(padded, n, q_hats[-1])
+        b = band(padded, cfg.n, q_hats[-1])
         hits.append(bool(np.all(b.lower[: truth.size] <= truth) and np.all(truth <= b.upper[: truth.size])))
     return np.array(hits), q_hats
 

@@ -91,6 +91,24 @@ class TestEstimate:
         assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 3
         assert "total count exceeds" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "counts.txt"
+        counts.write_bytes(b"\xff\xfe1 2")
+        assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 3
+        assert str(counts) in capsys.readouterr().err
+        assert not (tmp_path / "estimate.json").exists()
+
+    def test_count_past_the_int_digit_limit_is_data_error(self, tmp_path, capsys):
+        counts = write_counts(tmp_path, "1 2\n" + "9" * 5000 + "\n")
+        assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 3
+        assert "line 2: total count exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "estimate.json").exists()
+
+    def test_leading_zeros_past_the_int_digit_limit_are_kept(self, tmp_path):
+        counts = write_counts(tmp_path, "0" * 5000 + "3 1\n")
+        assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "estimate.json").read_text())["estimate"] == [0.75, 0.25]
+
     def test_total_at_int64_max_is_accepted(self, tmp_path):
         counts = write_counts(tmp_path, f"{2**62} {2**62 - 1}\n")
         assert run(["estimate", "--input", counts, "--kind", "e", "--out", tmp_path]) == 0
@@ -288,6 +306,24 @@ class TestManifests:
 
 SIMULATE = ["simulate", "--model", "M1", "--n", 10, "--reps", 2]
 QQ = ["qq", "--model", "M1", "--coord", 0, "--n", 10, "--reps", 2]
+
+
+class TestOutDirectory:
+    """An ``--out`` that cannot be created as a directory exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--model", "M1", "--n", 10, "--reps", 2], id="simulate"),
+        pytest.param(["estimate", "--input", "{counts}", "--kind", "sG"], id="estimate"),
+    ])
+    def test_out_naming_a_file_is_usage_error(self, argv, tmp_path, capsys):
+        counts = write_counts(tmp_path, "3 1 2\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        argv = [counts if a == "{counts}" else a for a in argv]
+        assert run(argv + ["--out", blocker]) == 2
+        assert capsys.readouterr().err.startswith("error: --out")
+        assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.txt", "taken"]
 
 
 class TestBadFlagValuesAreUsageErrors:

@@ -1,0 +1,79 @@
+"""Golden bytes: small CLI runs whose data files must keep their SHA-256.
+
+Each case runs one command in-process and compares the hash of every data
+file it writes with the value recorded in ``GOLDEN``. Manifests are left
+out because they embed the ``--out`` path. A change that moves bytes on
+purpose updates this table and says which files moved and why.
+"""
+
+import hashlib
+
+import pytest
+
+from stackpmf.cli import main
+
+ALL = "e,mm,r,G,sr,sG"
+
+#: Non-monotone counts, so the shape fits and the stacked weights all differ.
+COUNTS = "7 5 6 2 3 0 1 1\n"
+
+LOSS_M2 = ["simulate", "--model", "M2", "--n", 40, "--reps", 12, "--est", ALL,
+           "--norm", "1,2,inf", "--svg", "--seed", 5]
+LOSS_M2_FILES = {
+    "losses.csv": "eeae68d66bfe9fcb60114b5c90a500063cc5fc03b53d4ce76de477499e62a559",
+    "losses.svg": "cd16752801dcb12aa51f8a60ca4eba0a1a0706d330f1d4a5422ffebf16c08904",
+}
+
+#: case id -> (argv, {data file: sha256}). ``{counts}`` is replaced by the
+#: counts file above and ``{theta}`` by an ``estimate --kind sG`` of it.
+GOLDEN = {
+    "loss-M2-workers-1": (LOSS_M2 + ["--workers", 1], LOSS_M2_FILES),
+    "loss-M2-workers-2": (LOSS_M2 + ["--workers", 2], LOSS_M2_FILES),
+    "risk-M4": (
+        ["simulate", "--risk", "--model", "M4", "--ngrid", "10,100", "--reps", 8, "--est", ALL, "--seed", 6],
+        {"risk.csv": "f34d71099d161e8ef95adc040a0888c7151a0e8972fd3910f09b6c888677b268"},
+    ),
+    "coverage-M1": (
+        ["simulate", "--coverage", "--model", "M1", "--n", 100, "--reps", 12, "--est", ALL,
+         "--alpha", 0.5, "--bandmc", 500, "--seed", 7],
+        {"coverage.csv": "bd513cb78db55ba6b8bf8d8c9a186648a63914d85b6b424bc5627b6de3098f53"},
+    ),
+    "qq-M6": (
+        ["qq", "--model", "M6", "--coord", 1, "--n", 60, "--reps", 20, "--est", ALL, "--seed", 8],
+        {"qq.csv": "65cc0c9c42b370024c2d041c0b638ff45a49daeedfa34d49cac7eb56002d548b"},
+    ),
+    "estimate-sG-band": (
+        ["estimate", "--input", "{counts}", "--kind", "sG", "--band", 0.1, "--mc", 500, "--seed", 9],
+        {"estimate.json": "d0d8271c83c9ee4eb86cf66ba56c492e129fed5558b210799a60c0f1d1e86a7e"},
+    ),
+    "estimate-sr-band": (
+        ["estimate", "--input", "{counts}", "--kind", "sr", "--band", 0.1, "--mc", 500, "--seed", 9],
+        {"estimate.json": "b4699e4ac9f11c3fe41b721bbf046065aa44a33ddf6cf0a83e84c8a547e86a61"},
+    ),
+    "band-input": (
+        ["band", "--input", "{counts}", "--kind", "G", "--alpha", 0.05, "--mc", 500, "--seed", 10],
+        {"band.csv": "fcc1d9889fcaaafd65e65f10e7275043db11d7f1bed1fada01fa270f648d288a"},
+    ),
+    "band-theta": (
+        ["band", "--theta", "{theta}", "--alpha", 0.2, "--mc", 500, "--seed", 11],
+        {"band.csv": "47816567fd358718154901e78ec4e060b9822886ea2457567202819f0a3d0417"},
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_data_files_keep_their_bytes(case, tmp_path):
+    argv, files = GOLDEN[case]
+    counts = tmp_path / "counts.txt"
+    counts.write_text(COUNTS)
+    theta = tmp_path / "theta" / "estimate.json"
+    if "{theta}" in argv:
+        assert main(["estimate", "--input", str(counts), "--kind", "sG", "--out", str(theta.parent)]) == 0
+    fill = {"{counts}": str(counts), "{theta}": str(theta)}
+    out = tmp_path / "out"
+    assert main([fill.get(str(a), str(a)) for a in argv] + ["--out", str(out)]) == 0
+    assert {name: _sha256(out / name) for name in files} == files

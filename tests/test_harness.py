@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo experiment drivers."""
 
+import functools
 import math
 
 import numpy as np
@@ -24,8 +25,7 @@ from stackpmf import (
 )
 from stackpmf import estimators as est
 from stackpmf import harness
-from stackpmf.harness import SharedFits, _coverage_rep, fit_estimator
-from stackpmf.rng import substream_seed
+from stackpmf.harness import SharedFits, fit_estimator
 
 M = builtin_models()
 
@@ -162,12 +162,13 @@ class TestCoverage:
         truth = pmf_truncate(M["M2"], 1e-12).probs
         hits = []
         for alpha in (0.05, 0.5):
-            for i in range(10):
-                payload = (M["M2"], 200, substream_seed(10, "rep", i), substream_seed(10, "band", i),
-                           ESTIMATOR_CODES, alpha, 1000, truth)
+            cfg = ExperimentConfig(model=M["M2"], reps=10, estimators=ESTIMATOR_CODES, n=200,
+                                   alpha=alpha, band_mc_reps=1000, seed=10)
+            band_hits = functools.partial(harness._band_hits, truth=truth, cfg=cfg)
+            for i in range(cfg.reps):
                 built.clear()
-                hits.append(_coverage_rep(payload))
-                ref_hits, ref_q_hats = reference_coverage(payload)
+                hits.append(harness._replicate(cfg, cfg.n, (), band_hits, i))
+                ref_hits, ref_q_hats = reference_coverage(cfg, truth, i)
                 np.testing.assert_array_equal(hits[-1], ref_hits)
                 assert [b.q_hat for b in built] == ref_q_hats
         assert 0 < np.mean(hits) < 1

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -186,8 +187,19 @@ def _resolve_seed(args) -> int:
 # Output writing
 
 
+@contextlib.contextmanager
+def _out_file(path: str):
+    """``path`` opened for writing; a failure to write it is a usage error of ``--out``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        where, name = os.path.split(path)
+        raise _UsageError(f"--out {where}: cannot write {name}: {exc.strerror}") from None
+
+
 def _write_csv(path: str, header: list[str], rows: list[list], comments: list[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _out_file(path) as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -203,7 +215,7 @@ def _make_out_dir(path: str) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _out_file(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -299,15 +311,18 @@ def _cmd_simulate(args) -> int:
     if len(modes) > 1:
         raise _UsageError("choose at most one of --risk and --coverage")
     mode = modes[0] if modes else "loss"
+    if mode == "risk":
+        if args.ngrid is None:
+            raise _UsageError("--risk needs --ngrid")
+        n_grid = _parse_int_list(args.ngrid)
+    elif args.n is None:
+        raise _UsageError("--coverage needs --n" if mode == "coverage" else "loss simulation needs --n")
     _make_out_dir(args.out)
     artifacts = []
     argv = ["simulate", "--model", args.model, "--reps", str(args.reps), "--est", ",".join(codes),
             "--norm", args.norm, "--seed", str(seed), "--workers", str(args.workers),
             "--format", args.format, "--out", args.out]
     if mode == "risk":
-        if args.ngrid is None:
-            raise _UsageError("--risk needs --ngrid")
-        n_grid = _parse_int_list(args.ngrid)
         cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, norms=norms,
                                n_grid=n_grid, seed=seed, workers=args.workers)
         res = run_risk_curve(cfg)
@@ -321,12 +336,10 @@ def _cmd_simulate(args) -> int:
             series = [(code, [float(res.risk_estimates[g, a]) for g in range(len(n_grid))])
                       for a, code in enumerate(codes)]
             svg_path = os.path.join(args.out, "risk.svg")
-            with open(svg_path, "w", encoding="utf-8") as fh:
+            with _out_file(svg_path) as fh:
                 fh.write(linechart_svg([float(n) for n in n_grid], series))
             artifacts.append(svg_path)
     elif mode == "coverage":
-        if args.n is None:
-            raise _UsageError("--coverage needs --n")
         cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, norms=norms, n=args.n,
                                alpha=args.alpha, band_mc_reps=args.bandmc, seed=seed, workers=args.workers)
         res = run_coverage(cfg)
@@ -337,8 +350,6 @@ def _cmd_simulate(args) -> int:
             ["estimator", "model", "n", "alpha", "reps", "band_mc_reps", "coverage", "se"], rows))
         argv += ["--coverage", "--n", str(args.n), "--alpha", repr(args.alpha), "--bandmc", str(args.bandmc)]
     else:
-        if args.n is None:
-            raise _UsageError("loss simulation needs --n")
         cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, norms=norms,
                                n=args.n, seed=seed, workers=args.workers)
         res = run_loss_experiment(cfg)
@@ -355,7 +366,7 @@ def _cmd_simulate(args) -> int:
             groups = [(code, [float(v) for v in res.per_rep_losses[:, a, first_norm]])
                       for a, code in enumerate(codes)]
             svg_path = os.path.join(args.out, "losses.svg")
-            with open(svg_path, "w", encoding="utf-8") as fh:
+            with _out_file(svg_path) as fh:
                 fh.write(boxplot_svg(groups))
             artifacts.append(svg_path)
     if args.svg:

@@ -186,49 +186,45 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
     for i in range(d + 1):
         _push_hull(vertices, cum, i)
 
-    def first_unbeaten(chain: list[int], lo: int, better) -> int:
-        # first chain vertex from index lo on that its successor does not beat
-        hi = len(chain) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if better(chain[mid + 1], chain[mid]):
-                lo = mid + 1
-            else:
-                hi = mid
-        return chain[lo]
-
-    def left_tangent(hull: list[int], w: int) -> int:
-        # vertex u on the prefix hull minimizing (C_w - 1 - C_u)/(w - u)
-        top = cum[w] - 1
-        return first_unbeaten(hull, 0, lambda u2, u1: (top - cum[u2]) * (w - u1) < (top - cum[u1]) * (w - u2))
-
-    def right_tangent(u: int, k: int) -> int:
-        # vertex w in vertices[k:] maximizing (C_w - 1 - C_u)/(w - u)
-        base = cum[u] + 1
-        return first_unbeaten(vertices, k, lambda w2, w1: (cum[w2] - base) * (w1 - u) > (cum[w1] - base) * (w2 - u))
-
     out = np.zeros(d)
     hull: list[int] = []
     k = 0
-    for q in range(d):
+    for q, count in enumerate(counts.tolist()):
         _push_hull(hull, cum, q)
         while vertices[k] <= q:
             k += 1
-        if counts[q] == 0:
+        if count == 0:
             continue
-        u = hull[-1]
-        w = right_tangent(u, k)
+        u, w = hull[-1], -1
         # Terminates: each tangent line supports one chain, so u only moves
         # left on the prefix hull and w only right on V.
         while True:
-            u2 = left_tangent(hull, w)
-            if u2 == u:
+            # w: the vertex in vertices[k:] maximizing (C_w - 1 - C_u)/(w - u)
+            base = cum[u] + 1
+            lo, hi = k, len(vertices) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                w1, w2 = vertices[mid], vertices[mid + 1]
+                if (cum[w2] - base) * (w1 - u) > (cum[w1] - base) * (w2 - u):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if vertices[lo] == w:
                 break
-            u = u2
-            w2 = right_tangent(u, k)
-            if w2 == w:
+            w = vertices[lo]
+            # u: the prefix-hull vertex minimizing (C_w - 1 - C_u)/(w - u)
+            top = cum[w] - 1
+            lo, hi = 0, len(hull) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                u1, u2 = hull[mid], hull[mid + 1]
+                if (top - cum[u2]) * (w - u1) < (top - cum[u1]) * (w - u2):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            if hull[lo] == u:
                 break
-            w = w2
+            u = hull[lo]
         out[q] = (cum[w] - 1 - cum[u]) / ((w - u) * (n - 1))
     return out
 
@@ -298,6 +294,11 @@ def cv_beta(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> tup
     return beta, a_n, b_n
 
 
+def mixture(beta: float, shape: np.ndarray, base: np.ndarray) -> Pmf:
+    """The stacked estimate ``beta * shape + (1 - beta) * base``."""
+    return Pmf(beta * shape + (1.0 - beta) * base)
+
+
 def stacked(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> StackedFit:
     """Convex combination of the shape estimator and the empirical one with
     the cross-validated weight.
@@ -320,14 +321,13 @@ def stacked(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> Sta
         diagnostics["degenerate"] = "n = 1: cross-validation undefined, returned the empirical estimator"
     else:
         beta, a_n, b_n = cv_beta(x, kind, shape)
-    estimate = Pmf(beta * shape + (1.0 - beta) * base)
     return StackedFit(
         beta_hat=beta,
         a_n=a_n,
         b_n=b_n,
         base=Pmf(base),
         shape=Pmf(shape),
-        estimate=estimate,
+        estimate=mixture(beta, shape, base),
         kind=kind,
         diagnostics=diagnostics,
     )
@@ -337,20 +337,28 @@ def stacked(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> Sta
 # Distances
 
 
-def lk_distances(u, v, norms) -> list:
-    """l_k distances between two vectors, the shorter zero-padded, one per
-    ``k`` in ``norms`` (each 1, 2 or ``math.inf``)."""
+def lk_distances(u, v, norms) -> list | np.ndarray:
+    """l_k distances between ``u`` and ``v``, the shorter zero-padded, one
+    per ``k`` in ``norms`` (each 1, 2 or ``math.inf``).
+
+    ``u`` is one vector, which gives a list, or a ``(c, D)`` stack of
+    vectors, which gives a ``(c, len(norms))`` array; row i of it is
+    bitwise equal to the list for ``u[i]`` alone.
+    """
     for k in norms:
         if k not in NORMS:
             raise ValueError(f"k must be 1, 2 or inf, got {k!r}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    diff = np.zeros(max(u.size, v.size))
-    diff[: u.size] = u
-    diff[: v.size] -= v
+    rows = np.atleast_2d(u)
+    diff = np.zeros((len(rows), max(rows.shape[1], v.size)))
+    diff[:, : rows.shape[1]] = rows
+    diff[:, : v.size] -= v
     np.abs(diff, out=diff)
-    reductions = {1: diff.sum, 2: lambda: math.sqrt(np.sum(diff * diff)), math.inf: diff.max}
-    return [float(reductions[k]()) for k in norms]
+    reductions = {1: lambda: diff.sum(axis=1), 2: lambda: np.sqrt(np.sum(diff * diff, axis=1)),
+                  math.inf: lambda: diff.max(axis=1)}
+    out = np.array([reductions[k]() for k in norms]).reshape(len(norms), len(rows)).T
+    return out if u.ndim == 2 else out[0].tolist()
 
 
 def lk_distance(u, v, k) -> float:

@@ -63,7 +63,10 @@ def fit_estimator(code: str, x, shared: SharedFits | None = None) -> np.ndarray:
         return shared.shape(_SHAPE_KINDS[code])
     if code in ("sr", "sG"):
         kind = _SHAPE_KINDS[code]
-        return est.stacked(x, kind, shared.shape(kind)).estimate.probs
+        if x.n < 2:
+            return est.stacked(x, kind, shared.shape(kind)).estimate.probs
+        beta = est.cv_beta(x, kind, shared.shape(kind))[0]
+        return est.mixture(beta, shared.shape(kind), shared.base).probs
     raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
 
 
@@ -150,7 +153,7 @@ def _replications(cfg: ExperimentConfig, n: int, reduce, path: tuple = ()) -> np
 
 
 def _losses(fits, n, i, *, truth, norms):
-    return np.array([est.lk_distances(probs, truth, norms) for probs in fits])
+    return est.lk_distances(np.stack(fits), truth, norms)
 
 
 def _band_hits(fits, n, i, *, truth, cfg):

@@ -325,6 +325,32 @@ class TestOutDirectory:
         assert blocker.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.txt", "taken"]
 
+    @pytest.mark.parametrize("argv, blocked", [
+        pytest.param(SIMULATE + ["--svg"], "losses.csv", id="simulate-table"),
+        pytest.param(SIMULATE + ["--svg"], "losses.svg", id="simulate-svg"),
+        pytest.param(SIMULATE, "simulate.manifest.json", id="simulate-manifest"),
+        pytest.param(["estimate", "--input", "{counts}", "--kind", "sG"], "estimate.json", id="estimate"),
+    ])
+    def test_data_file_that_cannot_be_written_is_usage_error(self, argv, blocked, tmp_path, capsys):
+        counts = write_counts(tmp_path, "3 1 2\n")
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = [counts if a == "{counts}" else a for a in argv]
+        assert run(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: cannot write {blocked}: ")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--model", "M1", "--reps", 2, "--risk"], id="risk-without-ngrid"),
+        pytest.param(["simulate", "--model", "M1", "--reps", 2, "--risk", "--ngrid", "0,5"], id="risk-ngrid-0"),
+        pytest.param(["simulate", "--model", "M1", "--reps", 2, "--coverage"], id="coverage-without-n"),
+        pytest.param(["simulate", "--model", "M1", "--reps", 2], id="loss-without-n"),
+    ])
+    def test_simulate_usage_error_creates_no_out(self, argv, tmp_path, capsys):
+        out = tmp_path / "new"
+        assert run(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestBadFlagValuesAreUsageErrors:
     """An invalid flag value exits 2 (usage), never 4 (numeric failure)."""

@@ -300,7 +300,29 @@ class TestStacked:
             assert np.all(np.asarray(lk_distances(fit.probs, truth, NORMS)) <= bound)
 
 
+@st.composite
+def stacks_against_truth(draw):
+    """1-6 random pmf rows, each as wide as, narrower or wider than the truth ``v``, and a list of norms."""
+    dv = draw(st.integers(2, 40))
+    du = draw(st.one_of(st.integers(1, dv - 1), st.just(dv), st.integers(dv + 1, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((draw(st.integers(1, 6)), du))
+    v = rng.random(dv)
+    norms = draw(st.lists(st.sampled_from(NORMS), max_size=4))
+    return rows / rows.sum(axis=1, keepdims=True), v / v.sum(), tuple(norms)
+
+
 class TestDistance:
+    # the loss reduction passes a stack, and its rows must keep the bytes of one call per fit
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(stacks_against_truth())
+    def test_stack_rows_equal_single_vector_calls(self, case):
+        stack, v, norms = case
+        got = lk_distances(stack, v, norms)
+        assert isinstance(got, np.ndarray) and got.shape == (len(stack), len(norms))
+        for row, dists in zip(stack, got):
+            assert dists.tobytes() == np.array(lk_distances(row, v, norms), dtype=float).tobytes()
+
     def test_zero_padding(self):
         assert lk_distance([1.0, 0.5], [1.0], 1) == pytest.approx(0.5)
         assert lk_distance([1.0], [1.0, 0.5], 2) == pytest.approx(0.5)
@@ -323,3 +345,5 @@ class TestDistance:
             lk_distance([1.0, 0.5], [0.5], k)
         with pytest.raises(ValueError, match="k must be 1, 2 or inf"):
             lk_distances([1.0, 0.5], [0.5], (1, k))
+        with pytest.raises(ValueError, match="k must be 1, 2 or inf"):
+            lk_distances(np.full((3, 2), 0.5), [0.5], (k, 2))

@@ -29,6 +29,10 @@ LOSS_M2_FILES = {
 GOLDEN = {
     "loss-M2-workers-1": (LOSS_M2 + ["--workers", 1], LOSS_M2_FILES),
     "loss-M2-workers-2": (LOSS_M2 + ["--workers", 2], LOSS_M2_FILES),
+    "loss-M7": (
+        ["simulate", "--model", "M7", "--n", 300, "--reps", 10, "--est", ALL, "--norm", "1,2,inf", "--seed", 5],
+        {"losses.csv": "e75e975e191ee9785f8b0e84eabe2a5afdbe88741e9495b09d075886141e13ed"},
+    ),
     "risk-M4": (
         ["simulate", "--risk", "--model", "M4", "--ngrid", "10,100", "--reps", 8, "--est", ALL, "--seed", 6],
         {"risk.csv": "f34d71099d161e8ef95adc040a0888c7151a0e8972fd3910f09b6c888677b268"},

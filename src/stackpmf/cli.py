@@ -273,9 +273,7 @@ def _cmd_estimate(args) -> int:
     if args.kind in ("sr", "sG"):
         fit = stacked(x, _SHAPE_KINDS[args.kind])
         estimate = fit.estimate.probs
-        payload["beta_hat"] = fit.beta_hat
-        payload["a_n"] = fit.a_n
-        payload["b_n"] = fit.b_n
+        payload.update(beta_hat=fit.beta_hat, a_n=fit.a_n, b_n=fit.b_n)
         if fit.diagnostics:
             payload["diagnostics"] = fit.diagnostics
     else:
@@ -322,26 +320,23 @@ def _cmd_simulate(args) -> int:
     argv = ["simulate", "--model", args.model, "--reps", str(args.reps), "--est", ",".join(codes),
             "--norm", args.norm, "--seed", str(seed), "--workers", str(args.workers),
             "--format", args.format, "--out", args.out]
+    cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, norms=norms, n=args.n,
+                           n_grid=n_grid if mode == "risk" else (), alpha=args.alpha, band_mc_reps=args.bandmc,
+                           seed=seed, workers=args.workers)
     if mode == "risk":
-        cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, norms=norms,
-                               n_grid=n_grid, seed=seed, workers=args.workers)
         res = run_risk_curve(cfg)
-        rows = []
-        for g, n in enumerate(n_grid):
-            for a, code in enumerate(codes):
-                rows.append([n, code, args.reps, float(res.risk_estimates[g, a]), float(res.risk_se[g, a])])
+        rows = [[n, code, args.reps, risk, se] for n, by_code, se_by_code in
+                zip(n_grid, res.risk_estimates.tolist(), res.risk_se.tolist())
+                for code, risk, se in zip(codes, by_code, se_by_code)]
         artifacts.append(_write_table(args, "risk", ["n", "estimator", "reps", "risk", "se"], rows))
         argv += ["--risk", "--ngrid", args.ngrid]
         if args.svg:
-            series = [(code, [float(res.risk_estimates[g, a]) for g in range(len(n_grid))])
-                      for a, code in enumerate(codes)]
+            series = list(zip(codes, res.risk_estimates.T.tolist()))
             svg_path = os.path.join(args.out, "risk.svg")
             with _out_file(svg_path) as fh:
                 fh.write(linechart_svg([float(n) for n in n_grid], series))
             artifacts.append(svg_path)
     elif mode == "coverage":
-        cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, norms=norms, n=args.n,
-                               alpha=args.alpha, band_mc_reps=args.bandmc, seed=seed, workers=args.workers)
         res = run_coverage(cfg)
         rows = [[code, args.model, args.n, repr(args.alpha), args.reps, args.bandmc,
                  float(res.coverage[code]), float(res.coverage_se[code])] for code in codes]
@@ -350,21 +345,14 @@ def _cmd_simulate(args) -> int:
             ["estimator", "model", "n", "alpha", "reps", "band_mc_reps", "coverage", "se"], rows))
         argv += ["--coverage", "--n", str(args.n), "--alpha", repr(args.alpha), "--bandmc", str(args.bandmc)]
     else:
-        cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, norms=norms,
-                               n=args.n, seed=seed, workers=args.workers)
         res = run_loss_experiment(cfg)
         norm_names = ["inf" if k == math.inf else str(k) for k in norms]
-        rows = []
-        for i in range(args.reps):
-            for a, code in enumerate(codes):
-                for b, norm_name in enumerate(norm_names):
-                    rows.append([i, code, norm_name, float(res.per_rep_losses[i, a, b])])
+        rows = [[i, code, norm_name, loss] for i, rep in enumerate(res.per_rep_losses.tolist())
+                for code, by_norm in zip(codes, rep) for norm_name, loss in zip(norm_names, by_norm)]
         artifacts.append(_write_table(args, "losses", ["rep", "estimator", "norm", "loss"], rows))
         argv += ["--n", str(args.n)]
         if args.svg:
-            first_norm = 0
-            groups = [(code, [float(v) for v in res.per_rep_losses[:, a, first_norm]])
-                      for a, code in enumerate(codes)]
+            groups = list(zip(codes, res.per_rep_losses[:, :, 0].T.tolist()))  # the first norm
             svg_path = os.path.join(args.out, "losses.svg")
             with _out_file(svg_path) as fh:
                 fh.write(boxplot_svg(groups))
@@ -436,13 +424,8 @@ def _cmd_qq(args) -> int:
     columns = []
     for code in codes:
         header += [f"sample_{code}", f"theoretical_{code}"]
-        columns.append((np.sort(res.qq_samples[code]), res.qq_theoretical[code]))
-    rows = []
-    for i in range(args.reps):
-        row = [i]
-        for sample_col, theo_col in columns:
-            row += [float(sample_col[i]), float(theo_col[i])]
-        rows.append(row)
+        columns += [np.sort(res.qq_samples[code]).tolist(), res.qq_theoretical[code].tolist()]
+    rows = [[i, *values] for i, values in enumerate(zip(*columns))]
     _make_out_dir(args.out)
     path = _write_table(args, "qq", header, rows)
     argv = ["qq", "--model", args.model, "--coord", str(args.coord), "--n", str(args.n),

@@ -152,7 +152,7 @@ def quantile_q_alpha(theta, alpha: float, reps: int, seed: int):
     draws = sample_sup_norm(theta, reps, seed)
     k = min(max(int(math.ceil((1.0 - alpha) * reps)), 1), reps)
     q = np.partition(draws, k - 1, axis=-1)[..., k - 1]
-    return float(q) if q.ndim == 0 else q
+    return float(q) if q.ndim == 0 else q.copy()  # a view would keep all the draws alive
 
 
 def band(center, n: int, q_hat: float, alpha=None, mc_reps=None, seed=None) -> ConfidenceBand:

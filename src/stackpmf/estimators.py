@@ -11,12 +11,8 @@ whose mixture weight ``beta`` minimizes a leave-one-out least-squares
 cross-validation criterion and is available in closed form from two
 scalars ``a_n`` and ``b_n`` (see :func:`cv_beta`).
 
-The leave-one-out vectors come from :func:`loo_vectors_fast`, which
-produces the values of one full refit per observed support point in
-O(D log D) instead of O(D^2). For the isotonic fit, removing one
-observation at q lowers the cumulative counts right of q; the new
-majorant's bridge across q touches them at or after the first vertex of
-the sample's own majorant past q, so no hull of the lowered points is built.
+The leave-one-out vectors come from :func:`loo_vectors_fast`, which gives
+the values of one full refit per observed support point in O(D log D).
 """
 
 import math
@@ -115,9 +111,10 @@ def minimax(x: FrequencyData) -> Pmf:
 
 
 def minimax_probs(base: np.ndarray, n: int) -> np.ndarray:
-    """:func:`minimax` from the empirical vector ``base`` of ``n`` observations."""
+    """:func:`minimax` from the empirical vector ``base`` of ``n``
+    observations, or from each row of a stack of them."""
     alpha = math.sqrt(n) / (n + math.sqrt(n))
-    uniform = np.full(base.size, 1.0 / base.size)
+    uniform = np.full(base.shape[-1], 1.0 / base.shape[-1])
     return alpha * uniform + (1.0 - alpha) * base
 
 
@@ -280,23 +277,21 @@ def cv_beta(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> tup
     base = x.counts / x.n
     if shape is None:
         shape = shape_transform(kind, base)
-    a_n = float(np.sum((shape - base) ** 2))
-    loo = loo_vectors_fast(x, kind)
-    b_n = float(np.sum(base * (loo.shape_loo - loo.pi)) - np.sum(base * (shape - base)))
-    if a_n <= A_N_TOL:
-        beta = 0.0
-    elif 0.0 <= b_n <= a_n:
-        beta = b_n / a_n
-    elif b_n >= a_n:
-        beta = 1.0
-    else:
-        beta = 0.0
+    return tuple(float(v[0]) for v in cv_betas([x], kind, base[None], shape[None]))
+
+
+def cv_betas(xs, kind: str, base: np.ndarray, shape: np.ndarray) -> tuple:
+    """:func:`cv_beta` as arrays ``(beta_hat, a_n, b_n)`` for data sets ``xs`` of one
+    length and one total n >= 2, with ``(B, D)`` empirical and shape stacks
+    ``base`` and ``shape``. Row b is bitwise ``cv_beta(xs[b], kind)``."""
+    loo = np.stack([v.shape_loo - v.pi for v in (loo_vectors_fast(x, kind) for x in xs)])
+    a_n = np.sum((shape - base) ** 2, axis=1)
+    b_n = np.sum(base * loo, axis=1) - np.sum(base * (shape - base), axis=1)
+    above = a_n > A_N_TOL
+    interior = above & (0.0 <= b_n) & (b_n <= a_n)
+    beta = np.divide(b_n, a_n, out=np.zeros_like(a_n), where=interior)
+    beta[above & ~interior & (b_n >= a_n)] = 1.0
     return beta, a_n, b_n
-
-
-def mixture(beta: float, shape: np.ndarray, base: np.ndarray) -> Pmf:
-    """The stacked estimate ``beta * shape + (1 - beta) * base``."""
-    return Pmf(beta * shape + (1.0 - beta) * base)
 
 
 def stacked(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> StackedFit:
@@ -327,7 +322,7 @@ def stacked(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> Sta
         b_n=b_n,
         base=Pmf(base),
         shape=Pmf(shape),
-        estimate=mixture(beta, shape, base),
+        estimate=Pmf(beta * shape + (1.0 - beta) * base),
         kind=kind,
         diagnostics=diagnostics,
     )

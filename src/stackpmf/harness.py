@@ -5,9 +5,11 @@ estimation losses (boxplot data), scaled-risk curves over a sample-size
 grid, empirical coverage of the global confidence bands, and samples for
 normal QQ diagnostics of a single coordinate.
 
-Replication i always draws from the stream ``(seed, "rep", ...)`` and its
-band Monte Carlo from ``(seed, "band", i)``, so results are identical for
-any worker count, with single-threaded and pooled runs byte-equal.
+Replication i samples from the stream ``(seed, "rep", ..., i)`` and draws
+its band quantile from ``(seed, "band", i)``. Blocks of replications are
+fitted as ``(B, D)`` stacks (:func:`fit_stack`) whose rows are bitwise the
+fits of each replication alone, so results are byte-equal for any worker
+count or blocking.
 """
 
 import functools
@@ -20,7 +22,7 @@ from scipy.stats import norm as _norm
 
 from . import estimators as est
 from .confidence import band, quantile_q_alpha
-from .models import FrequencyData, ModelSpec, pmf_truncate, sample
+from .models import ModelSpec, pmf_truncate, sample
 from .rng import substream_seed
 
 ESTIMATOR_CODES = ("e", "mm", "r", "G", "sr", "sG")
@@ -31,43 +33,44 @@ TRUTH_TRUNCATION = 1e-12
 #: Shape transform behind each shape-based estimator code.
 _SHAPE_KINDS = {"r": est.REARRANGEMENT, "G": est.GRENANDER, "sr": est.REARRANGEMENT, "sG": est.GRENANDER}
 
-
-class SharedFits:
-    """The empirical vector of one data set and its shape fits, each
-    computed at most once however many estimators are derived from them."""
-
-    def __init__(self, x: FrequencyData):
-        self.base = x.counts / x.n
-        self._shapes = {}
-
-    def shape(self, kind: str) -> np.ndarray:
-        if kind not in self._shapes:
-            self._shapes[kind] = est.shape_transform(kind, self.base)
-        return self._shapes[kind]
+#: Count cells per fitting round: a ``(B, D)`` stack has at most
+#: ``max(1, STACK_CELLS // D)`` rows, which bounds the working set at any D.
+STACK_CELLS = 2**16
 
 
-def fit_estimator(code: str, x, shared: SharedFits | None = None) -> np.ndarray:
-    """Probability vector of the estimator named by ``code`` on data ``x``.
+def fit_stack(codes, xs) -> np.ndarray:
+    """Fits of the estimators named by ``codes`` to each data set in ``xs``.
 
-    Callers fitting several estimators to the same ``x`` pass one
-    ``SharedFits(x)`` to all of them; the results are bitwise equal to the
-    standalone estimator functions either way.
+    ``xs`` share one length D and one total n. Returns a ``(len(xs),
+    len(codes), D)`` array whose entry ``[b, a]`` is bitwise the standalone
+    estimator ``codes[a]`` on ``xs[b]``: every step is elementwise or a row
+    reduction. Each fit, and each shape fit behind a stacked one, runs once.
     """
-    if shared is None:
-        shared = SharedFits(x)
-    if code == "e":
-        return shared.base
-    if code == "mm":
-        return est.minimax_probs(shared.base, x.n)
-    if code in ("r", "G"):
-        return shared.shape(_SHAPE_KINDS[code])
-    if code in ("sr", "sG"):
-        kind = _SHAPE_KINDS[code]
-        if x.n < 2:
-            return est.stacked(x, kind, shared.shape(kind)).estimate.probs
-        beta = est.cv_beta(x, kind, shared.shape(kind))[0]
-        return est.mixture(beta, shared.shape(kind), shared.base).probs
-    raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
+    n = xs[0].n
+    base = np.stack([x.counts for x in xs]) / n
+    fits = {"e": base}
+    for code in codes:
+        if code not in ESTIMATOR_CODES:
+            raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
+        if code in fits:
+            continue
+        if code == "mm":
+            fits[code] = est.minimax_probs(base, n)
+            continue
+        kind, shape_code = _SHAPE_KINDS[code], code[-1]  # sr and sG stack the shape fits r and G
+        if shape_code not in fits:
+            fits[shape_code] = (np.stack([est.isotonic_decreasing(row)[0] for row in base])
+                                if kind == est.GRENANDER else np.sort(base, axis=1)[:, ::-1])
+        if code != shape_code:
+            shape = fits[shape_code]
+            beta = est.cv_betas(xs, kind, base, shape)[0][:, None] if n > 1 else np.zeros((len(xs), 1))
+            fits[code] = beta * shape + (1.0 - beta) * base
+    return np.stack([fits[code] for code in codes], axis=1)
+
+
+def fit_estimator(code: str, x) -> np.ndarray:
+    """Probability vector of the estimator named by ``code`` on data ``x``."""
+    return fit_stack((code,), [x])[0, 0]
 
 
 @dataclass(frozen=True)
@@ -129,48 +132,64 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# The replication loop (top level, so its partials pickle for worker pools)
+# The replication engine (top level, so its partials pickle for worker pools)
 
 
-def _replicate(cfg: ExperimentConfig, n: int, path: tuple, reduce, i: int):
-    """Replication ``i``: sample ``n`` values from ``(seed, "rep", *path, i)``,
-    fit each requested estimator once and return ``reduce(fits, n, i)``."""
-    x = sample(cfg.model, n, substream_seed(cfg.seed, "rep", *path, i))
-    shared = SharedFits(x)
-    return reduce([fit_estimator(code, x, shared) for code in cfg.estimators], n, i)
+def _groups(cfg: ExperimentConfig, n: int, path: tuple, block):
+    """Replication i of ``block`` samples ``n`` values from ``(seed, "rep", *path, i)``.
+    Yields ``(positions, indices, data)`` per length D in a round; a round
+    ends before the sample that would take it past ``STACK_CELLS`` cells."""
+    groups, cells = {}, 0
+    for k, i in enumerate(block):
+        x = sample(cfg.model, n, substream_seed(cfg.seed, "rep", *path, i))
+        if cells + x.counts.size > STACK_CELLS:
+            yield from (zip(*group) for group in groups.values())
+            groups, cells = {}, 0
+        groups.setdefault(x.counts.size, []).append((k, i, x))
+        cells += x.counts.size
+    yield from (zip(*group) for group in groups.values())
+
+
+def _fit_block(cfg: ExperimentConfig, n: int, path: tuple, reduce, block) -> np.ndarray:
+    """Rows ``reduce(fits, n, indices)`` of the replications in ``block``, in its order."""
+    rows = [None] * len(block)
+    for positions, indices, xs in _groups(cfg, n, path, block):
+        for k, row in zip(positions, reduce(fit_stack(cfg.estimators, xs), n, indices)):
+            rows[k] = row
+    return np.stack(rows)
 
 
 def _replications(cfg: ExperimentConfig, n: int, reduce, path: tuple = ()) -> np.ndarray:
     """Stacked rows of replications ``0 .. reps - 1``, in order for any
     worker count."""
-    fn = functools.partial(_replicate, cfg, n, path, reduce)
+    fn = functools.partial(_fit_block, cfg, n, path, reduce)
     if cfg.workers <= 1 or cfg.reps <= 1:
-        return np.stack([fn(i) for i in range(cfg.reps)])
-    ctx = multiprocessing.get_context("fork")
-    chunksize = max(1, cfg.reps // (cfg.workers * 8))
-    with ctx.Pool(cfg.workers) as pool:
-        return np.stack(pool.map(fn, range(cfg.reps), chunksize=chunksize))
+        return fn(range(cfg.reps))
+    size = max(1, cfg.reps // (cfg.workers * 8))
+    blocks = [range(start, min(start + size, cfg.reps)) for start in range(0, cfg.reps, size)]
+    with multiprocessing.get_context("fork").Pool(cfg.workers) as pool:
+        return np.concatenate(pool.map(fn, blocks, chunksize=1))
 
 
-def _losses(fits, n, i, *, truth, norms):
-    return est.lk_distances(np.stack(fits), truth, norms)
+def _losses(fits, n, indices, *, truth, norms):
+    return est.lk_distances(fits.reshape(-1, fits.shape[2]), truth, norms).reshape(len(fits), -1, len(norms))
 
 
-def _band_hits(fits, n, i, *, truth, cfg):
-    band_seed = substream_seed(cfg.seed, "band", i)
-    q_hats = quantile_q_alpha(np.stack(fits), cfg.alpha, cfg.band_mc_reps, band_seed)
-    hits = []
-    for center, q_hat in zip(fits, q_hats):
-        padded = np.zeros(max(center.size, truth.size))
-        padded[: center.size] = center
-        b = band(padded, n, q_hat)
-        hits.append(bool(np.all(b.lower[: truth.size] <= truth) and np.all(truth <= b.upper[: truth.size])))
-    return np.array(hits)
+def _band_hits(fits, n, indices, *, truth, cfg):
+    padded = np.zeros(fits.shape[:2] + (max(fits.shape[2], truth.size),))
+    padded[:, :, : fits.shape[2]] = fits
+    hits = np.empty(fits.shape[:2], dtype=bool)
+    for b, i in enumerate(indices):
+        q_hats = quantile_q_alpha(fits[b], cfg.alpha, cfg.band_mc_reps, substream_seed(cfg.seed, "band", i))
+        for a, q_hat in enumerate(q_hats):
+            cb = band(padded[b, a], n, q_hat)
+            hits[b, a] = np.all(cb.lower[: truth.size] <= truth) and np.all(truth <= cb.upper[: truth.size])
+    return hits
 
 
-def _qq_deviations(fits, n, i, *, coord, p_coord):
-    root_n = math.sqrt(n)
-    return np.array([root_n * ((probs[coord] if coord < probs.size else 0.0) - p_coord) for probs in fits])
+def _qq_deviations(fits, n, indices, *, coord, p_coord):
+    at_coord = fits[:, :, coord] if coord < fits.shape[2] else np.zeros(fits.shape[:2])
+    return math.sqrt(n) * (at_coord - p_coord)
 
 
 # ---------------------------------------------------------------------------

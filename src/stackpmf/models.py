@@ -111,8 +111,9 @@ class Poisson:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ParameterError(f"poisson rate must be positive, got {self.lam!r}")
+        # up to 2**53 every integer is a float64 and the truncation search stays in int64
+        if not 0.0 < self.lam <= 2.0**53:
+            raise ParameterError(f"poisson rate must lie in (0, 2**53], got {self.lam!r}")
         object.__setattr__(self, "lam", float(self.lam))
 
 
@@ -431,6 +432,8 @@ def parse_model(text: str) -> ModelSpec:
             return Mixture(tuple(components))
     except ParameterError:
         raise
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ParameterError(f"cannot parse model string {text!r}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"cannot parse model string {text!r}: {exc}") from exc
     raise ValueError(f"unknown model string {text!r}")

@@ -12,6 +12,8 @@ before it cached one table per model. :func:`reference_coverage`
 estimates one sup-norm quantile per center, each from its own normals, as
 coverage replications did before they shared one set of normals across
 their centers.
+:func:`reference_cv_beta` computes the mixture weight from 1-D sums, as the
+library did before its stacked engine.
 :func:`reference_sup_norm` forms each chunk of limit draws as a fresh
 ``(m, D)`` array and reduces it row by row, as the library's sampler did
 before it built the draws in row blocks.
@@ -28,11 +30,12 @@ from stackpmf import (
     InsufficientSampleError,
     LooVectors,
     band,
+    loo_vectors_fast,
     pmf_truncate,
     quantile_q_alpha,
     sample,
 )
-from stackpmf.estimators import shape_transform
+from stackpmf.estimators import A_N_TOL, shape_transform
 from stackpmf.harness import fit_estimator
 from stackpmf.models import SAMPLING_TRUNCATION
 from stackpmf.rng import substream, substream_seed
@@ -168,6 +171,25 @@ def loo_vectors(x: FrequencyData, kind: str) -> LooVectors:
         pi[j] = (counts[j] - 1) / (n - 1)
         shape_loo[j] = shape_transform(kind, modified)[j]
     return LooVectors(pi=pi, shape_loo=shape_loo, kind=kind)
+
+
+def reference_cv_beta(x: FrequencyData, kind: str) -> tuple:
+    """``(beta_hat, a_n, b_n)`` from 1-D sums and a scalar case chain, as
+    ``cv_beta`` computed them before it ran on stacks; ``x.n >= 2``."""
+    base = x.counts / x.n
+    shape = shape_transform(kind, base)
+    a_n = float(np.sum((shape - base) ** 2))
+    loo = loo_vectors_fast(x, kind)
+    b_n = float(np.sum(base * (loo.shape_loo - loo.pi)) - np.sum(base * (shape - base)))
+    if a_n <= A_N_TOL:
+        beta = 0.0
+    elif 0.0 <= b_n <= a_n:
+        beta = b_n / a_n
+    elif b_n >= a_n:
+        beta = 1.0
+    else:
+        beta = 0.0
+    return beta, a_n, b_n
 
 
 def scaled_risk_closed_form(truth: np.ndarray) -> float:

@@ -3,8 +3,13 @@
 import argparse
 import csv
 import json
+import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stackpmf
 from stackpmf.cli import build_parser, main
@@ -377,3 +382,87 @@ class TestBadFlagValuesAreUsageErrors:
 
     def test_last_coordinate_of_the_support_is_accepted(self, tmp_path):
         assert run(QQ[:3] + ["--coord", 11] + QQ[5:] + ["--out", tmp_path]) == 0
+
+
+def _fraction(top: float):
+    """Strings ``a/b`` with ``b <= 20`` and ``0 < a / b <= top``, for ``top >= 1/2``."""
+    return st.integers(2, 20).flatmap(lambda b: st.integers(1, int(top * b)).map(lambda a: f"{a}/{b}"))
+
+
+def _decimal(low: float, high: float):
+    return st.floats(low, high).map(lambda v: f"{v:.3f}")
+
+
+#: Valid model strings whose truncated supports stay short (a few thousand
+#: points), so running them is cheap.
+_plain_models = st.one_of(
+    st.sampled_from(sorted(stackpmf.builtin_models())),
+    st.builds("uniform:{}".format, st.integers(0, 2000)),
+    st.builds("tri-dec:{}".format, st.integers(0, 2000)),
+    st.builds("tri-inc:{}".format, st.integers(0, 2000)),
+    st.builds("geom:{}".format, st.one_of(_decimal(0.01, 0.95), _fraction(0.95))),
+    st.builds("nbin:{},{}".format, st.integers(1, 20), st.one_of(_decimal(0.01, 0.9), _fraction(0.9))),
+    st.builds("pois:{}".format, _decimal(0.1, 500.0)),
+)
+
+
+def _mixture(parts):
+    """``mix:`` of the components ``parts`` with fraction weights summing to 1."""
+    den = 4 * len(parts)
+    weights = [4] * len(parts)
+    weights[0] += den - sum(weights)
+    return "mix:" + "+".join(f"{w}/{den}*{spec}" for w, spec in zip(weights, parts))
+
+
+_valid_models = st.one_of(_plain_models, st.lists(_plain_models, min_size=1, max_size=3).map(_mixture))
+
+_BAD_NUMBERS = ["inf", "-inf", "nan", "1/0", "0/0", "-1", "0", "1e400", "1" + "0" * 400 + "/1", "", "x", "1/", "/3"]
+
+
+@st.composite
+def _mutated_models(draw):
+    """A valid model string with one number replaced by a bad one, one character
+    deleted, the tail cut off, or a separator inserted."""
+    text = draw(_valid_models)
+    how = draw(st.sampled_from(["number", "delete", "truncate", "insert"]))
+    if how == "number":
+        numbers = list(re.finditer(r"[0-9./]+", text))
+        if numbers:
+            m = draw(st.sampled_from(numbers))
+            text = text[: m.start()] + draw(st.sampled_from(_BAD_NUMBERS)) + text[m.end():]
+        return text
+    at = draw(st.integers(0, len(text)))
+    if how == "delete":
+        return text[:at] + text[at + 1:]
+    if how == "truncate":
+        return text[:at]
+    return text[:at] + draw(st.sampled_from(":,*+/.")) + text[at:]
+
+
+class TestModelStrings:
+    """Every model string parses or is rejected with a ValueError, and the CLI
+    exits 0 or 2 on it, never with a traceback."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=st.one_of(_valid_models, _mutated_models()))
+    @example(text="geom:1/0")
+    @example(text="nbin:3,1/0")
+    @example(text="mix:1/0*M1")
+    @example(text="pois:inf")
+    @example(text="pois:1e300")
+    @example(text="geom:1" + "0" * 400 + "/1")
+    def test_parses_or_exits_2(self, text, tmp_path_factory):
+        try:
+            stackpmf.parse_model(text)
+            parsed = True
+        except ValueError:
+            parsed = False
+        out = tmp_path_factory.mktemp("model")
+        code = run(["simulate", "--model", text, "--n", 3, "--reps", 1, "--est", "e,sG", "--out", out])
+        assert code == (0 if parsed else 2)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_valid_models)
+    def test_valid_strings_parse(self, text):
+        model = stackpmf.parse_model(text)
+        assert math.isclose(float(np.sum(stackpmf.pmf_truncate(model, 1e-12).probs)), 1.0, abs_tol=1e-9)

@@ -46,6 +46,31 @@ GOLDEN = {
         ["qq", "--model", "M6", "--coord", 1, "--n", 60, "--reps", 20, "--est", ALL, "--seed", 8],
         {"qq.csv": "65cc0c9c42b370024c2d041c0b638ff45a49daeedfa34d49cac7eb56002d548b"},
     ),
+    "risk-M7-workers-2": (
+        ["simulate", "--risk", "--model", "M7", "--ngrid", "10,300", "--reps", 12, "--est", ALL, "--seed", 12,
+         "--workers", 2],
+        {"risk.csv": "0a95c0fd85f24e4d193c9db41cc3036b26daba6031f57f64636390bbe0765258"},
+    ),
+    "qq-M7": (
+        ["qq", "--model", "M7", "--coord", 3, "--n", 300, "--reps", 20, "--est", ALL, "--seed", 13],
+        {"qq.csv": "e8ae022d57daec60879df079e7259017d58e5bfed781ecff66cd2da87fdd2b3a"},
+    ),
+    # duplicate and reordered codes share one fit per code
+    "loss-M2-duplicate-codes": (
+        ["simulate", "--model", "M2", "--n", 40, "--reps", 12, "--est", "sG,e,sG", "--norm", "1,2,inf", "--seed", 14],
+        {"losses.csv": "ce49cf93d8b6bbf2c2f034748f228b49c2a01a511742aa38941cd107de5cd333"},
+    ),
+    # n = 1: the stacked fits fall back to the empirical estimator
+    "loss-M7-n-1": (
+        ["simulate", "--model", "M7", "--n", 1, "--reps", 12, "--est", "sr,sG", "--norm", "1,2,inf", "--seed", 15],
+        {"losses.csv": "f8483c9ff7af25d2640103a80e65155172d1aa19e616eadae720d4307be7abae"},
+    ),
+    # D near 2900: the 30 count vectors hold about 87 000 cells, more than one fitting round
+    "loss-tri-dec-3000": (
+        ["simulate", "--model", "tri-dec:3000", "--n", 500, "--reps", 30, "--est", ALL, "--norm", "1,2,inf",
+         "--seed", 16],
+        {"losses.csv": "4fcd19dc614f0229d62ba0bc4ec958071735c250abb85af7c191b40a43a539ce"},
+    ),
     "estimate-sG-band": (
         ["estimate", "--input", "{counts}", "--kind", "sG", "--band", 0.1, "--mc", 500, "--seed", 9],
         {"estimate.json": "d0d8271c83c9ee4eb86cf66ba56c492e129fed5558b210799a60c0f1d1e86a7e"},

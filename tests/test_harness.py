@@ -2,19 +2,22 @@
 
 import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import counts_vectors, reference_coverage, scaled_risk_closed_form
+from oracles import counts_vectors, reference_coverage, reference_cv_beta, scaled_risk_closed_form
 from stackpmf import (
     ESTIMATOR_CODES,
     GRENANDER,
     REARRANGEMENT,
     ExperimentConfig,
     FrequencyData,
+    TriangularIncreasing,
     UniformRange,
     builtin_models,
     pmf_truncate,
@@ -25,7 +28,7 @@ from stackpmf import (
 )
 from stackpmf import estimators as est
 from stackpmf import harness
-from stackpmf.harness import SharedFits, fit_estimator
+from stackpmf.harness import fit_estimator
 
 M = builtin_models()
 
@@ -42,46 +45,124 @@ class TestConfig:
             ExperimentConfig(model=M["M1"], reps=1, alpha=1.5)
 
 
-class TestSharedFits:
+def _same_length_and_total(counts: np.ndarray, perms: list) -> list:
+    """``counts`` followed by copies whose entries before the last are permuted,
+    so every data set has one length and one total."""
+    rows = [counts] + [np.append(counts[:-1][list(p)], counts[-1]) for p in perms]
+    return [FrequencyData(row) for row in rows]
+
+
+same_length_stacks = counts_vectors.flatmap(
+    lambda counts: st.lists(st.permutations(range(counts.size - 1)), max_size=4).map(
+        lambda perms: _same_length_and_total(counts, perms)
+    )
+)
+
+
+class TestFitStack:
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(counts_vectors)
-    @example(np.array([1]))
-    @example(np.array([0, 0, 1]))
-    @example(np.array([2, 2, 2, 2]))
-    def test_bitwise_equal_to_standalone_estimators(self, counts):
-        x = FrequencyData(counts)
-        standalone = {
-            "e": est.empirical(x).probs,
-            "mm": est.minimax(x).probs,
-            "r": est.rearrangement(x).probs,
-            "G": est.grenander(x).probs,
-            "sr": est.stacked(x, REARRANGEMENT).estimate.probs,
-            "sG": est.stacked(x, GRENANDER).estimate.probs,
-        }
-        shared = SharedFits(x)
-        for code in ESTIMATOR_CODES:
-            got = fit_estimator(code, x, shared)
-            assert got.tobytes() == standalone[code].tobytes(), code
-            assert fit_estimator(code, x).tobytes() == standalone[code].tobytes(), code
-        for kind in (REARRANGEMENT, GRENANDER):
-            fit = est.stacked(x, kind, shared.shape(kind))
-            assert 0.0 <= fit.beta_hat <= 1.0
-            assert fit.beta_hat == est.stacked(x, kind).beta_hat
+    @given(same_length_stacks, st.lists(st.sampled_from(ESTIMATOR_CODES), min_size=1, max_size=8))
+    @example([FrequencyData(np.array([1]))], list(ESTIMATOR_CODES))
+    @example([FrequencyData(np.array([0, 0, 1]))] * 2, ["sG", "e", "sG", "sr"])
+    @example([FrequencyData(np.array([2, 2, 2, 2]))], list(ESTIMATOR_CODES))
+    def test_rows_bitwise_equal_to_standalone_estimators(self, xs, codes):
+        fits = harness.fit_stack(codes, xs)
+        assert fits.shape == (len(xs), len(codes), xs[0].counts.size)
+        for x, row in zip(xs, fits):
+            standalone = {
+                "e": est.empirical(x).probs,
+                "mm": est.minimax(x).probs,
+                "r": est.rearrangement(x).probs,
+                "G": est.grenander(x).probs,
+                "sr": est.stacked(x, REARRANGEMENT).estimate.probs,
+                "sG": est.stacked(x, GRENANDER).estimate.probs,
+            }
+            for code, got in zip(codes, row):
+                assert got.tobytes() == standalone[code].tobytes(), code
+                assert fit_estimator(code, x).tobytes() == standalone[code].tobytes(), code
+            shapes = dict(zip((REARRANGEMENT, GRENANDER), harness.fit_stack(("r", "G"), [x])[0]))
+            for kind, shape in shapes.items():
+                fit = est.stacked(x, kind, shape)
+                assert 0.0 <= fit.beta_hat <= 1.0
+                assert fit.beta_hat == est.stacked(x, kind).beta_hat
+                if x.n > 1:
+                    assert est.cv_beta(x, kind) == reference_cv_beta(x, kind)
 
-    def test_each_shape_is_fitted_once(self, monkeypatch):
+    def test_each_shape_is_fitted_once_per_row(self, monkeypatch):
         calls = []
-        original = est.shape_transform
 
-        def counting(kind, v):
-            calls.append(kind)
-            return original(kind, v)
+        def counting(name, original):
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(est, "shape_transform", counting)
-        x = FrequencyData(np.array([1, 3, 0, 2, 5]))
-        shared = SharedFits(x)
-        for code in ESTIMATOR_CODES:
-            fit_estimator(code, x, shared)
-        assert sorted(calls) == sorted([REARRANGEMENT, GRENANDER])
+            return counted
+
+        for name in ("isotonic_decreasing", "loo_vectors_fast"):
+            monkeypatch.setattr(est, name, counting(name, getattr(est, name)))
+        xs = [FrequencyData(np.array(c)) for c in ([1, 3, 0, 2, 5], [5, 3, 0, 2, 1], [2, 2, 2, 4, 1])]
+        harness.fit_stack(ESTIMATOR_CODES + ESTIMATOR_CODES, xs)
+        assert sorted(calls) == ["isotonic_decreasing"] * 3 + ["loo_vectors_fast"] * 6
+
+    def test_unknown_code(self):
+        with pytest.raises(ValueError):
+            fit_estimator("zz", FrequencyData(np.array([1, 2])))
+
+
+class TestBlocks:
+    """Rows do not depend on how replications are cut into blocks and rounds."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from(sorted(M)),
+        st.integers(1, 120),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(ESTIMATOR_CODES), min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=9),
+        st.integers(1, 200),
+    )
+    def test_any_partition_gives_the_same_rows(self, name, n, seed, codes, labels, cells):
+        cfg = ExperimentConfig(model=M[name], reps=len(labels), estimators=tuple(codes), n=n,
+                               alpha=0.3, band_mc_reps=100, seed=seed)
+        truth = pmf_truncate(cfg.model, harness.TRUTH_TRUNCATION).probs
+        reduces = {
+            "loss": ((), functools.partial(harness._losses, truth=truth, norms=est.NORMS)),
+            "risk": ((1,), functools.partial(harness._losses, truth=truth, norms=(2,))),
+            "qq": ((), functools.partial(harness._qq_deviations, coord=1, p_coord=float(truth[1]))),
+            "coverage": ((), functools.partial(harness._band_hits, truth=truth, cfg=cfg)),
+        }
+        blocks = [[i for i, label in enumerate(labels) if label == b] for b in sorted(set(labels))]
+        for what, (path, reduce) in reduces.items():
+            whole = harness._replications(cfg, n, reduce, path)
+            assert len(whole) == cfg.reps
+            parts = np.empty_like(whole)
+            with mock.patch.object(harness, "STACK_CELLS", cells):
+                for block in blocks:
+                    parts[block] = harness._fit_block(cfg, n, path, reduce, block)
+            assert parts.tobytes() == whole.tobytes(), what
+
+
+class TestWorkingSet:
+    def test_wide_model_peak_is_bounded_by_the_round_size(self):
+        # A round of 2**16 count cells gives a (B, c, D) fit stack, the padded
+        # |difference| in lk_distances and its square, each c * 2**16 * 8
+        # bytes; base, the shape fits and the held counts take less than one
+        # more. Every sample of the increasing ramp reaches D = 5001, so the
+        # 27 replications fill two rounds of 13 and one of 1, where a single
+        # stack of all 27 would need over 19 MB. (The ramp's majorant is one
+        # segment, which keeps the traced leave-one-out pass short.)
+        codes = ESTIMATOR_CODES
+        bound = 4 * len(codes) * 2**16 * 8
+        cfg = ExperimentConfig(model=TriangularIncreasing(5000), reps=27, estimators=codes, norms=est.NORMS,
+                               n=20_000, seed=17)
+        tracemalloc.start()
+        try:
+            res = run_loss_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.per_rep_losses.shape == (27, len(codes), len(est.NORMS))
+        assert peak < bound
 
 
 class TestLossExperiment:
@@ -167,7 +248,7 @@ class TestCoverage:
             band_hits = functools.partial(harness._band_hits, truth=truth, cfg=cfg)
             for i in range(cfg.reps):
                 built.clear()
-                hits.append(harness._replicate(cfg, cfg.n, (), band_hits, i))
+                hits.append(harness._fit_block(cfg, cfg.n, (), band_hits, [i])[0])
                 ref_hits, ref_q_hats = reference_coverage(cfg, truth, i)
                 np.testing.assert_array_equal(hits[-1], ref_hits)
                 assert [b.q_hat for b in built] == ref_q_hats

@@ -11,8 +11,19 @@ whose mixture weight ``beta`` minimizes a leave-one-out least-squares
 cross-validation criterion and is available in closed form from two
 scalars ``a_n`` and ``b_n`` (see :func:`cv_beta`).
 
-The leave-one-out vectors come from :func:`loo_vectors_fast`, which gives
-the values of one full refit per observed support point in O(D log D).
+The leave-one-out vectors, one full refit per observed support point,
+come from :func:`loo_stacks` for a whole ``(B, D)`` stack of count vectors
+at once. The rearrangement values follow from one sort and one rank search
+over the stack. The isotonic value at q is the min-max slope of the
+cumulative counts ``C``,
+
+    min over u <= q of max over w > q of (C_w - 1 - C_u) / ((w - u)(n - 1)).
+
+Up to ``DENSE_LOO_MAX_D`` points it is computed densely, every ``(u, w)``
+pair at once in O(D^2) per row. Beyond that cap, or when ``(D + 1) n``
+exceeds 2**53 so that a slope's numerator or denominator might not be an
+exact float, an O(D log D) hull pass runs per row. Both give the correctly
+rounded exact value.
 """
 
 import math
@@ -30,6 +41,14 @@ KINDS = (REARRANGEMENT, GRENANDER)
 
 #: The l_k norms :func:`lk_distance` supports.
 NORMS = (1, 2, math.inf)
+
+#: Largest D at which the isotonic leave-one-out pass uses the dense O(D^2)
+#: min-max kernel; above it the O(D log D) hull pass is faster or near it.
+DENSE_LOO_MAX_D = 64
+
+#: Slopes per slice of the dense kernel's rows, which bounds its working set
+#: at any number of rows.
+DENSE_LOO_SLICE = 2**16
 
 #: Below this, the squared distance between shape and base is treated as zero
 #: and the mixture weight defaults to 0 (the estimate is unchanged either way).
@@ -122,31 +141,69 @@ def minimax_probs(base: np.ndarray, n: int) -> np.ndarray:
 # Leave-one-out vectors
 
 
-def _loo_rearrangement_fast(counts: np.ndarray, n: int) -> np.ndarray:
-    """Coordinate j of sorting ``counts - e_j`` descending, for all j at once.
+def _loo_rearrangement(counts: np.ndarray, n: int) -> np.ndarray:
+    """Coordinate j of sorting ``counts[b] - e_j`` descending, for every row b
+    and every j at once.
 
     Removing one copy of the value ``v = x_j`` from the sorted order and
     inserting ``v - 1`` shifts the segment between the two positions by one
-    slot; the value at any fixed position follows from two binary searches.
+    slot; the value at any fixed position follows from two rank searches.
+    Row b is offset by ``b * (n + 2)``, which keeps its search keys
+    ``-1 .. n`` apart from its neighbours' values, so the sorted rows form
+    one sorted array and each search runs once over the whole stack. When
+    those offsets would leave int64, each row is searched on its own.
     """
-    d = counts.size
-    desc = np.sort(counts)[::-1]
-    asc = desc[::-1]
-    js = np.flatnonzero(counts > 0)
-    v = counts[js]
-    # first sorted position holding value v = number of entries > v
-    i1 = d - np.searchsorted(asc, v, side="right")
-    # insertion position of v - 1 = number of entries >= v - 1
-    j2 = d - np.searchsorted(asc, v - 1, side="left")
-    shifted = desc[np.minimum(js + 1, d - 1)]
-    vals = np.where(
-        js < i1,
-        desc[js],
-        np.where(js <= j2 - 2, shifted, np.where(js == j2 - 1, v - 1, desc[js])),
-    )
-    out = np.zeros(d)
-    out[js] = vals / (n - 1)
-    return out
+    rows, d = counts.shape
+    asc = np.sort(counts, axis=1)
+    if rows * (n + 2) < 2**63:
+        offsets = np.arange(rows, dtype=np.int64)[:, None] * (n + 2)
+        starts = np.arange(0, rows * d, d)[:, None]
+        flat = (asc + offsets).ravel()
+        at_most = np.searchsorted(flat, (counts + offsets).ravel(), side="right").reshape(rows, d) - starts
+        below = np.searchsorted(flat, (counts + (offsets - 1)).ravel(), side="left").reshape(rows, d) - starts
+    else:
+        at_most = np.stack([np.searchsorted(a, c, side="right") for a, c in zip(asc, counts)])
+        below = np.stack([np.searchsorted(a, c - 1, side="left") for a, c in zip(asc, counts)])
+    # i1: first sorted position holding v (entries > v); j2: insertion
+    # position of v - 1 (entries >= v - 1)
+    i1, j2 = d - at_most, d - below
+    desc = asc[:, ::-1]
+    j = np.arange(d)
+    shifted = desc[:, np.minimum(j + 1, d - 1)]
+    vals = np.where(j < i1, desc, np.where(j <= j2 - 2, shifted, np.where(j == j2 - 1, counts - 1, desc)))
+    return np.where(counts > 0, vals, 0) / (n - 1)
+
+
+def _loo_grenander_dense(counts: np.ndarray, n: int) -> np.ndarray:
+    """The min-max value of :func:`_loo_grenander_fast` for every row and
+    index, from all ``(u, w)`` slopes at once; O(D^2) per row.
+
+    Slopes are correctly rounded quotients of the exact integers
+    ``C_w - 1 - C_u`` and ``(w - u)(n - 1)`` while ``(D + 1) n <= 2**53``,
+    and rounding is monotone, so the min and max of the rounded slopes are
+    the rounded min-max: bitwise the hull's value. Rows go through in
+    slices of about ``DENSE_LOO_SLICE`` slopes.
+    """
+    rows, d = counts.shape
+    cum = np.zeros((rows, d + 1))
+    np.cumsum(counts, axis=1, out=cum[:, 1:])
+    # axis 1 is u = 0 .. D-1, axis 2 is w = D .. 1 (reversed, so a running
+    # max along it is the max over w > q, with q = D - 1 - position)
+    span = np.arange(d, 0, -1)[None, :] - np.arange(d)[:, None]
+    valid = span > 0
+    den = (span * (n - 1)).astype(float)
+    step = max(1, DENSE_LOO_SLICE // (d * d))
+    # slopes with w <= u are +inf, and stay +inf through the running max:
+    # for u > q the max over w > q then reaches w = u, so the min skips u
+    slopes = np.full((min(step, rows), d, d), np.inf)
+    out = np.empty((rows, d))
+    for lo in range(0, rows, step):
+        c = cum[lo : lo + step]
+        s = slopes[: len(c)]
+        np.divide(c[:, None, :0:-1] - (c[:, :d, None] + 1.0), den, out=s, where=valid)
+        np.maximum.accumulate(s, axis=2, out=s)
+        out[lo : lo + len(c)] = s.min(axis=1)[:, ::-1]
+    return np.where(counts > 0, out, 0.0)
 
 
 def _push_hull(hull: list[int], cum: list[int], i: int) -> None:
@@ -226,30 +283,34 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def loo_vectors_fast(x: FrequencyData, kind: str) -> LooVectors:
-    """Leave-one-out vectors for ``kind`` without refitting per index.
+def loo_stacks(counts: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``pi`` and ``shape_loo`` of :class:`LooVectors` as ``(B, D)``
+    stacks, for a ``(B, D)`` integer count stack whose rows all total ``n``.
+    Row b is bitwise :func:`loo_vectors_fast` on row b alone.
 
-    The rearrangement variant maintains one sorted order and relocates each
-    decremented value by binary search. The isotonic variant finds, for
-    each q, the bridge between the hull of the intact prefix points and
-    the sample's own majorant from its first vertex past q on, lowered by
-    one: no hull of the lowered suffix is ever built, because the bridge
-    slope lies below the majorant's slope across q and so cannot touch a
-    lowered point before that vertex. Both run in O(D log D) overall.
+    The isotonic pass is the dense kernel while ``D <= DENSE_LOO_MAX_D`` and
+    its slopes are exact-float quotients, ``(D + 1) n <= 2**53``, and the
+    hull pass row by row otherwise.
     """
     _check_kind(kind)
-    if x.n < 2:
+    if n < 2:
         raise InsufficientSampleError("leave-one-out needs at least 2 observations")
-    counts = x.counts
-    n = x.n
-    pi = np.zeros(counts.size)
-    pos = counts > 0
-    pi[pos] = (counts[pos] - 1) / (n - 1)
+    pi = np.maximum(counts - 1, 0) / (n - 1)
+    d = counts.shape[1]
     if kind == REARRANGEMENT:
-        shape_loo = _loo_rearrangement_fast(counts, n)
+        shape_loo = _loo_rearrangement(counts, n)
+    elif d <= DENSE_LOO_MAX_D and (d + 1) * n <= 2**53:
+        shape_loo = _loo_grenander_dense(counts, n)
     else:
-        shape_loo = _loo_grenander_fast(counts, n)
-    return LooVectors(pi=pi, shape_loo=shape_loo, kind=kind)
+        shape_loo = np.stack([_loo_grenander_fast(row, n) for row in counts])
+    return pi, shape_loo
+
+
+def loo_vectors_fast(x: FrequencyData, kind: str) -> LooVectors:
+    """Leave-one-out vectors for ``kind`` without refitting per index: the
+    one-row case of :func:`loo_stacks`."""
+    pi, shape_loo = loo_stacks(x.counts[None], x.n, kind)
+    return LooVectors(pi=pi[0], shape_loo=shape_loo[0], kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +338,16 @@ def cv_beta(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> tup
     base = x.counts / x.n
     if shape is None:
         shape = shape_transform(kind, base)
-    return tuple(float(v[0]) for v in cv_betas([x], kind, base[None], shape[None]))
+    return tuple(float(v[0]) for v in cv_betas(x.counts[None], x.n, kind, base[None], shape[None]))
 
 
-def cv_betas(xs, kind: str, base: np.ndarray, shape: np.ndarray) -> tuple:
-    """:func:`cv_beta` as arrays ``(beta_hat, a_n, b_n)`` for data sets ``xs`` of one
-    length and one total n >= 2, with ``(B, D)`` empirical and shape stacks
-    ``base`` and ``shape``. Row b is bitwise ``cv_beta(xs[b], kind)``."""
-    loo = np.stack([v.shape_loo - v.pi for v in (loo_vectors_fast(x, kind) for x in xs)])
+def cv_betas(counts: np.ndarray, n: int, kind: str, base: np.ndarray, shape: np.ndarray) -> tuple:
+    """:func:`cv_beta` as arrays ``(beta_hat, a_n, b_n)`` for a ``(B, D)``
+    count stack ``counts`` whose rows all total n >= 2, with its empirical
+    and shape stacks ``base`` and ``shape``. Row b is bitwise ``cv_beta``
+    of row b alone."""
+    pi, shape_loo = loo_stacks(counts, n, kind)
+    loo = shape_loo - pi
     a_n = np.sum((shape - base) ** 2, axis=1)
     b_n = np.sum(base * loo, axis=1) - np.sum(base * (shape - base), axis=1)
     above = a_n > A_N_TOL

@@ -47,7 +47,8 @@ def fit_stack(codes, xs) -> np.ndarray:
     reduction. Each fit, and each shape fit behind a stacked one, runs once.
     """
     n = xs[0].n
-    base = np.stack([x.counts for x in xs]) / n
+    counts = np.stack([x.counts for x in xs])
+    base = counts / n
     fits = {"e": base}
     for code in codes:
         if code not in ESTIMATOR_CODES:
@@ -63,7 +64,7 @@ def fit_stack(codes, xs) -> np.ndarray:
                                 if kind == est.GRENANDER else np.sort(base, axis=1)[:, ::-1])
         if code != shape_code:
             shape = fits[shape_code]
-            beta = est.cv_betas(xs, kind, base, shape)[0][:, None] if n > 1 else np.zeros((len(xs), 1))
+            beta = est.cv_betas(counts, n, kind, base, shape)[0][:, None] if n > 1 else np.zeros((len(xs), 1))
             fits[code] = beta * shape + (1.0 - beta) * base
     return np.stack([fits[code] for code in codes], axis=1)
 

@@ -30,6 +30,11 @@ from .rng import substream
 #: Tail mass discarded when an infinite support is materialized for sampling.
 SAMPLING_TRUNCATION = 1e-12
 
+#: Longest truncated support a model may have, in points: a probability
+#: vector at the cap takes 32 MiB. Longer ones are rejected before any
+#: vector is built.
+MAX_SUPPORT = 2**22
+
 #: Largest total count of frequency data: the total must fit in an int64.
 MAX_COUNT = np.iinfo(np.int64).max
 
@@ -96,8 +101,9 @@ class NegativeBinomial:
     theta: float
 
     def __post_init__(self):
-        if int(self.r) != self.r or self.r < 1:
-            raise ParameterError(f"negative binomial needs an integer r >= 1, got {self.r!r}")
+        # beyond 2**53 an integer r is no longer exact as the float scipy uses
+        if int(self.r) != self.r or not 1 <= self.r <= 2**53:
+            raise ParameterError(f"negative binomial needs an integer r in [1, 2**53], got {self.r!r}")
         if not 0.0 < self.theta < 1.0:
             raise ParameterError(f"negative binomial theta must lie in (0, 1), got {self.theta!r}")
         object.__setattr__(self, "r", int(self.r))
@@ -204,13 +210,17 @@ class FrequencyData:
             counts = as_int
         else:
             counts = np.ascontiguousarray(counts, dtype=np.int64)
-        if np.any(counts < 0):
+        if counts.min() < 0:
             raise ValueError("counts must be nonnegative")
         if counts[-1] == 0:
             raise ValueError("last count must be positive (trailing zeros are not part of the support)")
-        # Exact total without an int64 wrap: each half sums to under 2**63
-        # while D < 2**31, and the halves are combined as Python ints.
-        n = (int(np.sum(counts >> 32)) << 32) + int(np.sum(counts & 0xFFFFFFFF))
+        # Exact total without an int64 wrap: a plain sum cannot wrap while
+        # D * max(counts) stays in int64. Otherwise each 32-bit half sums to
+        # under 2**63 while D < 2**31, and the halves are combined as Python ints.
+        if int(counts.max()) <= MAX_COUNT // counts.size:
+            n = int(counts.sum())
+        else:
+            n = (int(np.sum(counts >> 32)) << 32) + int(np.sum(counts & 0xFFFFFFFF))
         if n > MAX_COUNT:
             raise ValueError(f"total count {n} exceeds {MAX_COUNT}")
         if n < 1:
@@ -303,13 +313,28 @@ def support_size(model: ModelSpec):
     return None
 
 
+def check_support(model: ModelSpec, epsilon: float) -> None:
+    """Raise :class:`ParameterError` when ``model`` truncated at tail mass
+    ``epsilon`` keeps more than ``MAX_SUPPORT`` points, from the support
+    size or one tail evaluation, without building a vector."""
+    finite = support_size(model)
+    if finite is not None and finite > MAX_SUPPORT:
+        raise ParameterError(f"support of {finite} points exceeds the cap MAX_SUPPORT = {MAX_SUPPORT}")
+    if finite is None and _tail_mass(model, MAX_SUPPORT) > epsilon:
+        raise ParameterError(
+            f"truncation at tail mass {epsilon} keeps more than the cap MAX_SUPPORT = {MAX_SUPPORT} points"
+        )
+
+
 def pmf_truncate(model: ModelSpec, epsilon: float) -> Pmf:
     """Shortest probability vector whose discarded tail is at most ``epsilon``.
 
-    Finite-support models are returned exactly, with zero tail mass.
+    Finite-support models are returned exactly, with zero tail mass. A
+    vector longer than ``MAX_SUPPORT`` is a :class:`ParameterError`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"truncation epsilon must lie in (0, 1), got {epsilon!r}")
+    check_support(model, epsilon)
     finite = support_size(model)
     if finite is not None:
         return Pmf(pmf_values(model, finite), tail_mass=0.0)
@@ -400,7 +425,15 @@ def parse_model(text: str) -> ModelSpec:
     ``tri-dec:s``, ``tri-inc:s``, ``nbin:r,theta``, ``pois:lambda`` and
     ``mix:w1*spec1+w2*spec2+...`` where each spec is any of the non-mixture
     forms and weights may be decimals or simple fractions like ``3/8``.
+    A model whose support truncated for sampling exceeds ``MAX_SUPPORT``
+    is a :class:`ParameterError`.
     """
+    model = _parse_spec(text)
+    check_support(model, SAMPLING_TRUNCATION)
+    return model
+
+
+def _parse_spec(text: str) -> ModelSpec:
     text = text.strip()
     if _BUILTIN_RE.match(text):
         return builtin_models()[text]
@@ -428,7 +461,7 @@ def parse_model(text: str) -> ModelSpec:
                 w, _, spec = part.partition("*")
                 if not spec:
                     raise ValueError(f"mixture component {part!r} must look like weight*spec")
-                components.append((_parse_number(w), parse_model(spec)))
+                components.append((_parse_number(w), _parse_spec(spec)))
             return Mixture(tuple(components))
     except ParameterError:
         raise

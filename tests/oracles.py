@@ -4,14 +4,18 @@ These deliberately avoid the library's algorithms: the partition oracle
 enumerates every blockwise-mean candidate, and the repeated-argmax scan
 follows the textbook maximum-upper-sets description step by step.
 :func:`loo_vectors` computes leave-one-out vectors from their definition,
-one full refit per support point, against which the library's
-O(D log D) pass is checked; :func:`exact_loo_grenander` does the same for
-the isotonic fit in exact rational arithmetic. :func:`reference_sample`
+one full refit per support point, against which the library's stack
+passes are checked; :func:`exact_loo_grenander` does the same for the
+isotonic fit in exact rational arithmetic, and
+:func:`reference_loo_rearrangement` is the rearrangement pass one count
+vector at a time. :func:`reference_sample`
 rebuilds the sampling table on every call, as the library's sampler did
 before it cached one table per model. :func:`reference_coverage`
 estimates one sup-norm quantile per center, each from its own normals, as
 coverage replications did before they shared one set of normals across
 their centers.
+:func:`reference_frequency_total` checks and totals counts with Python
+ints, as a reference for ``FrequencyData``'s array reductions.
 :func:`reference_cv_beta` computes the mixture weight from 1-D sums, as the
 library did before its stacked engine.
 :func:`reference_sup_norm` forms each chunk of limit draws as a fresh
@@ -37,7 +41,8 @@ from stackpmf import (
 )
 from stackpmf.estimators import A_N_TOL, shape_transform
 from stackpmf.harness import fit_estimator
-from stackpmf.models import SAMPLING_TRUNCATION
+from stackpmf.errors import EmptyInputError
+from stackpmf.models import MAX_COUNT, SAMPLING_TRUNCATION
 from stackpmf.rng import substream, substream_seed
 
 #: Counts vectors with zeros and ties, ending in a positive count; the
@@ -97,6 +102,35 @@ def exact_loo_grenander(counts) -> list[Fraction]:
             modified = counts.copy()
             modified[j] -= 1
             out[j] = exact_pav_decreasing(modified)[j] / (n - 1)
+    return out
+
+
+def reference_loo_rearrangement(counts: np.ndarray, n: int) -> np.ndarray:
+    """Coordinate j of sorting ``counts - e_j`` descending, over ``n - 1``,
+    for all j of one count vector: the per-row pass the library ran before
+    it searched whole stacks at once.
+
+    Removing one copy of the value ``v = x_j`` from the sorted order and
+    inserting ``v - 1`` shifts the segment between the two positions by one
+    slot; the value at any fixed position follows from two binary searches.
+    """
+    d = counts.size
+    desc = np.sort(counts)[::-1]
+    asc = desc[::-1]
+    js = np.flatnonzero(counts > 0)
+    v = counts[js]
+    # first sorted position holding value v = number of entries > v
+    i1 = d - np.searchsorted(asc, v, side="right")
+    # insertion position of v - 1 = number of entries >= v - 1
+    j2 = d - np.searchsorted(asc, v - 1, side="left")
+    shifted = desc[np.minimum(js + 1, d - 1)]
+    vals = np.where(
+        js < i1,
+        desc[js],
+        np.where(js <= j2 - 2, shifted, np.where(js == j2 - 1, v - 1, desc[js])),
+    )
+    out = np.zeros(d)
+    out[js] = vals / (n - 1)
     return out
 
 
@@ -190,6 +224,25 @@ def reference_cv_beta(x: FrequencyData, kind: str) -> tuple:
     else:
         beta = 0.0
     return beta, a_n, b_n
+
+
+def reference_frequency_total(values: list[int], declared: int = 0) -> int:
+    """Total of the integer counts ``values`` as ``FrequencyData`` checks it,
+    one Python-int step at a time: raises the same error type and message for
+    a negative count, a trailing zero, a total past ``MAX_COUNT`` or below 1,
+    and a ``declared`` total (0 for none) that differs."""
+    if any(v < 0 for v in values):
+        raise ValueError("counts must be nonnegative")
+    if values[-1] == 0:
+        raise ValueError("last count must be positive (trailing zeros are not part of the support)")
+    n = sum(values)
+    if n > MAX_COUNT:
+        raise ValueError(f"total count {n} exceeds {MAX_COUNT}")
+    if n < 1:
+        raise EmptyInputError("total count must be at least 1")
+    if declared not in (0, n):
+        raise ValueError(f"declared n={declared} does not match sum of counts {n}")
+    return n
 
 
 def scaled_risk_closed_form(truth: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import stackpmf
 from stackpmf.cli import build_parser, main
+from stackpmf.models import MAX_SUPPORT
 
 
 def run(args):
@@ -416,6 +418,18 @@ def _mixture(parts):
 
 _valid_models = st.one_of(_plain_models, st.lists(_plain_models, min_size=1, max_size=3).map(_mixture))
 
+#: Model strings whose support truncated at 1e-12 is past MAX_SUPPORT:
+#: huge integer parameters, and geometric thetas of 0.999999 and closer to 1.
+_huge = st.integers(MAX_SUPPORT, 10**40)
+_huge_models = st.one_of(
+    st.builds("uniform:{}".format, _huge),
+    st.builds("tri-dec:{}".format, _huge),
+    st.builds("tri-inc:{}".format, _huge),
+    st.builds("geom:0.{}".format, st.integers(6, 18).map(lambda k: "9" * k)),
+    st.builds("nbin:{},{}".format, _huge, _decimal(0.5, 0.9)),
+    st.builds("pois:{}".format, _huge),
+)
+
 _BAD_NUMBERS = ["inf", "-inf", "nan", "1/0", "0/0", "-1", "0", "1e400", "1" + "0" * 400 + "/1", "", "x", "1/", "/3"]
 
 
@@ -444,7 +458,8 @@ class TestModelStrings:
     exits 0 or 2 on it, never with a traceback."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(text=st.one_of(_valid_models, _mutated_models()))
+    @given(text=st.one_of(_valid_models, _mutated_models(), _huge_models,
+                          st.lists(st.one_of(_plain_models, _huge_models), min_size=2, max_size=3).map(_mixture)))
     @example(text="geom:1/0")
     @example(text="nbin:3,1/0")
     @example(text="mix:1/0*M1")
@@ -460,6 +475,22 @@ class TestModelStrings:
         out = tmp_path_factory.mktemp("model")
         code = run(["simulate", "--model", text, "--n", 3, "--reps", 1, "--est", "e,sG", "--out", out])
         assert code == (0 if parsed else 2)
+
+    @pytest.mark.parametrize("text", [
+        "uniform:100000000000", "uniform:30000000", "nbin:1000000000,0.5", "geom:0.99999999999", "pois:1e12",
+        "pois:9007199254740992",
+    ])
+    def test_support_past_the_cap_exits_2_before_allocating(self, text, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--model", text, "--n", 3, "--reps", 1, "--out", tmp_path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"MAX_SUPPORT = {MAX_SUPPORT}" in capsys.readouterr().err
+        # far below one probability vector at the cap (8 * MAX_SUPPORT bytes)
+        assert peak < MAX_SUPPORT, peak
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(_valid_models)

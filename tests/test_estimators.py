@@ -8,7 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import counts_vectors, exact_loo_grenander, loo_vectors, random_frequency_data, staircase_vectors
+from oracles import (
+    counts_vectors,
+    exact_loo_grenander,
+    loo_vectors,
+    random_frequency_data,
+    reference_loo_rearrangement,
+    staircase_vectors,
+)
 from stackpmf import (
     GRENANDER,
     KINDS,
@@ -27,8 +34,9 @@ from stackpmf import (
     sample,
     stacked,
 )
-from stackpmf.estimators import NORMS
-from stackpmf.models import Geometric, TriangularDecreasing, builtin_models
+from stackpmf import estimators as est
+from stackpmf.estimators import DENSE_LOO_MAX_D, NORMS, loo_stacks
+from stackpmf.models import MAX_COUNT, Geometric, TriangularDecreasing, builtin_models
 
 #: Nonincreasing truths: M1-M4, tri-dec:s and geom:theta.
 DECREASING_TRUTHS = st.one_of(
@@ -179,6 +187,90 @@ class TestLooVectors:
                 loo = loo_vectors_fast(x, kind)
                 assert np.all(loo.pi <= base + 1e-15)
                 assert np.all(loo.shape_loo <= scale * full + 1e-12)
+
+
+def _equal_total_stack(seed: int, rows: int, d: int, top: int) -> np.ndarray:
+    """``rows`` permutations of one random count vector with entries up to
+    ``top`` (and 2 more at one index), each then reshuffled by ``d`` random
+    transfers of mass between cells, so every row has one total n >= 2."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, top, d, endpoint=True)
+    base[rng.integers(d)] += 2
+    stack = np.array([rng.permutation(base) for _ in range(rows)])
+    for row in stack:
+        for i, j in rng.integers(d, size=(d, 2)):
+            amount = rng.integers(0, row[i], endpoint=True)
+            row[i] -= amount
+            row[j] += amount
+    return stack
+
+
+#: Stacks of 1-40 rows whose length D straddles DENSE_LOO_MAX_D or is small,
+#: with tie-heavy counts (0-3) or large ones (up to 2**40).
+loo_stacks_cases = st.builds(
+    _equal_total_stack,
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.one_of(st.integers(1, 8), st.integers(DENSE_LOO_MAX_D - 3, DENSE_LOO_MAX_D + 3)),
+    st.sampled_from([3, 2**40]),
+)
+
+
+class TestLooStacks:
+    @staticmethod
+    def check_rows(stack):
+        n = int(stack[0].sum())
+        pi_g, grenander_loo = loo_stacks(stack, n, GRENANDER)
+        pi_r, rearranged_loo = loo_stacks(stack, n, REARRANGEMENT)
+        for b, row in enumerate(stack):
+            exact = np.array([float(v) for v in exact_loo_grenander(row)])
+            assert grenander_loo[b].tobytes() == exact.tobytes(), b
+            assert rearranged_loo[b].tobytes() == reference_loo_rearrangement(row, n).tobytes(), b
+            pi = np.zeros(row.size)
+            pi[row > 0] = (row[row > 0] - 1) / (n - 1)
+            assert pi_g[b].tobytes() == pi_r[b].tobytes() == pi.tobytes(), b
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(loo_stacks_cases)
+    def test_rows_are_bitwise_the_references(self, stack):
+        self.check_rows(stack)
+
+    def test_one_point(self):
+        self.check_rows(np.array([[5], [5]]))
+
+    def test_all_mass_at_one_point_next_to_zeros_and_ones(self):
+        # the rows' values n, 0 and 1 meet at the row offsets of the search
+        self.check_rows(np.array([[0, 3, 0], [3, 0, 0], [1, 1, 1], [0, 0, 3], [2, 0, 1]]))
+
+    def test_past_exact_floats_the_hull_runs_and_stays_exact(self, monkeypatch):
+        # (D + 1) n = 4 (2**52 + 8) > 2**53: the dense kernel's slopes could round
+        def dense_is_not_called(*args):
+            raise AssertionError("dense kernel called past 2**53")
+
+        monkeypatch.setattr(est, "_loo_grenander_dense", dense_is_not_called)
+        self.check_rows(np.array([[2**51, 7, 2**51 + 1], [2**51 + 1, 2**51, 7], [7, 2**51 + 1, 2**51]]))
+
+    @pytest.mark.parametrize("n", [2**62 - 3, MAX_COUNT], ids=["offset-search", "row-search"])
+    def test_rearrangement_at_totals_near_max_count(self, n):
+        # two rows: offsets b * (n + 2) stay in int64 for n = 2**62 - 3 only
+        half = n // 2
+        stack = np.array([[half, 1, n - half - 1], [n - half - 1, half, 1]], dtype=np.int64)
+        _, got = loo_stacks(stack, n, REARRANGEMENT)
+        for row, values in zip(stack, got):
+            assert values.tobytes() == reference_loo_rearrangement(row, n).tobytes()
+
+    def test_dense_peak_memory_does_not_grow_with_rows(self):
+        # fixed before measuring: the (1000, D) stacks take about 4 MB and
+        # each slice of at most 2**16 slopes 0.5 MB, while one unsliced
+        # (1000, D, D) slope array alone would take 33 MB
+        stack = _equal_total_stack(5, 1000, DENSE_LOO_MAX_D, 3)
+        tracemalloc.start()
+        try:
+            loo_stacks(stack, int(stack[0].sum()), GRENANDER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 class TestCvBeta:

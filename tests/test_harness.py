@@ -98,11 +98,12 @@ class TestFitStack:
 
             return counted
 
-        for name in ("isotonic_decreasing", "loo_vectors_fast"):
+        for name in ("isotonic_decreasing", "loo_stacks", "loo_vectors_fast"):
             monkeypatch.setattr(est, name, counting(name, getattr(est, name)))
         xs = [FrequencyData(np.array(c)) for c in ([1, 3, 0, 2, 5], [5, 3, 0, 2, 1], [2, 2, 2, 4, 1])]
         harness.fit_stack(ESTIMATOR_CODES + ESTIMATOR_CODES, xs)
-        assert sorted(calls) == ["isotonic_decreasing"] * 3 + ["loo_vectors_fast"] * 6
+        # one leave-one-out pass per stack and kind, none per row
+        assert sorted(calls) == ["isotonic_decreasing"] * 3 + ["loo_stacks"] * 2
 
     def test_unknown_code(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_sample
+from oracles import reference_frequency_total, reference_sample
 from stackpmf import (
     FrequencyData,
     Geometric,
@@ -28,7 +28,7 @@ from stackpmf import (
     sample,
     support_size,
 )
-from stackpmf.models import MAX_COUNT, _sampling_table
+from stackpmf.models import MAX_COUNT, MAX_SUPPORT, _sampling_table, check_support
 
 ALL_BUILTIN = tuple(builtin_models().items())
 
@@ -102,6 +102,33 @@ class TestPmfTruncate:
             probs = pmf_truncate(model, 1e-12).probs
             decreasing = bool(np.all(np.diff(probs) <= 1e-12))
             assert decreasing == (name in ("M1", "M2", "M3", "M4"))
+
+
+class TestSupportCap:
+    def test_longest_support_passes(self):
+        # checked without building the vector: MAX_SUPPORT points exactly,
+        # and a geometric whose tail drops under 1e-12 near 2.8e6 points
+        check_support(UniformRange(MAX_SUPPORT - 1), 1e-12)
+        check_support(Geometric(0.99999), 1e-12)
+
+    @pytest.mark.parametrize("model", [
+        UniformRange(MAX_SUPPORT),
+        TriangularIncreasing(10**40),
+        Geometric(0.999999),
+        NegativeBinomial(10**9, 0.5),
+        Poisson(2.0**53),
+        Mixture(((0.5, UniformRange(3)), (0.5, Poisson(1e9)))),
+    ])
+    def test_longer_support_is_rejected_before_any_vector(self, model):
+        with pytest.raises(ParameterError, match=f"MAX_SUPPORT = {MAX_SUPPORT}"):
+            check_support(model, 1e-12)
+        with pytest.raises(ParameterError, match=f"MAX_SUPPORT = {MAX_SUPPORT}"):
+            pmf_truncate(model, 1e-12)
+
+    def test_negative_binomial_r_is_capped_at_2p53(self):
+        NegativeBinomial(2**53, 0.5)
+        with pytest.raises(ParameterError):
+            NegativeBinomial(2**53 + 1, 0.5)
 
 
 class TestSample:
@@ -235,6 +262,36 @@ class TestContainers:
                 FrequencyData(counts)
         else:
             assert FrequencyData(counts).n == exact
+
+    # negative counts, trailing zeros, totals near and past MAX_COUNT from
+    # one huge count or many, and declared totals that match or not
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3),
+                st.integers(0, 2**63 - 1),
+                st.integers(0, 2**63 - 1).map(lambda v: v // 40),
+                st.sampled_from([2**32 - 1, 2**32, 2**62, MAX_COUNT, MAX_COUNT - 1, -(2**63)]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.one_of(st.just(0), st.just(None), st.integers(-1, 2**64)),
+    )
+    @example([MAX_COUNT // 2, MAX_COUNT // 2 + 1], None)
+    @example([MAX_COUNT // 2, MAX_COUNT // 2 + 2], 0)
+    def test_frequency_data_checks_and_totals_like_the_reference(self, values, declared):
+        declared = sum(values) if declared is None else declared
+        try:
+            expected = reference_frequency_total(values, declared)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as got:
+                FrequencyData(np.array(values, dtype=np.int64), declared)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            x = FrequencyData(np.array(values, dtype=np.int64), declared)
+            assert x.n == expected and type(x.n) is int
 
     def test_pmf_requires_normalization(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from .confidence import (
 )
 from .errors import EmptyInputError, InsufficientSampleError, InvalidPmfError, ParameterError
 from .estimators import (
+    ESTIMATOR_CODES,
     GRENANDER,
     KINDS,
     REARRANGEMENT,
@@ -24,6 +25,7 @@ from .estimators import (
     StackedFit,
     cv_beta,
     empirical,
+    fit_estimator,
     grenander,
     lk_distance,
     lk_distances,
@@ -33,10 +35,8 @@ from .estimators import (
     stacked,
 )
 from .harness import (
-    ESTIMATOR_CODES,
     ExperimentConfig,
     ExperimentResult,
-    fit_estimator,
     run_coverage,
     run_loss_experiment,
     run_qq_samples,

@@ -22,14 +22,11 @@ import numpy as np
 from . import __version__
 from ._svg import boxplot_svg, linechart_svg
 from .confidence import band as make_band
-from .confidence import MIN_QUANTILE_DRAWS, _as_theta, quantile_q_alpha
-from .estimators import stacked
+from .confidence import MAX_QUANTILE_DRAWS, MIN_QUANTILE_DRAWS, _as_theta, quantile_q_alpha
+from .estimators import ESTIMATOR_CODES, SHAPE_KINDS, fit_estimator, stacked
 from .harness import (
-    ESTIMATOR_CODES,
     TRUTH_TRUNCATION,
-    _SHAPE_KINDS,
     ExperimentConfig,
-    fit_estimator,
     run_coverage,
     run_loss_experiment,
     run_qq_samples,
@@ -101,19 +98,25 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
     return np.asarray(values[:trimmed], dtype=np.int64), warnings
 
 
-def _int_at_least(low: int):
-    """argparse type for integers ``>= low``."""
+def _int_in(low: int, high: float = math.inf):
+    """argparse type for integers from ``low`` to ``high``."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if not low <= value <= high:
+            span = f"be at least {low}" if high == math.inf else f"lie in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must {span}, got {value}")
         return value
 
     return parse
+
+
+#: Seeds are 64-bit: the random streams would alias a larger or negative one
+#: onto a seed in this range.
+_seed = _int_in(0, 2**64 - 1)
 
 
 def _level(text: str) -> float:
@@ -175,12 +178,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+    if env is None:
+        return 0
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{SEED_ENV_VAR}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +274,14 @@ def _cmd_estimate(args) -> int:
         "warnings": warnings,
     }
     if args.kind in ("sr", "sG"):
-        fit = stacked(x, _SHAPE_KINDS[args.kind])
+        fit = stacked(x, SHAPE_KINDS[args.kind])
         estimate = fit.estimate.probs
         payload.update(beta_hat=fit.beta_hat, a_n=fit.a_n, b_n=fit.b_n)
         if fit.diagnostics:
             payload["diagnostics"] = fit.diagnostics
     else:
         estimate = fit_estimator(args.kind, x)
-    payload["estimate"] = [float(v) for v in estimate]
+    payload["estimate"] = estimate.tolist()
     if args.band is not None:
         q_hat = quantile_q_alpha(estimate, args.band, args.mc, seed)
         cb = make_band(estimate, x.n, q_hat, alpha=args.band, mc_reps=args.mc, seed=seed)
@@ -287,8 +290,8 @@ def _cmd_estimate(args) -> int:
             "q_hat": cb.q_hat,
             "mc_reps": args.mc,
             "seed": seed,
-            "lower": [float(v) for v in cb.lower],
-            "upper": [float(v) for v in cb.upper],
+            "lower": cb.lower.tolist(),
+            "upper": cb.upper.tolist(),
         }
     _make_out_dir(args.out)
     out_path = os.path.join(args.out, "estimate.json")
@@ -400,7 +403,7 @@ def _cmd_band(args) -> int:
     q_hat = quantile_q_alpha(center, args.alpha, args.mc, seed)
     cb = make_band(center, n, q_hat, alpha=args.alpha, mc_reps=args.mc, seed=seed)
     _make_out_dir(args.out)
-    rows = [[j, float(cb.lower[j]), float(cb.upper[j])] for j in range(len(cb.lower))]
+    rows = [[j, lower, upper] for j, (lower, upper) in enumerate(zip(cb.lower.tolist(), cb.upper.tolist()))]
     comments = [f"q_hat={cb.q_hat!r} alpha={args.alpha!r} n={n} mc_reps={args.mc} seed={seed}"]
     path = _write_table(args, "band", ["j", "lower", "upper"], rows, comments)
     argv += ["--alpha", repr(args.alpha), "--mc", str(args.mc), "--seed", str(seed),
@@ -442,9 +445,9 @@ def _cmd_qq(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"random seed (fallback: ${SEED_ENV_VAR}, then 0)")
-    parser.add_argument("--workers", type=_int_at_least(1), default=1, help="worker processes for replications")
+    parser.add_argument("--seed", type=_seed, default=None,
+                        help=f"random seed in [0, 2**64) (fallback: ${SEED_ENV_VAR}, then 0)")
+    parser.add_argument("--workers", type=_int_in(1), default=1, help="worker processes for replications")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table output format")
     parser.add_argument("--svg", action="store_true", help="also write a minimal SVG chart")
@@ -461,22 +464,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=ESTIMATOR_CODES, help="estimator code")
     p.add_argument("--band", type=_level, default=None, metavar="ALPHA",
                    help="also compute a global confidence band at this level")
-    p.add_argument("--mc", type=_int_at_least(MIN_QUANTILE_DRAWS), default=100_000,
+    p.add_argument("--mc", type=_int_in(MIN_QUANTILE_DRAWS, MAX_QUANTILE_DRAWS), default=100_000,
                    help="Monte-Carlo draws for the band quantile")
     _add_common(p)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="loss, risk or coverage experiments")
     p.add_argument("--model", required=True, help="model string (M1..M7 or e.g. geom:0.25)")
-    p.add_argument("--n", type=_int_at_least(1), default=None, help="sample size")
+    p.add_argument("--n", type=_int_in(1), default=None, help="sample size")
     p.add_argument("--ngrid", default=None, help="comma-separated sample sizes (risk mode)")
-    p.add_argument("--reps", type=_int_at_least(1), required=True, help="Monte-Carlo replications")
+    p.add_argument("--reps", type=_int_in(1), required=True, help="Monte-Carlo replications")
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
     p.add_argument("--norm", default="1,2,inf", help="comma-separated norms from 1,2,inf")
     p.add_argument("--risk", action="store_true", help="scaled-risk curve over --ngrid")
     p.add_argument("--coverage", action="store_true", help="confidence-band coverage at --n")
     p.add_argument("--alpha", type=_level, default=0.05, help="band level for coverage mode")
-    p.add_argument("--bandmc", type=_int_at_least(MIN_QUANTILE_DRAWS), default=100_000,
+    p.add_argument("--bandmc", type=_int_in(MIN_QUANTILE_DRAWS, MAX_QUANTILE_DRAWS), default=100_000,
                    help="band quantile draws for coverage mode")
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
@@ -487,16 +490,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="estimator to fit when --input is given")
     p.add_argument("--theta", default=None, help="estimate.json file to reuse as the band center")
     p.add_argument("--alpha", type=_level, required=True, help="band level")
-    p.add_argument("--mc", type=_int_at_least(MIN_QUANTILE_DRAWS), default=100_000,
+    p.add_argument("--mc", type=_int_in(MIN_QUANTILE_DRAWS, MAX_QUANTILE_DRAWS), default=100_000,
                    help="Monte-Carlo draws for the quantile")
     _add_common(p)
     p.set_defaults(func=_cmd_band)
 
     p = sub.add_parser("qq", help="normal QQ samples of one coordinate")
     p.add_argument("--model", required=True, help="model string")
-    p.add_argument("--coord", type=_int_at_least(0), required=True, help="coordinate under study")
-    p.add_argument("--n", type=_int_at_least(1), required=True, help="sample size")
-    p.add_argument("--reps", type=_int_at_least(1), required=True, help="Monte-Carlo replications")
+    p.add_argument("--coord", type=_int_in(0), required=True, help="coordinate under study")
+    p.add_argument("--n", type=_int_in(1), required=True, help="sample size")
+    p.add_argument("--reps", type=_int_in(1), required=True, help="Monte-Carlo replications")
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
     _add_common(p)
     p.set_defaults(func=_cmd_qq)

@@ -36,6 +36,10 @@ _BLOCK_TARGET = 1 << 17
 #: Fewest Monte-Carlo draws a quantile estimate accepts.
 MIN_QUANTILE_DRAWS = 100
 
+#: Most Monte-Carlo draws a quantile estimate accepts: the sup norms are held
+#: whole, 8 bytes per draw, so 128 MiB for each plug-in vector.
+MAX_QUANTILE_DRAWS = 2**24
+
 
 @dataclass(frozen=True, eq=False)
 class ConfidenceBand:
@@ -147,8 +151,8 @@ def quantile_q_alpha(theta, alpha: float, reps: int, seed: int):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if reps < MIN_QUANTILE_DRAWS:
-        raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} draws for a quantile, got reps={reps}")
+    if not MIN_QUANTILE_DRAWS <= reps <= MAX_QUANTILE_DRAWS:
+        raise ValueError(f"a quantile needs {MIN_QUANTILE_DRAWS} to {MAX_QUANTILE_DRAWS} draws, got reps={reps}")
     draws = sample_sup_norm(theta, reps, seed)
     k = min(max(int(math.ceil((1.0 - alpha) * reps)), 1), reps)
     q = np.partition(draws, k - 1, axis=-1)[..., k - 1]

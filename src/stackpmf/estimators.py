@@ -11,6 +11,12 @@ whose mixture weight ``beta`` minimizes a leave-one-out least-squares
 cross-validation criterion and is available in closed form from two
 scalars ``a_n`` and ``b_n`` (see :func:`cv_beta`).
 
+Every estimate comes from one engine, :func:`fit_stack`, which fits a
+``(B, D)`` stack of count vectors for any of the ``ESTIMATOR_CODES``.
+:func:`empirical`, :func:`rearrangement`, :func:`grenander`,
+:func:`minimax`, :func:`stacked`, :func:`cv_beta` and
+:func:`fit_estimator` are its one-row views.
+
 The leave-one-out vectors, one full refit per observed support point,
 come from :func:`loo_stacks` for a whole ``(B, D)`` stack of count vectors
 at once. The rearrangement values follow from one sort and one rank search
@@ -39,6 +45,12 @@ REARRANGEMENT = "rearrangement"
 GRENANDER = "grenander"
 KINDS = (REARRANGEMENT, GRENANDER)
 
+#: Empirical, minimax, rearranged, Grenander, and the two stacked estimators.
+ESTIMATOR_CODES = ("e", "mm", "r", "G", "sr", "sG")
+
+#: Shape transform behind each shape-based estimator code.
+SHAPE_KINDS = {"r": REARRANGEMENT, "G": GRENANDER, "sr": REARRANGEMENT, "sG": GRENANDER}
+
 #: The l_k norms :func:`lk_distance` supports.
 NORMS = (1, 2, math.inf)
 
@@ -59,13 +71,6 @@ def _check_kind(kind: str) -> str:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     return kind
-
-
-def shape_transform(kind: str, v: np.ndarray) -> np.ndarray:
-    """The isotonic fit (``grenander``) or the decreasing rearrangement of ``v``."""
-    if _check_kind(kind) == GRENANDER:
-        return isotonic_decreasing(v)[0]
-    return rearrange_decreasing(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,39 +107,6 @@ class StackedFit:
     estimate: Pmf
     kind: str
     diagnostics: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# Plain estimators
-
-
-def empirical(x: FrequencyData) -> Pmf:
-    """Relative frequencies ``x_j / n``."""
-    return Pmf(x.counts / x.n)
-
-
-def rearrangement(x: FrequencyData) -> Pmf:
-    """Empirical estimator sorted into nonincreasing order."""
-    return Pmf(shape_transform(REARRANGEMENT, x.counts / x.n))
-
-
-def grenander(x: FrequencyData) -> Pmf:
-    """Isotonic (nonincreasing) projection of the empirical estimator."""
-    return Pmf(shape_transform(GRENANDER, x.counts / x.n))
-
-
-def minimax(x: FrequencyData) -> Pmf:
-    """Shrink the empirical estimator toward the uniform vector on the
-    observed range with weight ``sqrt(n) / (n + sqrt(n))``."""
-    return Pmf(minimax_probs(x.counts / x.n, x.n))
-
-
-def minimax_probs(base: np.ndarray, n: int) -> np.ndarray:
-    """:func:`minimax` from the empirical vector ``base`` of ``n``
-    observations, or from each row of a stack of them."""
-    alpha = math.sqrt(n) / (n + math.sqrt(n))
-    uniform = np.full(base.shape[-1], 1.0 / base.shape[-1])
-    return alpha * uniform + (1.0 - alpha) * base
 
 
 # ---------------------------------------------------------------------------
@@ -314,38 +286,13 @@ def loo_vectors_fast(x: FrequencyData, kind: str) -> LooVectors:
 
 
 # ---------------------------------------------------------------------------
-# Cross-validated mixture weight and the stacked estimator
-
-
-def cv_beta(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> tuple[float, float, float]:
-    """Closed-form leave-one-out least-squares mixture weight.
-
-    ``shape`` is ``shape_transform(kind, x.counts / x.n)`` when the caller
-    already has it; otherwise it is computed here.
-
-    Returns ``(beta_hat, a_n, b_n)`` where
-
-        a_n = sum_j (shape_j - base_j)^2,
-        b_n = sum_j base_j * (shape_loo_j - pi_j) - sum_j base_j * (shape_j - base_j),
-
-    and ``beta_hat`` is ``b_n / a_n`` clipped to the cases: ``b/a`` when
-    ``0 <= b <= a`` with ``a`` nonzero, ``1`` when ``0 < a <= b``, else ``0``
-    (including ``a = 0``, when base and shape coincide).
-    """
-    _check_kind(kind)
-    if x.n < 2:
-        raise InsufficientSampleError("the cross-validation criterion needs at least 2 observations")
-    base = x.counts / x.n
-    if shape is None:
-        shape = shape_transform(kind, base)
-    return tuple(float(v[0]) for v in cv_betas(x.counts[None], x.n, kind, base[None], shape[None]))
+# The fit engine and its one-row views
 
 
 def cv_betas(counts: np.ndarray, n: int, kind: str, base: np.ndarray, shape: np.ndarray) -> tuple:
     """:func:`cv_beta` as arrays ``(beta_hat, a_n, b_n)`` for a ``(B, D)``
     count stack ``counts`` whose rows all total n >= 2, with its empirical
-    and shape stacks ``base`` and ``shape``. Row b is bitwise ``cv_beta``
-    of row b alone."""
+    and shape stacks ``base`` and ``shape``."""
     pi, shape_loo = loo_stacks(counts, n, kind)
     loo = shape_loo - pi
     a_n = np.sum((shape - base) ** 2, axis=1)
@@ -357,38 +304,114 @@ def cv_betas(counts: np.ndarray, n: int, kind: str, base: np.ndarray, shape: np.
     return beta, a_n, b_n
 
 
-def stacked(x: FrequencyData, kind: str, shape: np.ndarray | None = None) -> StackedFit:
+def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
+    """Fits of the estimators named by ``codes`` to each data set in ``xs``.
+
+    ``xs`` share one length D and one total n. Returns the ``(len(xs),
+    len(codes), D)`` fits and, for each stacked code among ``codes``, its
+    ``(beta_hat, a_n, b_n)`` arrays from :func:`cv_betas`. Every step is
+    elementwise or a row reduction, so entry ``[b, a]`` does not depend on
+    the other rows. Each fit, and each shape fit behind a stacked one, runs
+    once. A single observation leaves the criterion undefined: the weight
+    is 0 and ``b_n`` is None.
+    """
+    n = xs[0].n
+    counts = np.stack([x.counts for x in xs])
+    base = counts / n
+    fits, weights = {"e": base}, {}
+    for code in codes:
+        if code not in ESTIMATOR_CODES:
+            raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
+        if code in fits:
+            continue
+        if code == "mm":
+            alpha = math.sqrt(n) / (n + math.sqrt(n))
+            fits[code] = alpha * np.full(base.shape[1], 1.0 / base.shape[1]) + (1.0 - alpha) * base
+            continue
+        kind, shape_code = SHAPE_KINDS[code], code[-1]  # sr and sG stack the shape fits r and G
+        if shape_code not in fits:
+            fits[shape_code] = (np.stack([isotonic_decreasing(row)[0] for row in base])
+                                if kind == GRENANDER else rearrange_decreasing(base))
+        if code != shape_code:
+            shape = fits[shape_code]
+            if n > 1:
+                weights[code] = cv_betas(counts, n, kind, base, shape)
+            else:
+                weights[code] = (np.zeros(len(xs)), np.sum((shape - base) ** 2, axis=1), None)
+            beta = weights[code][0][:, None]
+            fits[code] = beta * shape + (1.0 - beta) * base
+    return np.stack([fits[code] for code in codes], axis=1), weights
+
+
+def fit_estimator(code: str, x: FrequencyData) -> np.ndarray:
+    """Probability vector of the estimator named by ``code`` on data ``x``."""
+    return fit_stack((code,), [x])[0][0, 0]
+
+
+def empirical(x: FrequencyData) -> Pmf:
+    """Relative frequencies ``x_j / n``."""
+    return Pmf(fit_estimator("e", x))
+
+
+def rearrangement(x: FrequencyData) -> Pmf:
+    """Empirical estimator sorted into nonincreasing order."""
+    return Pmf(fit_estimator("r", x))
+
+
+def grenander(x: FrequencyData) -> Pmf:
+    """Isotonic (nonincreasing) projection of the empirical estimator."""
+    return Pmf(fit_estimator("G", x))
+
+
+def minimax(x: FrequencyData) -> Pmf:
+    """Shrink the empirical estimator toward the uniform vector on the
+    observed range with weight ``sqrt(n) / (n + sqrt(n))``."""
+    return Pmf(fit_estimator("mm", x))
+
+
+def stacked(x: FrequencyData, kind: str) -> StackedFit:
     """Convex combination of the shape estimator and the empirical one with
     the cross-validated weight.
-
-    ``shape`` is ``shape_transform(kind, x.counts / x.n)`` when the caller
-    already has it; otherwise it is computed here.
 
     A single observation leaves the criterion undefined; in that case the
     fit degrades to the empirical estimator with ``beta_hat = 0`` and a
     diagnostics note instead of raising.
     """
-    _check_kind(kind)
-    base = x.counts / x.n
-    if shape is None:
-        shape = shape_transform(kind, base)
-    diagnostics: dict = {}
-    if x.n < 2:
-        beta, b_n = 0.0, None
-        a_n = float(np.sum((shape - base) ** 2))
+    code = "sG" if _check_kind(kind) == GRENANDER else "sr"
+    fits, weights = fit_stack(("e", code[-1], code), [x])
+    beta, a_n, b_n = weights[code]
+    base, shape, estimate = fits[0]
+    diagnostics = {}
+    if b_n is None:
         diagnostics["degenerate"] = "n = 1: cross-validation undefined, returned the empirical estimator"
-    else:
-        beta, a_n, b_n = cv_beta(x, kind, shape)
     return StackedFit(
-        beta_hat=beta,
-        a_n=a_n,
-        b_n=b_n,
+        beta_hat=float(beta[0]),
+        a_n=float(a_n[0]),
+        b_n=None if b_n is None else float(b_n[0]),
         base=Pmf(base),
         shape=Pmf(shape),
-        estimate=Pmf(beta * shape + (1.0 - beta) * base),
+        estimate=Pmf(estimate),
         kind=kind,
         diagnostics=diagnostics,
     )
+
+
+def cv_beta(x: FrequencyData, kind: str) -> tuple[float, float, float]:
+    """Closed-form leave-one-out least-squares mixture weight.
+
+    Returns ``(beta_hat, a_n, b_n)`` where
+
+        a_n = sum_j (shape_j - base_j)^2,
+        b_n = sum_j base_j * (shape_loo_j - pi_j) - sum_j base_j * (shape_j - base_j),
+
+    and ``beta_hat`` is ``b_n / a_n`` clipped to the cases: ``b/a`` when
+    ``0 <= b <= a`` with ``a`` nonzero, ``1`` when ``0 < a <= b``, else ``0``
+    (including ``a = 0``, when base and shape coincide).
+    """
+    fit = stacked(x, kind)
+    if fit.b_n is None:
+        raise InsufficientSampleError("the cross-validation criterion needs at least 2 observations")
+    return fit.beta_hat, fit.a_n, fit.b_n
 
 
 # ---------------------------------------------------------------------------

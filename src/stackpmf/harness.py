@@ -7,9 +7,10 @@ normal QQ diagnostics of a single coordinate.
 
 Replication i samples from the stream ``(seed, "rep", ..., i)`` and draws
 its band quantile from ``(seed, "band", i)``. Blocks of replications are
-fitted as ``(B, D)`` stacks (:func:`fit_stack`) whose rows are bitwise the
-fits of each replication alone, so results are byte-equal for any worker
-count or blocking.
+fitted as ``(B, D)`` stacks by the estimator engine
+(:func:`stackpmf.estimators.fit_stack`), whose rows are bitwise the fits
+of each replication alone, so results are byte-equal for any worker count
+or blocking.
 """
 
 import functools
@@ -22,56 +23,16 @@ from scipy.stats import norm as _norm
 
 from . import estimators as est
 from .confidence import band, quantile_q_alpha
+from .estimators import ESTIMATOR_CODES, fit_estimator  # noqa: F401  (perfbench's tracer looks fit_estimator up here)
 from .models import ModelSpec, pmf_truncate, sample
 from .rng import substream_seed
-
-ESTIMATOR_CODES = ("e", "mm", "r", "G", "sr", "sG")
 
 #: Truth vectors are materialized with this tail tolerance.
 TRUTH_TRUNCATION = 1e-12
 
-#: Shape transform behind each shape-based estimator code.
-_SHAPE_KINDS = {"r": est.REARRANGEMENT, "G": est.GRENANDER, "sr": est.REARRANGEMENT, "sG": est.GRENANDER}
-
 #: Count cells per fitting round: a ``(B, D)`` stack has at most
 #: ``max(1, STACK_CELLS // D)`` rows, which bounds the working set at any D.
 STACK_CELLS = 2**16
-
-
-def fit_stack(codes, xs) -> np.ndarray:
-    """Fits of the estimators named by ``codes`` to each data set in ``xs``.
-
-    ``xs`` share one length D and one total n. Returns a ``(len(xs),
-    len(codes), D)`` array whose entry ``[b, a]`` is bitwise the standalone
-    estimator ``codes[a]`` on ``xs[b]``: every step is elementwise or a row
-    reduction. Each fit, and each shape fit behind a stacked one, runs once.
-    """
-    n = xs[0].n
-    counts = np.stack([x.counts for x in xs])
-    base = counts / n
-    fits = {"e": base}
-    for code in codes:
-        if code not in ESTIMATOR_CODES:
-            raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
-        if code in fits:
-            continue
-        if code == "mm":
-            fits[code] = est.minimax_probs(base, n)
-            continue
-        kind, shape_code = _SHAPE_KINDS[code], code[-1]  # sr and sG stack the shape fits r and G
-        if shape_code not in fits:
-            fits[shape_code] = (np.stack([est.isotonic_decreasing(row)[0] for row in base])
-                                if kind == est.GRENANDER else np.sort(base, axis=1)[:, ::-1])
-        if code != shape_code:
-            shape = fits[shape_code]
-            beta = est.cv_betas(counts, n, kind, base, shape)[0][:, None] if n > 1 else np.zeros((len(xs), 1))
-            fits[code] = beta * shape + (1.0 - beta) * base
-    return np.stack([fits[code] for code in codes], axis=1)
-
-
-def fit_estimator(code: str, x) -> np.ndarray:
-    """Probability vector of the estimator named by ``code`` on data ``x``."""
-    return fit_stack((code,), [x])[0, 0]
 
 
 @dataclass(frozen=True)
@@ -155,7 +116,7 @@ def _fit_block(cfg: ExperimentConfig, n: int, path: tuple, reduce, block) -> np.
     """Rows ``reduce(fits, n, indices)`` of the replications in ``block``, in its order."""
     rows = [None] * len(block)
     for positions, indices, xs in _groups(cfg, n, path, block):
-        for k, row in zip(positions, reduce(fit_stack(cfg.estimators, xs), n, indices)):
+        for k, row in zip(positions, reduce(est.fit_stack(cfg.estimators, xs)[0], n, indices)):
             rows[k] = row
     return np.stack(rows)
 

@@ -6,7 +6,8 @@ Two primitives used by every constrained estimator in the package:
   vector onto the cone of nonincreasing vectors with SciPy's
   pool-adjacent-violators algorithm (PAVA), returning both the fitted
   vector and its partition into constant blocks.
-* :func:`rearrange_decreasing` sorts a vector into nonincreasing order.
+* :func:`rearrange_decreasing` sorts a vector, or each row of a stack,
+  into nonincreasing order.
 """
 
 from dataclasses import dataclass
@@ -76,14 +77,15 @@ def isotonic_decreasing(v) -> tuple[np.ndarray, BlockPartition]:
 
 
 def rearrange_decreasing(v) -> np.ndarray:
-    """Return the values of ``v`` sorted into nonincreasing order.
+    """Return the values of ``v`` sorted into nonincreasing order, or each
+    row of a ``(B, D)`` stack of vectors sorted on its own.
 
     Ties keep the lower original index first; since equal values are
     indistinguishable in the output this only fixes the implied permutation.
     """
     v = np.ascontiguousarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("input must be one-dimensional")
+    if v.ndim not in (1, 2):
+        raise ValueError("input must be a vector or a (B, D) stack of vectors")
     if v.size == 0:
         raise EmptyInputError("cannot rearrange an empty vector")
-    return np.sort(v)[::-1].copy()
+    return np.sort(v)[..., ::-1].copy()

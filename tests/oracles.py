@@ -17,30 +17,37 @@ their centers.
 :func:`reference_frequency_total` checks and totals counts with Python
 ints, as a reference for ``FrequencyData``'s array reductions.
 :func:`reference_cv_beta` computes the mixture weight from 1-D sums, as the
-library did before its stacked engine.
+library did before its stacked engine, and :func:`reference_fit` each
+estimator on one count vector, as the library did before one engine
+fitted every estimate as a stack.
 :func:`reference_sup_norm` forms each chunk of limit draws as a fresh
 ``(m, D)`` array and reduces it row by row, as the library's sampler did
 before it built the draws in row blocks.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
 from stackpmf import (
+    GRENANDER,
     KINDS,
+    REARRANGEMENT,
     FrequencyData,
     InsufficientSampleError,
     LooVectors,
     band,
+    fit_estimator,
+    isotonic_decreasing,
     loo_vectors_fast,
     pmf_truncate,
     quantile_q_alpha,
+    rearrange_decreasing,
     sample,
 )
-from stackpmf.estimators import A_N_TOL, shape_transform
-from stackpmf.harness import fit_estimator
+from stackpmf.estimators import A_N_TOL
 from stackpmf.errors import EmptyInputError
 from stackpmf.models import MAX_COUNT, SAMPLING_TRUNCATION
 from stackpmf.rng import substream, substream_seed
@@ -181,11 +188,18 @@ def maximum_upper_sets(v: np.ndarray) -> np.ndarray:
     return fitted
 
 
-def loo_vectors(x: FrequencyData, kind: str) -> LooVectors:
-    """Leave-one-out vectors by definition: one full refit per support point.
+def shape_transform(kind: str, v: np.ndarray) -> np.ndarray:
+    """The isotonic fit (``grenander``) or the decreasing rearrangement of
+    the vector ``v``, from the library's shape primitives, which the two
+    isotonic oracles above check on their own."""
+    if kind == GRENANDER:
+        return isotonic_decreasing(v)[0]
+    return rearrange_decreasing(v)
 
-    The shape refit goes through the library's ``shape_transform``, which the
-    two isotonic oracles above check on their own. O(D^2).
+
+def loo_vectors(x: FrequencyData, kind: str) -> LooVectors:
+    """Leave-one-out vectors by definition: one full refit per support point,
+    through :func:`shape_transform`. O(D^2).
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -224,6 +238,25 @@ def reference_cv_beta(x: FrequencyData, kind: str) -> tuple:
     else:
         beta = 0.0
     return beta, a_n, b_n
+
+
+def reference_fit(code: str, x: FrequencyData) -> np.ndarray:
+    """The estimator named by ``code`` on one data set, one vector at a
+    time, as ``stacked`` and the plain estimators computed it before the
+    library fitted every estimate as a stack; the stacked weight comes from
+    :func:`reference_cv_beta`, and is 0 for a single observation."""
+    base = x.counts / x.n
+    if code == "e":
+        return base
+    if code == "mm":
+        alpha = math.sqrt(x.n) / (x.n + math.sqrt(x.n))
+        return alpha * np.full(base.size, 1.0 / base.size) + (1.0 - alpha) * base
+    kind = GRENANDER if code[-1] == "G" else REARRANGEMENT
+    shape = shape_transform(kind, base)
+    if code in ("r", "G"):
+        return shape
+    beta = reference_cv_beta(x, kind)[0] if x.n > 1 else 0.0
+    return beta * shape + (1.0 - beta) * base
 
 
 def reference_frequency_total(values: list[int], declared: int = 0) -> int:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import stackpmf
 from stackpmf.cli import build_parser, main
+from stackpmf.confidence import MAX_QUANTILE_DRAWS, MIN_QUANTILE_DRAWS
 from stackpmf.models import MAX_SUPPORT
 
 
@@ -376,11 +377,49 @@ class TestBadFlagValuesAreUsageErrors:
         pytest.param(QQ[:3] + ["--coord", 99] + QQ[5:], id="qq-coord-99"),
         pytest.param(QQ[:3] + ["--coord", -1] + QQ[5:], id="qq-coord-negative"),
         pytest.param(["estimate", "--input", "unused.txt", "--kind", "e", "--band", 1.5], id="estimate-band-1.5"),
+        pytest.param(["band", "--theta", "unused.json", "--alpha", 0.05, "--seed", -1], id="band-seed-negative"),
+        pytest.param(["band", "--theta", "unused.json", "--alpha", 0.05, "--seed", 2**64], id="band-seed-2p64"),
+        pytest.param(SIMULATE + ["--seed", -(2**64)], id="simulate-seed-minus-2p64"),
     ])
     def test_exit_code(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", tmp_path]) == 2
         assert "error" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_both_ends_of_the_range_are_accepted(self, seed, tmp_path):
+        counts = write_counts(tmp_path, "3 1 2\n")
+        assert run(["estimate", "--input", counts, "--kind", "sG", "--seed", seed, "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "estimate.manifest.json").read_text())["seed"] == seed
+
+    @pytest.mark.parametrize("value", ["-1", str(2**64), "seven"])
+    def test_seed_env_var_outside_the_range_is_usage_error(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STACKPMF_SEED", value)
+        assert run(SIMULATE + ["--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: STACKPMF_SEED: ")
+        if value != "seven":
+            assert f"[0, {2**64 - 1}]" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["band", "--input", "{counts}", "--alpha", 0.05, "--mc"], id="band"),
+        pytest.param(["estimate", "--input", "{counts}", "--kind", "sG", "--band", 0.05, "--mc"], id="estimate"),
+        pytest.param(SIMULATE + ["--coverage", "--bandmc"], id="simulate"),
+    ])
+    def test_draws_past_the_cap_exit_before_allocating(self, argv, tmp_path, capsys):
+        counts = write_counts(tmp_path, "7 5 6 2 3 0 1 1\n")
+        argv = [counts if a == "{counts}" else a for a in argv]
+        tracemalloc.start()
+        try:
+            code = run(argv + [MAX_QUANTILE_DRAWS + 1, "--out", tmp_path / "out"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"[{MIN_QUANTILE_DRAWS}, {MAX_QUANTILE_DRAWS}]" in capsys.readouterr().err
+        assert peak < 2**20
+        assert not (tmp_path / "out").exists()
 
     def test_last_coordinate_of_the_support_is_accepted(self, tmp_path):
         assert run(QQ[:3] + ["--coord", 11] + QQ[5:] + ["--out", tmp_path]) == 0

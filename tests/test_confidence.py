@@ -21,6 +21,7 @@ from stackpmf import (
     quantile_q_alpha,
     sample_sup_norm,
 )
+from stackpmf.confidence import MAX_QUANTILE_DRAWS
 
 
 class TestSampler:
@@ -203,6 +204,16 @@ class TestQuantile:
     def test_requires_enough_draws(self):
         with pytest.raises(ValueError):
             quantile_q_alpha(np.array([0.5, 0.5]), 0.05, 10, seed=1)
+
+    def test_draws_past_the_cap_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(MAX_QUANTILE_DRAWS)):
+                quantile_q_alpha(np.array([0.5, 0.5]), 0.05, MAX_QUANTILE_DRAWS + 1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestBand:

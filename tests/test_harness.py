@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import counts_vectors, reference_coverage, reference_cv_beta, scaled_risk_closed_form
+from oracles import counts_vectors, reference_coverage, reference_cv_beta, reference_fit, scaled_risk_closed_form
 from stackpmf import (
     ESTIMATOR_CODES,
     GRENANDER,
@@ -28,7 +28,7 @@ from stackpmf import (
 )
 from stackpmf import estimators as est
 from stackpmf import harness
-from stackpmf.harness import fit_estimator
+from stackpmf.estimators import fit_estimator
 
 M = builtin_models()
 
@@ -66,10 +66,11 @@ class TestFitStack:
     @example([FrequencyData(np.array([0, 0, 1]))] * 2, ["sG", "e", "sG", "sr"])
     @example([FrequencyData(np.array([2, 2, 2, 2]))], list(ESTIMATOR_CODES))
     def test_rows_bitwise_equal_to_standalone_estimators(self, xs, codes):
-        fits = harness.fit_stack(codes, xs)
+        fits, weights = est.fit_stack(codes, xs)
         assert fits.shape == (len(xs), len(codes), xs[0].counts.size)
-        for x, row in zip(xs, fits):
-            standalone = {
+        assert sorted(weights) == sorted({"sr", "sG"} & set(codes))
+        for b, (x, row) in enumerate(zip(xs, fits)):
+            views = {
                 "e": est.empirical(x).probs,
                 "mm": est.minimax(x).probs,
                 "r": est.rearrangement(x).probs,
@@ -78,13 +79,19 @@ class TestFitStack:
                 "sG": est.stacked(x, GRENANDER).estimate.probs,
             }
             for code, got in zip(codes, row):
-                assert got.tobytes() == standalone[code].tobytes(), code
-                assert fit_estimator(code, x).tobytes() == standalone[code].tobytes(), code
-            shapes = dict(zip((REARRANGEMENT, GRENANDER), harness.fit_stack(("r", "G"), [x])[0]))
-            for kind, shape in shapes.items():
-                fit = est.stacked(x, kind, shape)
+                reference = reference_fit(code, x).tobytes()
+                assert got.tobytes() == reference, code
+                assert fit_estimator(code, x).tobytes() == reference, code
+                assert views[code].tobytes() == reference, code
+            for code, (beta, a_n, b_n) in weights.items():
+                kind = est.SHAPE_KINDS[code]
+                if x.n > 1:
+                    assert (beta[b], a_n[b], b_n[b]) == reference_cv_beta(x, kind), code
+                else:
+                    assert beta[b] == 0.0 and b_n is None, code
+            for kind in (REARRANGEMENT, GRENANDER):
+                fit = est.stacked(x, kind)
                 assert 0.0 <= fit.beta_hat <= 1.0
-                assert fit.beta_hat == est.stacked(x, kind).beta_hat
                 if x.n > 1:
                     assert est.cv_beta(x, kind) == reference_cv_beta(x, kind)
 
@@ -101,7 +108,7 @@ class TestFitStack:
         for name in ("isotonic_decreasing", "loo_stacks", "loo_vectors_fast"):
             monkeypatch.setattr(est, name, counting(name, getattr(est, name)))
         xs = [FrequencyData(np.array(c)) for c in ([1, 3, 0, 2, 5], [5, 3, 0, 2, 1], [2, 2, 2, 4, 1])]
-        harness.fit_stack(ESTIMATOR_CODES + ESTIMATOR_CODES, xs)
+        est.fit_stack(ESTIMATOR_CODES + ESTIMATOR_CODES, xs)
         # one leave-one-out pass per stack and kind, none per row
         assert sorted(calls) == ["isotonic_decreasing"] * 3 + ["loo_stacks"] * 2
 

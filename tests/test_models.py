@@ -300,7 +300,69 @@ class TestContainers:
             Pmf(np.array([-0.1, 1.1]))
 
 
+def _number(low: int, high: int, den: int):
+    """``(value, text)`` for ``a / den`` with ``low <= a <= high``, spelled as
+    the fraction ``a/den`` or as the shortest decimal of its float."""
+    return st.tuples(st.integers(low, high), st.booleans()).map(
+        lambda t: (Fraction(t[0], den), f"{t[0]}/{den}" if t[1] else repr(t[0] / den)))
+
+
+#: ``(model, text)`` pairs of every plain family, with small parameters.
+_spelled_plain = st.one_of(
+    *(st.integers(0, 40).map(lambda s, cls=cls, head=head: (cls(s), f"{head}:{s}"))
+      for cls, head in ((UniformRange, "uniform"), (TriangularDecreasing, "tri-dec"),
+                        (TriangularIncreasing, "tri-inc"))),
+    st.integers(2, 40).flatmap(lambda den: _number(1, den - 1, den)).map(
+        lambda p: (Geometric(p[0]), f"geom:{p[1]}")),
+    st.tuples(st.integers(1, 20), st.integers(2, 40).flatmap(lambda den: _number(1, den - 1, den))).map(
+        lambda t: (NegativeBinomial(t[0], t[1][0]), f"nbin:{t[0]},{t[1][1]}")),
+    st.integers(1, 40).flatmap(lambda den: _number(1, 30 * den, den)).map(
+        lambda p: (Poisson(p[0]), f"pois:{p[1]}")),
+)
+
+
+def _spelled_mixture(parts, den):
+    """``(model, text)`` strategy for a ``mix:`` of ``parts`` with weights ``a_i / den`` summing to 1."""
+    cuts = st.lists(st.integers(1, den - 1), min_size=len(parts) - 1, max_size=len(parts) - 1, unique=True)
+
+    def build(cut_list):
+        bounds = [0] + sorted(cut_list) + [den]
+        return st.tuples(*(_number(b - a, b - a, den) for a, b in zip(bounds, bounds[1:])))
+
+    return cuts.flatmap(build).map(lambda weights: (
+        Mixture(tuple((w, model) for (w, _), (model, _) in zip(weights, parts))),
+        "mix:" + "+".join(f"{text}*{spec}" for (_, text), (_, spec) in zip(weights, parts))))
+
+
+_spelled_models = st.one_of(
+    _spelled_plain,
+    st.tuples(st.lists(_spelled_plain, min_size=1, max_size=4), st.integers(4, 1000)).flatmap(
+        lambda t: _spelled_mixture(*t)),
+)
+
+#: Each builtin model spelled out as a plain or ``mix:`` string.
+SPELLED_BUILTINS = {
+    "M1": "uniform:11",
+    "M2": "mix:0.15*uniform:3+0.1*uniform:7+0.75*uniform:11",
+    "M3": "mix:0.25*uniform:1+0.2*uniform:3+0.15*uniform:5+0.4*uniform:7",
+    "M4": "geom:0.25",
+    "M5": "tri-inc:11",
+    "M6": "nbin:7,0.4",
+    "M7": "mix:3/8*pois:2+5/8*pois:15",
+}
+
+
 class TestBuiltinsAndParsing:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_spelled_models)
+    def test_spelled_out_model_round_trips(self, spelled):
+        model, text = spelled
+        assert parse_model(text) == model
+
+    @pytest.mark.parametrize("name", sorted(SPELLED_BUILTINS))
+    def test_builtin_equals_its_spelled_out_string(self, name):
+        assert parse_model(SPELLED_BUILTINS[name]) == parse_model(name) == builtin_models()[name]
+
     def test_builtin_mapping(self):
         models = builtin_models()
         assert models["M1"] == UniformRange(11)

@@ -98,6 +98,15 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
     return np.asarray(values[:trimmed], dtype=np.int64), warnings
 
 
+def _read_data(path: str) -> tuple[FrequencyData, list[str]]:
+    """The counts file ``path`` as frequency data, with :func:`read_counts`'s
+    warnings, which are also printed to stderr."""
+    counts, warnings = read_counts(path)
+    for message in warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    return FrequencyData(counts), warnings
+
+
 def _int_in(low: int, high: float = math.inf):
     """argparse type for integers from ``low`` to ``high``."""
 
@@ -263,10 +272,7 @@ def _jsonable(value):
 
 def _cmd_estimate(args) -> int:
     seed = _resolve_seed(args)
-    counts, warnings = read_counts(args.input)
-    for message in warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    x = FrequencyData(counts)
+    x, warnings = _read_data(args.input)
     payload = {
         "kind": args.kind,
         "n": x.n,
@@ -375,10 +381,7 @@ def _cmd_band(args) -> int:
     if (args.input is None) == (args.theta is None):
         raise _UsageError("give exactly one of --input (counts) or --theta (estimate json)")
     if args.input is not None:
-        counts, warnings = read_counts(args.input)
-        for message in warnings:
-            print(f"warning: {message}", file=sys.stderr)
-        x = FrequencyData(counts)
+        x = _read_data(args.input)[0]
         center = fit_estimator(args.kind, x)
         n = x.n
         source = {"input": args.input, "kind": args.kind}

@@ -19,9 +19,9 @@ Every estimate comes from one engine, :func:`fit_stack`, which fits a
 
 The leave-one-out vectors, one full refit per observed support point,
 come from :func:`loo_stacks` for a whole ``(B, D)`` stack of count vectors
-at once. The rearrangement values follow from one sort and one rank search
-over the stack. The isotonic value at q is the min-max slope of the
-cumulative counts ``C``,
+at once. The rearrangement values follow from one sort and one comparison
+with the next sorted value. The isotonic value at q is the min-max slope of
+the cumulative counts ``C``,
 
     min over u <= q of max over w > q of (C_w - 1 - C_u) / ((w - u)(n - 1)).
 
@@ -117,33 +117,16 @@ def _loo_rearrangement(counts: np.ndarray, n: int) -> np.ndarray:
     """Coordinate j of sorting ``counts[b] - e_j`` descending, for every row b
     and every j at once.
 
-    Removing one copy of the value ``v = x_j`` from the sorted order and
-    inserting ``v - 1`` shifts the segment between the two positions by one
-    slot; the value at any fixed position follows from two rank searches.
-    Row b is offset by ``b * (n + 2)``, which keeps its search keys
-    ``-1 .. n`` apart from its neighbours' values, so the sorted rows form
-    one sorted array and each search runs once over the whole stack. When
-    those offsets would leave int64, each row is searched on its own.
+    Lowering one copy of the value ``v = x_j`` keeps the descending order
+    ``desc`` sorted if the copy lowered is the last one, so the sorted
+    vector is ``desc`` with that slot one smaller. The slot is j exactly
+    when ``desc[j] >= v > desc[j + 1]``, taking ``desc[D] = 0``.
     """
-    rows, d = counts.shape
-    asc = np.sort(counts, axis=1)
-    if rows * (n + 2) < 2**63:
-        offsets = np.arange(rows, dtype=np.int64)[:, None] * (n + 2)
-        starts = np.arange(0, rows * d, d)[:, None]
-        flat = (asc + offsets).ravel()
-        at_most = np.searchsorted(flat, (counts + offsets).ravel(), side="right").reshape(rows, d) - starts
-        below = np.searchsorted(flat, (counts + (offsets - 1)).ravel(), side="left").reshape(rows, d) - starts
-    else:
-        at_most = np.stack([np.searchsorted(a, c, side="right") for a, c in zip(asc, counts)])
-        below = np.stack([np.searchsorted(a, c - 1, side="left") for a, c in zip(asc, counts)])
-    # i1: first sorted position holding v (entries > v); j2: insertion
-    # position of v - 1 (entries >= v - 1)
-    i1, j2 = d - at_most, d - below
-    desc = asc[:, ::-1]
-    j = np.arange(d)
-    shifted = desc[:, np.minimum(j + 1, d - 1)]
-    vals = np.where(j < i1, desc, np.where(j <= j2 - 2, shifted, np.where(j == j2 - 1, counts - 1, desc)))
-    return np.where(counts > 0, vals, 0) / (n - 1)
+    desc = np.sort(counts, axis=1)[:, ::-1]
+    desc_next = np.zeros_like(desc)
+    desc_next[:, :-1] = desc[:, 1:]
+    lowered = (desc >= counts) & (counts > desc_next)
+    return np.where(counts > 0, desc - lowered, 0) / (n - 1)
 
 
 def _loo_grenander_dense(counts: np.ndarray, n: int) -> np.ndarray:

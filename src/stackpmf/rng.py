@@ -11,8 +11,6 @@ import zlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def _encode_part(part) -> int:
     if isinstance(part, str):
@@ -23,15 +21,21 @@ def _encode_part(part) -> int:
     return value
 
 
+def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of the stream ``(seed, path)``; ``seed`` must lie in [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_encode_part(p) for p in path))
+
+
 def substream(seed: int, *path) -> np.random.Generator:
     """Generator for the stream addressed by ``seed`` and ``path``.
 
     ``path`` parts are nonnegative integers or short ASCII labels.
     Equal (seed, path) pairs always yield identical generators.
     """
-    key = tuple(_encode_part(p) for p in path)
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def substream_seed(seed: int, *path) -> int:
@@ -39,6 +43,4 @@ def substream_seed(seed: int, *path) -> int:
 
     Used to hand a single integer to code that derives its own substreams.
     """
-    key = tuple(_encode_part(p) for p in path)
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=key)
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])

@@ -114,8 +114,8 @@ def exact_loo_grenander(counts) -> list[Fraction]:
 
 def reference_loo_rearrangement(counts: np.ndarray, n: int) -> np.ndarray:
     """Coordinate j of sorting ``counts - e_j`` descending, over ``n - 1``,
-    for all j of one count vector: the per-row pass the library ran before
-    it searched whole stacks at once.
+    for all j of one count vector, by rank searches rather than the
+    library's comparison with the next sorted value.
 
     Removing one copy of the value ``v = x_j`` from the sorted order and
     inserting ``v - 1`` shifts the segment between the two positions by one

@@ -196,6 +196,13 @@ def _equal_total_stack(seed: int, rows: int, d: int, top: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     base = rng.integers(0, top, d, endpoint=True)
     base[rng.integers(d)] += 2
+    return _reshuffled_permutations(rng, base, rows)
+
+
+def _reshuffled_permutations(rng, base: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` permutations of ``base``, each then reshuffled by ``len(base)``
+    random transfers of mass between cells, so all keep its total."""
+    d = base.size
     stack = np.array([rng.permutation(base) for _ in range(rows)])
     for row in stack:
         for i, j in rng.integers(d, size=(d, 2)):
@@ -214,6 +221,28 @@ loo_stacks_cases = st.builds(
     st.one_of(st.integers(1, 8), st.integers(DENSE_LOO_MAX_D - 3, DENSE_LOO_MAX_D + 3)),
     st.sampled_from([3, 2**40]),
 )
+
+
+def _stack_totalling(seed: int, rows: int, d: int, n: int, even: bool) -> np.ndarray:
+    """A reshuffled stack of ``rows`` rows of length ``d`` with total ``n``,
+    from a vector split evenly (ties) or at random cut points."""
+    rng = np.random.default_rng(seed)
+    if even:
+        base = np.full(d, n // d, dtype=np.int64)
+        base[rng.integers(d)] += n % d
+    else:
+        cuts = np.sort(rng.integers(0, n, d - 1, endpoint=True, dtype=np.int64))
+        base = np.diff(cuts, prepend=0, append=n)
+    return _reshuffled_permutations(rng, base, rows)
+
+
+@st.composite
+def stacks_past_int64_offsets(draw):
+    """Stacks of 2-40 rows whose total n <= MAX_COUNT has ``rows (n + 2) >=
+    2**63``: offsetting each row by ``b (n + 2)`` would leave int64."""
+    rows = draw(st.integers(2, 40))
+    n = draw(st.integers(-(-(2**63) // rows) - 2, MAX_COUNT))
+    return _stack_totalling(draw(st.integers(0, 2**32 - 1)), rows, draw(st.integers(1, 39)), n, draw(st.booleans()))
 
 
 class TestLooStacks:
@@ -235,11 +264,17 @@ class TestLooStacks:
     def test_rows_are_bitwise_the_references(self, stack):
         self.check_rows(stack)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(stacks_past_int64_offsets())
+    def test_rows_past_int64_offsets_are_bitwise_the_references(self, stack):
+        self.check_rows(stack)
+
     def test_one_point(self):
         self.check_rows(np.array([[5], [5]]))
 
     def test_all_mass_at_one_point_next_to_zeros_and_ones(self):
-        # the rows' values n, 0 and 1 meet at the row offsets of the search
+        # the lowered copy is the only one, the last of several, or ties with
+        # the next sorted value after lowering (1 next to 0)
         self.check_rows(np.array([[0, 3, 0], [3, 0, 0], [1, 1, 1], [0, 0, 3], [2, 0, 1]]))
 
     def test_past_exact_floats_the_hull_runs_and_stays_exact(self, monkeypatch):
@@ -250,9 +285,9 @@ class TestLooStacks:
         monkeypatch.setattr(est, "_loo_grenander_dense", dense_is_not_called)
         self.check_rows(np.array([[2**51, 7, 2**51 + 1], [2**51 + 1, 2**51, 7], [7, 2**51 + 1, 2**51]]))
 
-    @pytest.mark.parametrize("n", [2**62 - 3, MAX_COUNT], ids=["offset-search", "row-search"])
+    @pytest.mark.parametrize("n", [2**62 - 3, MAX_COUNT], ids=["total-2p62-minus-3", "total-max-count"])
     def test_rearrangement_at_totals_near_max_count(self, n):
-        # two rows: offsets b * (n + 2) stay in int64 for n = 2**62 - 3 only
+        # two rows whose counts n/2, 1 and n - n/2 - 1 sit near the top of int64
         half = n // 2
         stack = np.array([[half, 1, n - half - 1], [n - half - 1, half, 1]], dtype=np.int64)
         _, got = loo_stacks(stack, n, REARRANGEMENT)

@@ -19,7 +19,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from . import estimators as est
 from .confidence import band, quantile_q_alpha
@@ -214,7 +214,7 @@ def run_qq_samples(cfg: ExperimentConfig, coord: int) -> ExperimentResult:
     rows = _replications(cfg, cfg.n, deviations)
     result = ExperimentResult(config=cfg)
     positions = (np.arange(cfg.reps) + 0.5) / cfg.reps
-    normal_q = _norm.ppf(positions)
+    normal_q = ndtri(positions)
     for a, code in enumerate(cfg.estimators):
         samples = rows[:, a]
         result.qq_samples[code] = samples

@@ -12,6 +12,12 @@ Conventions fixed here:
   ``TriangularIncreasing(s)`` proportional to ``j + 1`` on ``{0, ..., s}``.
 * ``NegativeBinomial(r, theta)`` counts successes before the r-th failure:
   ``p_j = C(j + r - 1, j) * theta**j * (1 - theta)**r``.
+
+The Poisson pmf is ``exp(xlogy(j, lam) - gammaln(j + 1) - lam)`` and its
+tail ``pdtrc(length - 1, lam)``, both clipped to [0, 1], from
+``scipy.special``: the formulas of ``scipy.stats.poisson``, bit for bit,
+without importing ``scipy.stats``. The negative binomial still uses
+``scipy.stats.nbinom``, imported only when one is evaluated.
 """
 
 import functools
@@ -22,7 +28,7 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-import scipy.stats
+from scipy import special
 
 from .errors import EmptyInputError, InvalidPmfError, ParameterError
 from .rng import substream
@@ -264,9 +270,12 @@ def pmf_values(model: ModelSpec, length: int) -> np.ndarray:
         total = (model.s + 1) * (model.s + 2) / 2.0
         return np.where(j <= model.s, (j + 1) / total, 0.0)
     if isinstance(model, NegativeBinomial):
-        return scipy.stats.nbinom.pmf(j, model.r, 1.0 - model.theta)
+        from scipy.stats import nbinom
+
+        return nbinom.pmf(j, model.r, 1.0 - model.theta)
     if isinstance(model, Poisson):
-        return scipy.stats.poisson.pmf(j, model.lam)
+        log_p = special.xlogy(j, model.lam) - special.gammaln(j + 1) - model.lam
+        return np.clip(np.exp(log_p), 0.0, 1.0)
     if isinstance(model, Mixture):
         out = np.zeros(length)
         for w, comp in model.components:
@@ -293,9 +302,13 @@ def _tail_mass(model: ModelSpec, length: int) -> float:
         total = (model.s + 1) * (model.s + 2) / 2.0
         return (total - length * (length + 1) / 2.0) / total
     if isinstance(model, NegativeBinomial):
-        return float(scipy.stats.nbinom.sf(length - 1, model.r, 1.0 - model.theta))
+        from scipy.stats import nbinom
+
+        return float(nbinom.sf(length - 1, model.r, 1.0 - model.theta))
     if isinstance(model, Poisson):
-        return float(scipy.stats.poisson.sf(length - 1, model.lam))
+        if length <= 0:
+            return 1.0
+        return float(np.clip(special.pdtrc(length - 1, model.lam), 0.0, 1.0))
     if isinstance(model, Mixture):
         return float(sum(w * _tail_mass(comp, length) for w, comp in model.components))
     raise TypeError(f"not a model: {model!r}")

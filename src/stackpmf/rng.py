@@ -7,15 +7,26 @@ and short string labels, so replication i of an experiment always sees the
 same draws no matter how the work is scheduled or how many workers run it.
 """
 
+import operator
 import zlib
 
 import numpy as np
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an exact integer; floats and bools raise instead of aliasing one."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not a bool: {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _encode_part(part) -> int:
     if isinstance(part, str):
         return zlib.crc32(part.encode("ascii"))
-    value = int(part)
+    value = _as_int(part, "stream path parts")
     if value < 0:
         raise ValueError(f"stream path parts must be nonnegative, got {part!r}")
     return value
@@ -23,7 +34,7 @@ def _encode_part(part) -> int:
 
 def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
     """The ``SeedSequence`` of the stream ``(seed, path)``; ``seed`` must lie in [0, 2**64)."""
-    seed = int(seed)
+    seed = _as_int(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_encode_part(p) for p in path))

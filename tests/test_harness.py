@@ -7,8 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from oracles import counts_vectors, reference_coverage, reference_cv_beta, reference_fit, scaled_risk_closed_form
 from stackpmf import (
@@ -302,10 +304,26 @@ class TestQqSamples:
     def test_theoretical_quantiles_are_scaled_normal(self):
         cfg = ExperimentConfig(model=M["M2"], reps=50, estimators=("e", "sG"), n=200, seed=11)
         res = run_qq_samples(cfg, coord=1)
+        normal_q = scipy.stats.norm.ppf((np.arange(50) + 0.5) / 50)
         for code in ("e", "sG"):
             theo = res.qq_theoretical[code]
             assert theo.shape == (50,)
             assert np.all(np.diff(theo) >= 0.0)
+            want = float(res.qq_samples[code].std(ddof=1)) * normal_q
+            np.testing.assert_array_equal(theo.view(np.int64), want.view(np.int64))
+
+    # the QQ positions use scipy.special.ndtri, which must equal norm.ppf bit for bit
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 100_000))
+    @example(1)
+    @example(2)
+    @example(3)
+    @example(4097)
+    @example(100_000)
+    def test_normal_quantiles_are_bitwise_norm_ppf(self, reps):
+        positions = (np.arange(reps) + 0.5) / reps
+        got, want = ndtri(positions), scipy.stats.norm.ppf(positions)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_single_rep(self):
         cfg = ExperimentConfig(model=M["M4"], reps=1, estimators=("e",), n=50, seed=12)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from stackpmf import (
     sample,
     support_size,
 )
-from stackpmf.models import MAX_COUNT, MAX_SUPPORT, _sampling_table, check_support
+from stackpmf.models import MAX_COUNT, MAX_SUPPORT, _sampling_table, _tail_mass, check_support
 
 ALL_BUILTIN = tuple(builtin_models().items())
 
@@ -102,6 +103,41 @@ class TestPmfTruncate:
             probs = pmf_truncate(model, 1e-12).probs
             decreasing = bool(np.all(np.diff(probs) <= 1e-12))
             assert decreasing == (name in ("M1", "M2", "M3", "M4"))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestPoissonMatchesScipyStats:
+    """The Poisson pmf and tail are computed from ``scipy.special`` and must
+    equal ``scipy.stats.poisson`` bit for bit, so data files keep their bytes."""
+
+    # tiny, moderate and huge rates, up to the cap 2**53, at lengths -2..3000
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=5e-324, max_value=2.0**53),
+            st.floats(min_value=-1074.0, max_value=53.0).map(lambda e: 2.0**e),
+            st.floats(min_value=0.0, max_value=3000.0, exclude_min=True),
+            st.sampled_from([5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 15.0, 745.0, 2.0**52 + 1, 2.0**53]),
+        ),
+        st.integers(-2, 3000),
+    )
+    @example(2.0, -2)
+    @example(3.0, -1)
+    @example(15.0, 0)
+    @example(2.0**53, 3000)
+    def test_pmf_and_tail_are_bitwise_scipy_stats(self, lam, length):
+        model = Poisson(lam)
+        j = np.arange(max(length, 0))
+        got = pmf_values(model, max(length, 0))
+        want = scipy.stats.poisson.pmf(j, lam)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        tail = _tail_mass(model, length)
+        assert type(tail) is float
+        assert _bits(tail) == _bits(float(scipy.stats.poisson.sf(length - 1, lam)))
 
 
 class TestSupportCap:

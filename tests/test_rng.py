@@ -26,3 +26,28 @@ class TestSeedRange:
             run_loss_experiment(cfg)
         with pytest.raises(ValueError, match="seed must lie in"):
             quantile_q_alpha(np.array([0.5, 0.5]), 0.05, 1000, seed=-5)
+
+
+class TestSeedType:
+    @pytest.mark.parametrize("seed", [1.9, True, np.float64(3)], ids=["float-1.9", "bool-true", "np-float64-3"])
+    def test_float_and_bool_seeds_raise(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            substream(seed, "rep", 0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            substream_seed(seed, "rep", 0)
+
+    @pytest.mark.parametrize("part", [1.9, True, np.float64(3)], ids=["float-1.9", "bool-true", "np-float64-3"])
+    def test_float_and_bool_path_parts_raise(self, part):
+        with pytest.raises(ValueError, match="stream path parts must be an integer"):
+            substream_seed(1, "rep", part)
+
+    def test_numpy_unsigned_integer_seed_is_accepted(self):
+        assert substream_seed(np.uint64(3), "rep", np.uint64(0)) == substream_seed(3, "rep", 0)
+        assert substream(np.uint64(3)).random() == substream(3).random()
+
+    def test_float_seed_of_an_experiment_and_a_quantile_raise(self):
+        cfg = ExperimentConfig(model=builtin_models()["M1"], reps=2, n=10, seed=1.0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_loss_experiment(cfg)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            quantile_q_alpha(np.array([0.5, 0.5]), 0.05, 1000, seed=7.5)

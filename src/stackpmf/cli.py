@@ -12,9 +12,11 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -58,6 +60,11 @@ class _UsageError(ValueError):
 # Input parsing
 
 
+#: The bytes of a counts file that numpy converts at once: ASCII digits and
+#: the whitespace bytes ``bytes.split`` splits on.
+_PLAIN_COUNT_BYTES = b"0123456789 \t\n\r\x0b\x0c"
+
+
 def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
     """Read whitespace- or newline-separated nonnegative integer counts.
 
@@ -65,14 +72,47 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
     Leading zeros are kept; trailing zeros are stripped with a warning
     because the vector length encodes the largest observed value. The total
     count must fit in an int64.
+
+    The file is read once. A file of ASCII digits and whitespace whose
+    counts all fit in int64, with ``max * len <= MAX_COUNT`` and some count
+    positive, is converted by numpy in one call. Every other file goes
+    through the token scan, which alone reports errors and their lines.
     """
-    values: list[int] = []
-    warnings: list[str] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CountsParseError(f"cannot read {path}: {exc.strerror}", line=0) from exc
+    return _convert_plain_counts(data) or _scan_counts(data, path)
+
+
+def _trailing_zero_warnings(zeros: int) -> list[str]:
+    return [f"stripped {zeros} trailing zero count(s)"] if zeros else []
+
+
+def _convert_plain_counts(data: bytes) -> tuple[np.ndarray, list[str]] | None:
+    """:func:`read_counts` of the file bytes ``data`` by numpy, or None when
+    the token scan must read them."""
+    if data.translate(None, _PLAIN_COUNT_BYTES):
+        return None
+    try:
+        values = np.array(data.split(), dtype=np.int64)
+    except (OverflowError, ValueError):  # past int64, or past int()'s digit limit
+        return None
+    positive = np.flatnonzero(values)
+    # max * len bounds the total, so the int64 sum cannot wrap past MAX_COUNT
+    if not positive.size or int(values.max()) * values.size > MAX_COUNT:
+        return None
+    trimmed = positive[-1] + 1
+    return values[:trimmed], _trailing_zero_warnings(values.size - trimmed)
+
+
+def _scan_counts(data: bytes, path: str) -> tuple[np.ndarray, list[str]]:
+    """:func:`read_counts` of the file bytes ``data`` token by token, with
+    lines counted as text mode counts them."""
+    values: list[int] = []
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None).readlines()
     except UnicodeDecodeError as exc:
         raise CountsParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})", line=0) from exc
     for lineno, line in enumerate(lines, start=1):
@@ -93,9 +133,7 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
         trimmed -= 1
     if trimmed == 0:
         raise CountsParseError("all counts are zero", line=len(lines))
-    if trimmed < len(values):
-        warnings.append(f"stripped {len(values) - trimmed} trailing zero count(s)")
-    return np.asarray(values[:trimmed], dtype=np.int64), warnings
+    return np.asarray(values[:trimmed], dtype=np.int64), _trailing_zero_warnings(len(values) - trimmed)
 
 
 def _read_data(path: str) -> tuple[FrequencyData, list[str]]:
@@ -219,6 +257,17 @@ def _write_csv(path: str, header: list[str], rows: list[list], comments: list[st
         writer.writerows(rows)
 
 
+def _write_loss_csv(path: str, header: list[str], codes, norm_names, losses: np.ndarray) -> None:
+    """The rows ``rep, code, norm, loss`` of the ``(reps, codes, norms)``
+    array ``losses`` as :func:`_write_csv` writes them: csv leaves these
+    ints and names unquoted and writes floats with ``float.__repr__``."""
+    tails = [f",{code},{norm}," for code in codes for norm in norm_names]
+    with _out_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([f"{rep}{tail}{loss!r}\n" for rep, row in enumerate(losses.reshape(len(losses), -1).tolist())
+                          for tail, loss in zip(tails, row)]))
+
+
 def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -226,9 +275,48 @@ def _make_out_dir(path: str) -> None:
         raise _UsageError(f"--out {path}: cannot create the output directory: {exc.strerror}") from None
 
 
+#: Where :func:`_write_json` writes list k of floats: the JSON of the
+#: string ``"\0k"``. Every list is checked to land at exactly one match.
+_FLOAT_LIST_MARK = re.compile(r'"\\u0000(\d+)"')
+
+
 def _write_json(path: str, payload) -> None:
+    """``payload`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it.
+
+    That dump writes a skeleton with each list of finite floats replaced by
+    a marker, and each list is streamed in at its marker, one
+    ``float.__repr__`` per line, which is how json writes a finite float.
+    The bytes are the same, and a long estimate skips the pure-Python
+    encoder's per-item work without being held as one string.
+    """
+    lists = []
+
+    def stub(value):
+        if isinstance(value, dict):
+            return {key: stub(item) for key, item in value.items()}
+        if isinstance(value, list):
+            if value and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+                lists.append(value)
+                return f"\0{len(lists) - 1}"
+            return [stub(item) for item in value]
+        return value
+
+    text = json.dumps(stub(payload), indent=2, sort_keys=True)
+    marks = list(_FLOAT_LIST_MARK.finditer(text))
+    if sorted(mark[1] for mark in marks) != sorted(map(str, range(len(lists)))):
+        # a string of the payload looks like a marker
+        marks, text = [], json.dumps(payload, indent=2, sort_keys=True)
     with _out_file(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        end = 0
+        for mark in marks:
+            line = text[text.rfind("\n", 0, mark.start()) + 1 : mark.start()]
+            pad = line[: len(line) - len(line.lstrip(" "))]
+            items = map(float.__repr__, lists[int(mark[1])])
+            fh.write(f"{text[end : mark.start()]}[\n  {pad}{next(items)}")
+            fh.writelines(map(f",\n  {pad}".__add__, items))
+            fh.write(f"\n{pad}]")
+            end = mark.end()
+        fh.write(text[end:])
         fh.write("\n")
 
 
@@ -356,9 +444,15 @@ def _cmd_simulate(args) -> int:
     else:
         res = run_loss_experiment(cfg)
         norm_names = ["inf" if k == math.inf else str(k) for k in norms]
-        rows = [[i, code, norm_name, loss] for i, rep in enumerate(res.per_rep_losses.tolist())
-                for code, by_norm in zip(codes, rep) for norm_name, loss in zip(norm_names, by_norm)]
-        artifacts.append(_write_table(args, "losses", ["rep", "estimator", "norm", "loss"], rows))
+        header = ["rep", "estimator", "norm", "loss"]
+        if args.format == "json":
+            rows = [[i, code, norm_name, loss] for i, rep in enumerate(res.per_rep_losses.tolist())
+                    for code, by_norm in zip(codes, rep) for norm_name, loss in zip(norm_names, by_norm)]
+            artifacts.append(_write_table(args, "losses", header, rows))
+        else:
+            path = os.path.join(args.out, "losses.csv")
+            _write_loss_csv(path, header, codes, norm_names, res.per_rep_losses)
+            artifacts.append(path)
         argv += ["--n", str(args.n)]
         if args.svg:
             groups = list(zip(codes, res.per_rep_losses[:, :, 0].T.tolist()))  # the first norm

@@ -26,16 +26,20 @@ the cumulative counts ``C``,
     min over u <= q of max over w > q of (C_w - 1 - C_u) / ((w - u)(n - 1)).
 
 Up to ``DENSE_LOO_MAX_D`` points it is computed densely, every ``(u, w)``
-pair at once in O(D^2) per row. Beyond that cap, or when ``(D + 1) n``
-exceeds 2**53 so that a slope's numerator or denominator might not be an
-exact float, an O(D log D) hull pass runs per row. Both give the correctly
-rounded exact value.
+pair at once in O(D^2) per row. Beyond that cap a vectorized pass runs per
+row: the vertices of the majorant of C (:func:`majorant_vertices`), then
+one whole-array tangent search per point and a running min, in O(D log D)
+numpy operations. Both need ``(D + 1) n <= 2**53``, so that a slope's
+numerator and denominator are exact floats and their cross products exact
+int64; past that bound an O(D log D) hull pass on Python ints runs per row.
+All three give the correctly rounded exact value.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .errors import InsufficientSampleError
 from .models import FrequencyData, Pmf
@@ -55,7 +59,7 @@ SHAPE_KINDS = {"r": REARRANGEMENT, "G": GRENANDER, "sr": REARRANGEMENT, "sG": GR
 NORMS = (1, 2, math.inf)
 
 #: Largest D at which the isotonic leave-one-out pass uses the dense O(D^2)
-#: min-max kernel; above it the O(D log D) hull pass is faster or near it.
+#: min-max kernel; above it the vectorized O(D log D) pass runs per row.
 DENSE_LOO_MAX_D = 64
 
 #: Slopes per slice of the dense kernel's rows, which bounds its working set
@@ -171,6 +175,97 @@ def _push_hull(hull: list[int], cum: list[int], i: int) -> None:
     hull.append(i)
 
 
+def _hull_vertices(cum: list[int]) -> list[int]:
+    """Vertices of the upper hull of the points ``(i, cum[i])``, turns strictly concave."""
+    vertices: list[int] = []
+    for i in range(len(cum)):
+        _push_hull(vertices, cum, i)
+    return vertices
+
+
+def majorant_vertices(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Vertices V of the least concave majorant of the points ``(i, C_i)``,
+    ``i = 0 .. D``, where ``cum`` holds the cumulative counts C as int64;
+    turns are strictly concave, so ``V[0] = 0`` and ``V[-1] = D``.
+
+    V is taken from the block starts of SciPy's PAVA on the counts, and
+    accepted only after an exact certificate: neighbouring blocks with equal
+    slopes are merged, the slopes must then strictly decrease, and every
+    point must lie on or below its block's chord. The polygon through V is
+    then concave, lies above every point and meets them at V, so it is the
+    majorant. Should the float PAVA pool or split wrongly, the hull is built
+    point by point instead. Products stay below ``(D + 1) n``, so the
+    certificate is exact in int64 while that is at most 2**53.
+    """
+    vert = isotonic_regression(counts.astype(float), increasing=False).blocks.astype(np.int64)
+    widths = np.diff(vert)
+    rises = cum[vert[1:]] - cum[vert[:-1]]
+    turn = rises[:-1] * widths[1:] - rises[1:] * widths[:-1]  # > 0: the slope falls at the vertex
+    if (turn >= 0).all():
+        vert = vert[np.append(np.append(True, turn > 0), True)]
+        widths = np.diff(vert)
+        rises = cum[vert[1:]] - cum[vert[:-1]]
+        block = np.repeat(np.arange(widths.size), widths)
+        start = vert[block]
+        if ((cum[:-1] - cum[start]) * widths[block] <= rises[block] * (np.arange(counts.size) - start)).all():
+            return vert
+    return np.array(_hull_vertices(cum.tolist()), dtype=np.int64)
+
+
+def _max_slope_vertices(vert: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """For each point u, the majorant vertex w past the last vertex <= u
+    that maximizes ``(C_w - 1 - C_u) / (w - u)``, for ``vert`` from
+    :func:`majorant_vertices` and int64 cumulative counts ``cum``.
+
+    Seen from a point left of a concave chain, the slopes to its vertices
+    are unimodal, so this is a binary search, run for every point at once
+    and each round only over the points still searching.
+    """
+    d, cv = cum.size - 1, cum[vert]
+    lo = np.searchsorted(vert, np.arange(d), side="right")
+    hi = np.full(d, vert.size - 1)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live]) >> 1
+        y = cum[live] + 1
+        # the slope to vertex mid + 1 exceeds the slope to mid (times the positive widths)
+        right = (cv[mid + 1] - y) * (vert[mid] - live) > (cv[mid] - y) * (vert[mid + 1] - live)
+        lo[live[right]] = mid[right] + 1
+        hi[live[~right]] = mid[~right]
+        live = live[lo[live] < hi[live]]
+    return vert[lo]
+
+
+def _loo_grenander_vec(counts: np.ndarray, n: int) -> np.ndarray:
+    """:func:`_loo_grenander_fast` in whole-array passes, for one row with
+    ``(D + 1) n <= 2**53``.
+
+    Let V be the majorant's vertices and ``H(u)`` the max of ``(C_w - 1 -
+    C_u) / (w - u)`` over the vertices w past the last vertex ``<= u``. The
+    value at q is the running min of H up to q. Take q with majorant
+    neighbours ``s <= q < t``. The bridge touches V at or after t, so the
+    value is the min over u <= q of the max over w in V, w >= t:
+
+    * for ``s <= u <= q`` that max is H(u);
+    * for u < s it is no smaller than at s, as from each such w the chord
+      of the majorant and ``-1 / (w - u)`` both fall while u rises to s;
+    * and every H(u), u <= q, is at least the value, as it maxes over more w.
+
+    H comes from :func:`_max_slope_vertices`. Each value is one division of
+    exact int64 operands, ``num / (den (n - 1))``, and rounding is monotone,
+    so the running min of the rounded values is the rounded exact min:
+    bitwise the hull pass's value.
+    """
+    d = counts.size
+    cum = np.zeros(d + 1, dtype=np.int64)
+    np.cumsum(counts, out=cum[1:])
+    w = _max_slope_vertices(majorant_vertices(counts, cum), cum)
+    vals = (cum[w] - 1 - cum[:-1]) / ((w - np.arange(d)) * (n - 1))
+    np.minimum.accumulate(vals, out=vals)
+    vals[counts == 0] = 0.0
+    return vals
+
+
 def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
     """Coordinate j of the isotonic fit of ``counts - e_j``, for all j.
 
@@ -191,9 +286,7 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
     """
     d = counts.size
     cum = [0] + np.cumsum(counts).tolist()
-    vertices: list[int] = []
-    for i in range(d + 1):
-        _push_hull(vertices, cum, i)
+    vertices = _hull_vertices(cum)
 
     out = np.zeros(d)
     hull: list[int] = []
@@ -243,9 +336,10 @@ def loo_stacks(counts: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.nd
     stacks, for a ``(B, D)`` integer count stack whose rows all total ``n``.
     Row b is bitwise :func:`loo_vectors_fast` on row b alone.
 
-    The isotonic pass is the dense kernel while ``D <= DENSE_LOO_MAX_D`` and
-    its slopes are exact-float quotients, ``(D + 1) n <= 2**53``, and the
-    hull pass row by row otherwise.
+    The isotonic pass takes one of three routes. While every slope is an
+    exact-float quotient, ``(D + 1) n <= 2**53``, it is the dense kernel up
+    to ``D = DENSE_LOO_MAX_D`` and the vectorized pass row by row beyond;
+    past that bound the hull pass runs row by row on Python ints.
     """
     _check_kind(kind)
     if n < 2:
@@ -254,10 +348,12 @@ def loo_stacks(counts: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.nd
     d = counts.shape[1]
     if kind == REARRANGEMENT:
         shape_loo = _loo_rearrangement(counts, n)
-    elif d <= DENSE_LOO_MAX_D and (d + 1) * n <= 2**53:
+    elif (d + 1) * n > 2**53:
+        shape_loo = np.stack([_loo_grenander_fast(row, n) for row in counts])
+    elif d <= DENSE_LOO_MAX_D:
         shape_loo = _loo_grenander_dense(counts, n)
     else:
-        shape_loo = np.stack([_loo_grenander_fast(row, n) for row in counts])
+        shape_loo = np.stack([_loo_grenander_vec(row, n) for row in counts])
     return pi, shape_loo
 
 

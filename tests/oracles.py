@@ -16,6 +16,8 @@ coverage replications did before they shared one set of normals across
 their centers.
 :func:`reference_frequency_total` checks and totals counts with Python
 ints, as a reference for ``FrequencyData``'s array reductions.
+:func:`reference_read_counts` reads a counts file in text mode one token
+at a time, as the CLI did before it converted plain files with numpy.
 :func:`reference_cv_beta` computes the mixture weight from 1-D sums, as the
 library did before its stacked engine, and :func:`reference_fit` each
 estimator on one count vector, as the library did before one engine
@@ -47,6 +49,7 @@ from stackpmf import (
     rearrange_decreasing,
     sample,
 )
+from stackpmf.cli import CountsParseError
 from stackpmf.estimators import A_N_TOL
 from stackpmf.errors import EmptyInputError
 from stackpmf.models import MAX_COUNT, SAMPLING_TRUNCATION
@@ -59,7 +62,7 @@ counts_vectors = st.lists(st.integers(0, 5), min_size=0, max_size=30).flatmap(
 )
 
 
-def _staircase(steps: list[tuple[int, int]], bump_at: int, bump: int) -> np.ndarray:
+def staircase(steps: list[tuple[int, int]], bump_at: int, bump: int) -> np.ndarray:
     """Counts falling by ``drop`` then holding for ``width`` indices per step,
     ending at 1, with ``bump`` added at index ``bump_at`` if it exists."""
     level = sum(drop for drop, _ in steps) + 1
@@ -76,7 +79,7 @@ def _staircase(steps: list[tuple[int, int]], bump_at: int, bump: int) -> np.ndar
 #: the last, with 0-2 observations added at one index. Steps whose levels
 #: differ by little make the leave-one-out bridge cross several blocks.
 staircase_vectors = st.builds(
-    _staircase,
+    staircase,
     st.lists(st.tuples(st.integers(0, 2), st.integers(1, 8)), min_size=1, max_size=12),
     st.integers(0, 95),
     st.integers(0, 2),
@@ -257,6 +260,41 @@ def reference_fit(code: str, x: FrequencyData) -> np.ndarray:
         return shape
     beta = reference_cv_beta(x, kind)[0] if x.n > 1 else 0.0
     return beta * shape + (1.0 - beta) * base
+
+
+def reference_read_counts(path) -> tuple[np.ndarray, list[str]]:
+    """:func:`stackpmf.cli.read_counts` as it was before it read the bytes
+    once and converted plain files with numpy: the file opened in text mode
+    and read one token at a time."""
+    values: list[int] = []
+    warnings: list[str] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise CountsParseError(f"cannot read {path}: {exc.strerror}", line=0) from exc
+    except UnicodeDecodeError as exc:
+        raise CountsParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})", line=0) from exc
+    for lineno, line in enumerate(lines, start=1):
+        for token in line.split():
+            if not (token.isascii() and token.isdigit()):
+                raise CountsParseError(f"not a nonnegative integer count: {token!r}", line=lineno)
+            digits = token.lstrip("0")
+            if len(digits) > len(str(MAX_COUNT)):
+                raise CountsParseError(f"total count exceeds {MAX_COUNT}", line=lineno)
+            values.append(int(digits or "0"))
+    if not values:
+        raise CountsParseError("no counts found", line=len(lines))
+    if sum(values) > MAX_COUNT:
+        raise CountsParseError(f"total count exceeds {MAX_COUNT}", line=len(lines))
+    trimmed = len(values)
+    while trimmed > 0 and values[trimmed - 1] == 0:
+        trimmed -= 1
+    if trimmed == 0:
+        raise CountsParseError("all counts are zero", line=len(lines))
+    if trimmed < len(values):
+        warnings.append(f"stripped {len(values) - trimmed} trailing zero count(s)")
+    return np.asarray(values[:trimmed], dtype=np.int64), warnings
 
 
 def reference_frequency_total(values: list[int], declared: int = 0) -> int:

@@ -5,7 +5,9 @@ import csv
 import json
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stackpmf
-from stackpmf.cli import build_parser, main
+from oracles import reference_read_counts
+from stackpmf import cli
+from stackpmf.cli import CountsParseError, build_parser, main
 from stackpmf.confidence import MAX_QUANTILE_DRAWS, MIN_QUANTILE_DRAWS
-from stackpmf.models import MAX_SUPPORT
+from stackpmf.models import MAX_COUNT, MAX_SUPPORT
 
 
 def run(args):
@@ -125,6 +129,115 @@ class TestEstimate:
     def test_usage_error_without_kind(self, tmp_path):
         counts = write_counts(tmp_path, "1 2\n")
         assert run(["estimate", "--input", counts, "--out", tmp_path]) == 2
+
+
+_plain_tokens = st.one_of(st.integers(0, 12).map(str), st.integers(0, 12).map(lambda v: f"000{v}"))
+
+#: Tokens that are no counts to the reader, of 18 to 4301 digits (int()'s
+#: limit is 4300), and near MAX_COUNT.
+_odd_tokens = st.one_of(
+    st.sampled_from(["+5", "1_0", "-3", "\u0663", "\uff11\uff12", "5e3", "0x1f", "1.0"]),
+    st.sampled_from([18, 19, 20, 4301]).flatmap(
+        lambda k: st.sampled_from(["9" * k, "1" + "0" * (k - 1), "0" * (k - 1) + "7"])),
+    st.sampled_from([MAX_COUNT, MAX_COUNT - 1, MAX_COUNT + 1, MAX_COUNT // 2, MAX_COUNT // 3 + 1]).map(str),
+)
+
+#: The whitespace bytes.split knows, and a lone CR and CRLF.
+_ascii_separators = st.sampled_from([" ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "  \n"])
+
+#: Separators only str.split knows: \x1c-\x1f, NBSP and the line separator.
+_odd_separators = st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2028"])
+
+
+@st.composite
+def counts_files(draw) -> bytes:
+    """Counts files of up to 8 plain tokens and 0-3 trailing zeros on ASCII
+    whitespace, then perhaps mutated: one odd token or separator, a UTF-8
+    byte order mark, or an invalid UTF-8 byte."""
+    tokens = draw(st.lists(_plain_tokens, max_size=8)) + ["0"] * draw(st.integers(0, 3))
+    seps = draw(st.lists(_ascii_separators, min_size=len(tokens) + 2, max_size=len(tokens) + 2))
+    mutation = draw(st.sampled_from([None, None, "token", "separator", "bom", "byte"]))
+    if mutation == "token":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_odd_tokens))
+    elif mutation == "separator":
+        seps[draw(st.integers(0, len(seps) - 1))] = draw(_odd_separators)
+    data = (seps[0] + "".join(t + s for t, s in zip(tokens, seps[1:]))).encode("utf-8")
+    if mutation == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif mutation == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+def _read_outcome(read, *args):
+    """``(dtype, counts bytes, warnings)`` of a read, or the message and line of its error."""
+    try:
+        counts, warnings = read(*args)
+    except CountsParseError as exc:
+        return str(exc), exc.line
+    return counts.dtype.str, counts.tobytes(), warnings
+
+
+class TestReadCounts:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(counts_files())
+    @example(b"")
+    @example(b" \r\n\t")
+    @example(b"0 0\n0\n")
+    @example(b"3 0 0\r\n")
+    @example(f"{MAX_COUNT}\n".encode())
+    @example(f"{MAX_COUNT - 1} 1\n".encode())
+    @example(f"{MAX_COUNT} 1\n".encode())
+    @example(f"{MAX_COUNT // 2} {MAX_COUNT // 2 + 1}\n".encode())
+    @example(f"{MAX_COUNT // 2 + 1} {MAX_COUNT // 2 + 1}\n".encode())
+    @example(f"{2**63 - 1} {2**63 - 1} 2".encode())
+    def test_numpy_path_and_token_scan_agree(self, data):
+        # the numpy path either declines or gives the scan's counts; the
+        # reader as a whole gives the text-mode reader's counts, warnings,
+        # or message and line, and the CLI its exit code
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counts.txt"
+            path.write_bytes(data)
+            scan = _read_outcome(cli._scan_counts, data, str(path))
+            plain = cli._convert_plain_counts(data)
+            if plain is not None:
+                assert _read_outcome(lambda: plain) == scan
+            reference = _read_outcome(reference_read_counts, str(path))
+            assert _read_outcome(cli.read_counts, str(path)) == scan == reference
+            code = main(["estimate", "--input", str(path), "--kind", "e", "--out", str(Path(tmp) / "out")])
+            assert code == (3 if len(reference) == 2 else 0)
+
+
+_json_text = st.text(alphabet=st.sampled_from(["a", "1", "\x00", '"', "\\", "\u00e9"]), max_size=4)
+
+#: JSON payloads whose leaves include lists of floats (nan, inf and -0.0
+#: among them) and strings that look like the splice markers.
+json_payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _json_text, st.lists(st.floats(), max_size=5)),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(_json_text, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestWriters:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(json_payloads)
+    def test_json_writer_gives_json_dump_bytes(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.json"
+            cli._write_json(str(path), payload)
+            assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_loss_table_gives_csv_writer_bytes(self, tmp_path):
+        losses = np.random.default_rng(3).random((7, 3, 2)) * 10.0 ** np.arange(-8, 10, 3).reshape(1, 3, 2)
+        losses[0, 0] = [math.nan, math.inf]
+        codes, norm_names, header = ["sG", "e", "sG"], ["1", "inf"], ["rep", "estimator", "norm", "loss"]
+        cli._write_loss_csv(str(tmp_path / "fast.csv"), header, codes, norm_names, losses)
+        rows = [[i, code, norm, loss] for i, rep in enumerate(losses.tolist())
+                for code, by_norm in zip(codes, rep) for norm, loss in zip(norm_names, by_norm)]
+        cli._write_csv(str(tmp_path / "rows.csv"), header, rows)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestSimulate:

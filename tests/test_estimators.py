@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import (
     loo_vectors,
     random_frequency_data,
     reference_loo_rearrangement,
+    staircase,
     staircase_vectors,
 )
 from stackpmf import (
@@ -163,9 +165,10 @@ class TestLooVectors:
         self.check_grenander_is_exact(counts)
 
     def test_grenander_peak_memory(self):
-        # O(D) Python ints for the cumulative sums and two hulls; the bound
-        # was fixed from 2.85 MB measured on this pass and 10.4 MB with one
-        # persistent hull per suffix plus binary-lifting tables
+        # O(D) int64 and float arrays of the vectorized pass (2.8 MB here;
+        # the hull pass on Python ints measures 4.8 MB); the bound was fixed
+        # against 10.4 MB with one persistent hull per suffix plus
+        # binary-lifting tables
         x = FrequencyData(np.arange(1, 50002, dtype=np.int64))
         tracemalloc.start()
         try:
@@ -212,15 +215,19 @@ def _reshuffled_permutations(rng, base: np.ndarray, rows: int) -> np.ndarray:
     return stack
 
 
-#: Stacks of 1-40 rows whose length D straddles DENSE_LOO_MAX_D or is small,
-#: with tie-heavy counts (0-3) or large ones (up to 2**40).
-loo_stacks_cases = st.builds(
-    _equal_total_stack,
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 40),
-    st.one_of(st.integers(1, 8), st.integers(DENSE_LOO_MAX_D - 3, DENSE_LOO_MAX_D + 3)),
-    st.sampled_from([3, 2**40]),
-)
+@st.composite
+def _loo_stacks_cases(draw):
+    d = draw(st.one_of(st.integers(1, 8), st.integers(DENSE_LOO_MAX_D - 3, DENSE_LOO_MAX_D + 3),
+                       st.integers(DENSE_LOO_MAX_D + 1, 400)))
+    rows = draw(st.integers(1, 40 if d <= DENSE_LOO_MAX_D + 3 else 3))
+    return _equal_total_stack(draw(st.integers(0, 2**32 - 1)), rows, d, draw(st.sampled_from([3, 2**30, 2**40])))
+
+
+#: Stacks whose length D is small, straddles DENSE_LOO_MAX_D (1-40 rows) or
+#: lies past it up to 400 (1-3 rows, where the exact oracle is slow), with
+#: tie-heavy counts (0-3) or large ones (up to 2**30, or up to 2**40, which
+#: from D of about 128 pushes (D + 1) n past 2**53, so the hull pass runs).
+loo_stacks_cases = _loo_stacks_cases()
 
 
 def _stack_totalling(seed: int, rows: int, d: int, n: int, even: bool) -> np.ndarray:
@@ -284,6 +291,79 @@ class TestLooStacks:
 
         monkeypatch.setattr(est, "_loo_grenander_dense", dense_is_not_called)
         self.check_rows(np.array([[2**51, 7, 2**51 + 1], [2**51 + 1, 2**51, 7], [7, 2**51 + 1, 2**51]]))
+
+    @pytest.mark.parametrize("row", [
+        pytest.param(staircase([(1, 8)] * 9 + [(2, 5)] * 4, 30, 2), id="staircase"),
+        pytest.param(staircase([(0, 7), (1, 60), (1, 3), (2, 70)], 70, 1), id="staircase-long-steps"),
+        pytest.param(np.arange(1, 201), id="single-block-increasing"),
+        pytest.param(np.full(150, 3), id="single-block-flat"),
+        pytest.param(np.arange(300, 0, -1), id="every-point-a-vertex"),
+        pytest.param(np.arange(200, 0, -1) ** 2, id="every-point-a-vertex-convex-counts"),
+    ])
+    def test_wide_rows_of_known_shape_are_exact(self, row, monkeypatch):
+        def hull_is_not_called(*args):
+            raise AssertionError("hull pass called below 2**53")
+
+        monkeypatch.setattr(est, "_loo_grenander_fast", hull_is_not_called)
+        assert row.size > DENSE_LOO_MAX_D
+        self.check_rows(np.array([row, row[::-1]], dtype=np.int64))
+
+    @pytest.mark.parametrize("blocks", ["one-block", "singletons"])
+    def test_wrong_pava_partition_falls_back_to_the_hull(self, blocks, monkeypatch):
+        # one block over-pools (points rise above the chord); singletons
+        # leave rising slopes: both fail the certificate
+        built = []
+
+        def wrong_pava(v, increasing):
+            edges = [0, v.size] if blocks == "one-block" else list(range(v.size + 1))
+            return types.SimpleNamespace(blocks=np.array(edges))
+
+        def hull_vertices(cum):
+            built.append(len(cum))
+            return hull(cum)
+
+        hull = est._hull_vertices
+        monkeypatch.setattr(est, "isotonic_regression", wrong_pava)
+        monkeypatch.setattr(est, "_hull_vertices", hull_vertices)
+        stack = _equal_total_stack(11, 3, 120, 3)
+        self.check_rows(stack)
+        assert built == [121] * 3
+
+    @pytest.mark.parametrize("d, n, pass_name", [
+        (127, 2**46, "_loo_grenander_vec"),  # (D + 1) n = 2**53
+        (106, 3 * 28059810762433, "_loo_grenander_fast"),  # (D + 1) n = 2**53 + 1
+    ], ids=["at-2p53", "past-2p53"])
+    def test_vectorized_pass_runs_up_to_the_exact_float_guard(self, d, n, pass_name, monkeypatch):
+        assert (d + 1) * n - 2**53 == (pass_name == "_loo_grenander_fast")
+        other = {"_loo_grenander_vec": "_loo_grenander_fast", "_loo_grenander_fast": "_loo_grenander_vec"}[pass_name]
+        calls = []
+
+        def not_called(*args):
+            raise AssertionError(f"{other} called")
+
+        def counted(row, total, run=getattr(est, pass_name)):
+            calls.append(total)
+            return run(row, total)
+
+        monkeypatch.setattr(est, other, not_called)
+        monkeypatch.setattr(est, pass_name, counted)
+        for even in (False, True):
+            stack = _stack_totalling(17, 2, d, n, even)
+            self.check_rows(stack)
+        assert calls == [n] * 4
+
+    def test_vectorized_peak_memory_on_decreasing_counts(self):
+        # every point is a majorant vertex, so the binary searches run over
+        # D + 1 vertices for D points at once; the bound was fixed before
+        # measuring 5.3 MB here (the hull pass: 8.7 MB)
+        x = FrequencyData(np.arange(50001, 0, -1, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            loo_vectors_fast(x, GRENANDER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
 
     @pytest.mark.parametrize("n", [2**62 - 3, MAX_COUNT], ids=["total-2p62-minus-3", "total-max-count"])
     def test_rearrangement_at_totals_near_max_count(self, n):

@@ -17,6 +17,22 @@ ALL = "e,mm,r,G,sr,sG"
 #: Non-monotone counts, so the shape fits and the stacked weights all differ.
 COUNTS = "7 5 6 2 3 0 1 1\n"
 
+
+def _wide_counts() -> bytes:
+    """A counts file of 3004 tokens on CRLF lines of 17: a noisy decreasing
+    ramp with ties, interior zeros and leading-zero tokens, ending in four
+    zero counts that the reader strips with a warning. D = 3000 runs the
+    leave-one-out pass past the dense kernel and writes long float lists."""
+    tokens = []
+    for j in range(3000):
+        count = 0 if (j * 31) % 17 == 0 else (3000 - j) // 60 + (j * 7919) % 4
+        tokens.append(f"00{count}" if j % 13 == 5 else str(count))
+    tokens[-1] = "3"
+    tokens += ["0"] * 4
+    lines = [" ".join(tokens[i : i + 17]) for i in range(0, len(tokens), 17)]
+    return ("\r\n".join(lines) + "\r\n").encode("ascii")
+
+
 LOSS_M2 = ["simulate", "--model", "M2", "--n", 40, "--reps", 12, "--est", ALL,
            "--norm", "1,2,inf", "--svg", "--seed", 5]
 LOSS_M2_FILES = {
@@ -25,7 +41,8 @@ LOSS_M2_FILES = {
 }
 
 #: case id -> (argv, {data file: sha256}). ``{counts}`` is replaced by the
-#: counts file above and ``{theta}`` by an ``estimate --kind sG`` of it.
+#: counts file above, ``{wide}`` by the wide one and ``{theta}`` by an
+#: ``estimate --kind sG`` of the first.
 GOLDEN = {
     "loss-M2-workers-1": (LOSS_M2 + ["--workers", 1], LOSS_M2_FILES),
     "loss-M2-workers-2": (LOSS_M2 + ["--workers", 2], LOSS_M2_FILES),
@@ -83,6 +100,18 @@ GOLDEN = {
         ["band", "--input", "{counts}", "--kind", "G", "--alpha", 0.05, "--mc", 500, "--seed", 10],
         {"band.csv": "fcc1d9889fcaaafd65e65f10e7275043db11d7f1bed1fada01fa270f648d288a"},
     ),
+    "estimate-sG-band-wide": (
+        ["estimate", "--input", "{wide}", "--kind", "sG", "--band", 0.1, "--mc", 500, "--seed", 9],
+        {"estimate.json": "59dd628aa65754c41c9d0321b244bd10de4b2953960f16c87d3ab09e7c0c9330"},
+    ),
+    "estimate-G-wide": (
+        ["estimate", "--input", "{wide}", "--kind", "G", "--seed", 9],
+        {"estimate.json": "c3d02f505673a0bb6663679dd47c9ba5d8d4903db187bc55dd203c473233ddcd"},
+    ),
+    "band-input-sG-wide": (
+        ["band", "--input", "{wide}", "--kind", "sG", "--alpha", 0.05, "--mc", 500, "--seed", 10],
+        {"band.csv": "5c2fa27233497342e69dc8db8232810da20d8bd65f089f2d0baf837fdf0df1d6"},
+    ),
     "band-theta": (
         ["band", "--theta", "{theta}", "--alpha", 0.2, "--mc", 500, "--seed", 11],
         {"band.csv": "47816567fd358718154901e78ec4e060b9822886ea2457567202819f0a3d0417"},
@@ -99,10 +128,12 @@ def test_data_files_keep_their_bytes(case, tmp_path):
     argv, files = GOLDEN[case]
     counts = tmp_path / "counts.txt"
     counts.write_text(COUNTS)
+    wide = tmp_path / "wide.txt"
+    wide.write_bytes(_wide_counts())
     theta = tmp_path / "theta" / "estimate.json"
     if "{theta}" in argv:
         assert main(["estimate", "--input", str(counts), "--kind", "sG", "--out", str(theta.parent)]) == 0
-    fill = {"{counts}": str(counts), "{theta}": str(theta)}
+    fill = {"{counts}": str(counts), "{wide}": str(wide), "{theta}": str(theta)}
     out = tmp_path / "out"
     assert main([fill.get(str(a), str(a)) for a in argv] + ["--out", str(out)]) == 0
     assert {name: _sha256(out / name) for name in files} == files

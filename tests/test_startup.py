@@ -1,4 +1,5 @@
-"""Importing stackpmf, and running Poisson and uniform models, loads no ``scipy.stats``.
+"""Importing stackpmf, running Poisson and uniform models, and fitting and
+banding a counts file load no ``scipy.stats``.
 
 ``scipy.stats`` takes most of the import time of ``stackpmf.cli``, so only
 the negative-binomial branches of :mod:`stackpmf.models` import it. Each
@@ -22,7 +23,12 @@ from stackpmf import cli
 
 out = sys.argv[1]
 common = ["--seed", "3", "--out", out]
+counts = out + "/counts.txt"
+with open(counts, "w") as fh:
+    fh.write("\\n".join(str(7 - j % 7) for j in range(300)) + "\\n")
 runs = {
+    "estimate sG": ["estimate", "--input", counts, "--kind", "sG"],
+    "band input": ["band", "--input", counts, "--kind", "sG", "--alpha", "0.1", "--mc", "200"],
     "M1 coverage": ["simulate", "--model", "M1", "--n", "40", "--reps", "3", "--coverage", "--bandmc", "200"],
     "M7 loss": ["simulate", "--model", "M7", "--n", "40", "--reps", "3", "--est", "e,r,G,mm,sr,sG"],
     "M7 qq": ["qq", "--model", "M7", "--coord", "2", "--n", "40", "--reps", "5"],
@@ -44,6 +50,8 @@ def test_scipy_stats_loads_only_for_negative_binomial_models(tmp_path):
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {
         "import": False,
+        "estimate sG": [0, False],
+        "band input": [0, False],
         "M1 coverage": [0, False],
         "M7 loss": [0, False],
         "M7 qq": [0, False],

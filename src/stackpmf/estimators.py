@@ -15,7 +15,12 @@ Every estimate comes from one engine, :func:`fit_stack`, which fits a
 ``(B, D)`` stack of count vectors for any of the ``ESTIMATOR_CODES``.
 :func:`empirical`, :func:`rearrangement`, :func:`grenander`,
 :func:`minimax`, :func:`stacked`, :func:`cv_beta` and
-:func:`fit_estimator` are its one-row views.
+:func:`fit_estimator` are its one-row views. The isotonic blocks of a
+stack come from one exact integer pool-adjacent-violators pass over all
+its rows, :func:`grenander_blocks`; the Grenander fit takes its levels as
+block means of ``counts / n`` (``shape.block_means``), and the
+leave-one-out pass reuses the blocks as the vertices of the least concave
+majorant.
 
 The leave-one-out vectors, one full refit per observed support point,
 come from :func:`loo_stacks` for a whole ``(B, D)`` stack of count vectors
@@ -27,11 +32,11 @@ the cumulative counts ``C``,
 
 Up to ``DENSE_LOO_MAX_D`` points it is computed densely, every ``(u, w)``
 pair at once in O(D^2) per row. Beyond that cap a vectorized pass runs per
-row: the vertices of the majorant of C (:func:`majorant_vertices`), then
-one whole-array tangent search per point and a running min, in O(D log D)
-numpy operations. Both need ``(D + 1) n <= 2**53``, so that a slope's
-numerator and denominator are exact floats and their cross products exact
-int64; past that bound an O(D log D) hull pass on Python ints runs per row.
+row: from the vertices of the majorant of C, one whole-array tangent
+search per point and a running min, in O(D log D) numpy operations. Both
+need ``(D + 1) n <= 2**53``, so that a slope's numerator and denominator
+are exact floats and their cross products exact int64; past that bound an
+O(D log D) hull pass on Python ints runs per row.
 All three give the correctly rounded exact value.
 """
 
@@ -39,11 +44,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .errors import InsufficientSampleError
 from .models import FrequencyData, Pmf
-from .shape import isotonic_decreasing, rearrange_decreasing
+from .shape import block_means, isotonic_decreasing, rearrange_decreasing  # noqa: F401  (perfbench's tracer looks isotonic_decreasing up here)
 
 REARRANGEMENT = "rearrangement"
 GRENANDER = "grenander"
@@ -61,6 +65,10 @@ NORMS = (1, 2, math.inf)
 #: Largest D at which the isotonic leave-one-out pass uses the dense O(D^2)
 #: min-max kernel; above it the vectorized O(D log D) pass runs per row.
 DENSE_LOO_MAX_D = 64
+
+#: Blocks per count cell that the rounds of :func:`grenander_blocks` may
+#: visit before the rows still pooling take their vertices from the hull.
+POOL_WORK_PER_CELL = 4
 
 #: Slopes per slice of the dense kernel's rows, which bounds its working set
 #: at any number of rows.
@@ -183,39 +191,67 @@ def _hull_vertices(cum: list[int]) -> list[int]:
     return vertices
 
 
-def majorant_vertices(counts: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Vertices V of the least concave majorant of the points ``(i, C_i)``,
-    ``i = 0 .. D``, where ``cum`` holds the cumulative counts C as int64;
-    turns are strictly concave, so ``V[0] = 0`` and ``V[-1] = D``.
+def grenander_blocks(counts: np.ndarray, n: int) -> np.ndarray:
+    """Starts of the maximal constant blocks of the isotonic fit of every
+    row of a ``(B, D)`` count stack whose rows all total ``n``, as indices
+    into ``counts.ravel()``; every row start is one. In row b the starts
+    minus ``b D``, with D appended, are the vertices V of the least concave
+    majorant of the cumulative counts, its turns strictly concave.
 
-    V is taken from the block starts of SciPy's PAVA on the counts, and
-    accepted only after an exact certificate: neighbouring blocks with equal
-    slopes are merged, the slopes must then strictly decrease, and every
-    point must lie on or below its block's chord. The polygon through V is
-    then concave, lies above every point and meets them at V, so it is the
-    majorant. Should the float PAVA pool or split wrongly, the hull is built
-    point by point instead. Products stay below ``(D + 1) n``, so the
-    certificate is exact in int64 while that is at most 2**53.
+    Pool-adjacent-violators on all rows at once: each round pools every
+    maximal run of neighbouring blocks of a row whose means do not fall,
+    tested exactly on their integer sums S and widths W as ``S_k W_(k+1)
+    <= S_(k+1) W_k``. Two such neighbours always share a level of the fit
+    (a fit block's mean is at most that of its last part and at least that
+    of its first), so when nothing is left to pool the blocks are the
+    fit's. A row drops
+    out of the rounds once it has nothing to pool. The products stay below
+    ``(D + 1) n``, so they are exact int64 while that is at most 2**53.
+    Past that bound, and for the rows still pooling once the rounds have
+    visited ``POOL_WORK_PER_CELL`` blocks per count cell (a cascade that
+    pools one block per round), the hull on Python ints gives V.
     """
-    vert = isotonic_regression(counts.astype(float), increasing=False).blocks.astype(np.int64)
-    widths = np.diff(vert)
-    rises = cum[vert[1:]] - cum[vert[:-1]]
-    turn = rises[:-1] * widths[1:] - rises[1:] * widths[:-1]  # > 0: the slope falls at the vertex
-    if (turn >= 0).all():
-        vert = vert[np.append(np.append(True, turn > 0), True)]
-        widths = np.diff(vert)
-        rises = cum[vert[1:]] - cum[vert[:-1]]
-        block = np.repeat(np.arange(widths.size), widths)
-        start = vert[block]
-        if ((cum[:-1] - cum[start]) * widths[block] <= rises[block] * (np.arange(counts.size) - start)).all():
-            return vert
-    return np.array(_hull_vertices(cum.tolist()), dtype=np.int64)
+    rows, d = counts.shape
+    starts, hulled = [], range(rows)
+    if (d + 1) * n <= 2**53:
+        flat = counts.ravel().astype(np.int64, copy=False)
+        pool = flat[:-1] <= flat[1:]  # the first round, on blocks of one point
+        pool[d - 1 :: d] = False
+        start = np.flatnonzero(np.append(True, ~pool))
+        sums, widths = np.add.reduceat(flat, start), np.diff(start, append=flat.size)
+        budget = (POOL_WORK_PER_CELL - 1) * flat.size
+        while True:
+            row = start // d
+            pool = (sums[:-1] * widths[1:] <= sums[1:] * widths[:-1]) & (row[1:] == row[:-1])
+            live = np.zeros(rows, dtype=bool)
+            live[row[1:][pool]] = True
+            live = live[row]
+            starts.append(start[~live])
+            if budget <= 0 or not pool.any():
+                break
+            budget -= start.size
+            heads = np.flatnonzero(np.append(True, ~pool))
+            live = live[heads]
+            start = start[heads][live]
+            sums = np.add.reduceat(sums, heads)[live]
+            widths = np.add.reduceat(widths, heads)[live]
+        hulled = np.unique(start[live] // d).tolist()
+    for b in hulled:
+        starts.append(b * d + np.array(_hull_vertices([0] + np.cumsum(counts[b]).tolist())[:-1]))
+    return np.sort(np.concatenate(starts), kind="stable")  # merges the sorted runs
+
+
+def _row_vertices(starts: np.ndarray, rows: int, d: int) -> list[np.ndarray]:
+    """Per row, the majorant vertices V from the flat block starts of
+    :func:`grenander_blocks` on a ``(rows, d)`` stack."""
+    cuts = np.searchsorted(starts, np.arange(1, rows) * d)
+    return [np.append(s - b * d, d) for b, s in enumerate(np.split(starts, cuts))]
 
 
 def _max_slope_vertices(vert: np.ndarray, cum: np.ndarray) -> np.ndarray:
     """For each point u, the majorant vertex w past the last vertex <= u
-    that maximizes ``(C_w - 1 - C_u) / (w - u)``, for ``vert`` from
-    :func:`majorant_vertices` and int64 cumulative counts ``cum``.
+    that maximizes ``(C_w - 1 - C_u) / (w - u)``, for the majorant vertices
+    ``vert`` and int64 cumulative counts ``cum``.
 
     Seen from a point left of a concave chain, the slopes to its vertices
     are unimodal, so this is a binary search, run for every point at once
@@ -236,9 +272,9 @@ def _max_slope_vertices(vert: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return vert[lo]
 
 
-def _loo_grenander_vec(counts: np.ndarray, n: int) -> np.ndarray:
-    """:func:`_loo_grenander_fast` in whole-array passes, for one row with
-    ``(D + 1) n <= 2**53``.
+def _loo_grenander_vec(row: tuple, n: int) -> np.ndarray:
+    """:func:`_loo_grenander_fast` in whole-array passes, for one row
+    ``(counts, vert)`` with ``(D + 1) n <= 2**53``.
 
     Let V be the majorant's vertices and ``H(u)`` the max of ``(C_w - 1 -
     C_u) / (w - u)`` over the vertices w past the last vertex ``<= u``. The
@@ -256,18 +292,21 @@ def _loo_grenander_vec(counts: np.ndarray, n: int) -> np.ndarray:
     so the running min of the rounded values is the rounded exact min:
     bitwise the hull pass's value.
     """
+    counts, vert = row
     d = counts.size
     cum = np.zeros(d + 1, dtype=np.int64)
     np.cumsum(counts, out=cum[1:])
-    w = _max_slope_vertices(majorant_vertices(counts, cum), cum)
+    w = _max_slope_vertices(vert, cum)
     vals = (cum[w] - 1 - cum[:-1]) / ((w - np.arange(d)) * (n - 1))
     np.minimum.accumulate(vals, out=vals)
     vals[counts == 0] = 0.0
     return vals
 
 
-def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
-    """Coordinate j of the isotonic fit of ``counts - e_j``, for all j.
+def _loo_grenander_fast(row: tuple, n: int) -> np.ndarray:
+    """Coordinate j of the isotonic fit of ``counts - e_j``, for all j, for
+    one row ``(counts, vert)``: a count vector and the vertices of the
+    least concave majorant of its cumulative counts.
 
     Works on the cumulative-sum diagram: decrementing index q lowers every
     point right of q by one, and the fitted value at q is the slope of the
@@ -284,11 +323,11 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
     a pointer into V that only moves forward, and the bridge comes from
     alternating binary tangent searches.
     """
-    d = counts.size
+    counts, vert = row
     cum = [0] + np.cumsum(counts).tolist()
-    vertices = _hull_vertices(cum)
+    vertices = vert.tolist()
 
-    out = np.zeros(d)
+    out = np.zeros(counts.size)
     hull: list[int] = []
     k = 0
     for q, count in enumerate(counts.tolist()):
@@ -331,7 +370,8 @@ def _loo_grenander_fast(counts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def loo_stacks(counts: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+def loo_stacks(counts: np.ndarray, n: int, kind: str,
+               starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The ``pi`` and ``shape_loo`` of :class:`LooVectors` as ``(B, D)``
     stacks, for a ``(B, D)`` integer count stack whose rows all total ``n``.
     Row b is bitwise :func:`loo_vectors_fast` on row b alone.
@@ -339,7 +379,10 @@ def loo_stacks(counts: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.nd
     The isotonic pass takes one of three routes. While every slope is an
     exact-float quotient, ``(D + 1) n <= 2**53``, it is the dense kernel up
     to ``D = DENSE_LOO_MAX_D`` and the vectorized pass row by row beyond;
-    past that bound the hull pass runs row by row on Python ints.
+    past that bound the hull pass runs row by row on Python ints. The last
+    two take each row's majorant vertices from the block starts of
+    :func:`grenander_blocks` on the stack: ``starts`` when given (the
+    Grenander fit of the stack already has them), else computed here.
     """
     _check_kind(kind)
     if n < 2:
@@ -348,12 +391,13 @@ def loo_stacks(counts: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.nd
     d = counts.shape[1]
     if kind == REARRANGEMENT:
         shape_loo = _loo_rearrangement(counts, n)
-    elif (d + 1) * n > 2**53:
-        shape_loo = np.stack([_loo_grenander_fast(row, n) for row in counts])
-    elif d <= DENSE_LOO_MAX_D:
+    elif d <= DENSE_LOO_MAX_D and (d + 1) * n <= 2**53:
         shape_loo = _loo_grenander_dense(counts, n)
     else:
-        shape_loo = np.stack([_loo_grenander_vec(row, n) for row in counts])
+        if starts is None:
+            starts = grenander_blocks(counts, n)
+        one_row = _loo_grenander_vec if (d + 1) * n <= 2**53 else _loo_grenander_fast
+        shape_loo = np.stack([one_row(row, n) for row in zip(counts, _row_vertices(starts, *counts.shape))])
     return pi, shape_loo
 
 
@@ -368,11 +412,13 @@ def loo_vectors_fast(x: FrequencyData, kind: str) -> LooVectors:
 # The fit engine and its one-row views
 
 
-def cv_betas(counts: np.ndarray, n: int, kind: str, base: np.ndarray, shape: np.ndarray) -> tuple:
+def cv_betas(counts: np.ndarray, n: int, kind: str, base: np.ndarray, shape: np.ndarray,
+             starts: np.ndarray | None = None) -> tuple:
     """:func:`cv_beta` as arrays ``(beta_hat, a_n, b_n)`` for a ``(B, D)``
     count stack ``counts`` whose rows all total n >= 2, with its empirical
-    and shape stacks ``base`` and ``shape``."""
-    pi, shape_loo = loo_stacks(counts, n, kind)
+    and shape stacks ``base`` and ``shape``; ``starts`` goes on to
+    :func:`loo_stacks`."""
+    pi, shape_loo = loo_stacks(counts, n, kind, starts)
     loo = shape_loo - pi
     a_n = np.sum((shape - base) ** 2, axis=1)
     b_n = np.sum(base * loo, axis=1) - np.sum(base * (shape - base), axis=1)
@@ -391,13 +437,14 @@ def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
     ``(beta_hat, a_n, b_n)`` arrays from :func:`cv_betas`. Every step is
     elementwise or a row reduction, so entry ``[b, a]`` does not depend on
     the other rows. Each fit, and each shape fit behind a stacked one, runs
-    once. A single observation leaves the criterion undefined: the weight
-    is 0 and ``b_n`` is None.
+    once; the blocks of :func:`grenander_blocks` are found once for the
+    isotonic fit and its leave-one-out pass. A single observation leaves
+    the criterion undefined: the weight is 0 and ``b_n`` is None.
     """
     n = xs[0].n
     counts = np.stack([x.counts for x in xs])
     base = counts / n
-    fits, weights = {"e": base}, {}
+    fits, weights, starts = {"e": base}, {}, None
     for code in codes:
         if code not in ESTIMATOR_CODES:
             raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
@@ -409,12 +456,16 @@ def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
             continue
         kind, shape_code = SHAPE_KINDS[code], code[-1]  # sr and sG stack the shape fits r and G
         if shape_code not in fits:
-            fits[shape_code] = (np.stack([isotonic_decreasing(row)[0] for row in base])
-                                if kind == GRENANDER else rearrange_decreasing(base))
+            if kind == GRENANDER:
+                starts = grenander_blocks(counts, n)
+                _, levels, widths = block_means(base, starts)
+                fits[shape_code] = np.repeat(levels, widths).reshape(base.shape)
+            else:
+                fits[shape_code] = rearrange_decreasing(base)
         if code != shape_code:
             shape = fits[shape_code]
             if n > 1:
-                weights[code] = cv_betas(counts, n, kind, base, shape)
+                weights[code] = cv_betas(counts, n, kind, base, shape, starts)
             else:
                 weights[code] = (np.zeros(len(xs)), np.sum((shape - base) ** 2, axis=1), None)
             beta = weights[code][0][:, None]

@@ -8,9 +8,11 @@ one full refit per support point, against which the library's stack
 passes are checked; :func:`exact_loo_grenander` does the same for the
 isotonic fit in exact rational arithmetic, and
 :func:`reference_loo_rearrangement` is the rearrangement pass one count
-vector at a time. :func:`reference_sample`
-rebuilds the sampling table on every call, as the library's sampler did
-before it cached one table per model. :func:`reference_coverage`
+vector at a time. :func:`exact_block_starts` gives the blocks of the exact
+PAV fit, from which :func:`shape_transform` builds the isotonic fit.
+:func:`reference_sample` rebuilds the sampling table on every call, as the
+library's sampler did before it cached one table per model.
+:func:`reference_coverage`
 estimates one sup-norm quantile per center, each from its own normals, as
 coverage replications did before they shared one set of normals across
 their centers.
@@ -42,7 +44,6 @@ from stackpmf import (
     LooVectors,
     band,
     fit_estimator,
-    isotonic_decreasing,
     loo_vectors_fast,
     pmf_truncate,
     quantile_q_alpha,
@@ -99,6 +100,13 @@ def exact_pav_decreasing(counts: list[int]) -> list[Fraction]:
             blocks[-1][0] += total
             blocks[-1][1] += width
     return [Fraction(total, width) for total, width in blocks for _ in range(width)]
+
+
+def exact_block_starts(counts) -> list[int]:
+    """Start of every maximal constant block of :func:`exact_pav_decreasing`
+    on the integer ``counts``."""
+    fit = exact_pav_decreasing([int(c) for c in counts])
+    return [j for j in range(len(fit)) if j == 0 or fit[j] != fit[j - 1]]
 
 
 def exact_loo_grenander(counts) -> list[Fraction]:
@@ -191,13 +199,24 @@ def maximum_upper_sets(v: np.ndarray) -> np.ndarray:
     return fitted
 
 
-def shape_transform(kind: str, v: np.ndarray) -> np.ndarray:
+def shape_transform(kind: str, counts: np.ndarray, n: int) -> np.ndarray:
     """The isotonic fit (``grenander``) or the decreasing rearrangement of
-    the vector ``v``, from the library's shape primitives, which the two
-    isotonic oracles above check on their own."""
-    if kind == GRENANDER:
-        return isotonic_decreasing(v)[0]
-    return rearrange_decreasing(v)
+    ``counts / n``, for integer counts. The isotonic fit takes its blocks
+    from the exact PAV (:func:`exact_block_starts`) and its levels as the
+    block means ``np.add.reduceat(counts / n, starts) / widths``, merging
+    neighbours whose float levels do not fall, as ``isotonic_decreasing``
+    does; the rearrangement is the library's sort, which needs no oracle."""
+    v = counts / n
+    if kind != GRENANDER:
+        return rearrange_decreasing(v)
+    starts = np.array(exact_block_starts(counts))
+    while True:
+        widths = np.diff(np.append(starts, v.size))
+        levels = np.add.reduceat(v, starts) / widths
+        strict = np.append(True, levels[1:] < levels[:-1])
+        if strict.all():
+            return np.repeat(levels, widths)
+        starts = starts[strict]
 
 
 def loo_vectors(x: FrequencyData, kind: str) -> LooVectors:
@@ -216,11 +235,10 @@ def loo_vectors(x: FrequencyData, kind: str) -> LooVectors:
     for j in range(d):
         if counts[j] == 0:
             continue
-        modified = counts.astype(float)
-        modified[j] -= 1.0
-        modified /= n - 1
+        modified = counts.copy()
+        modified[j] -= 1
         pi[j] = (counts[j] - 1) / (n - 1)
-        shape_loo[j] = shape_transform(kind, modified)[j]
+        shape_loo[j] = shape_transform(kind, modified, n - 1)[j]
     return LooVectors(pi=pi, shape_loo=shape_loo, kind=kind)
 
 
@@ -228,7 +246,7 @@ def reference_cv_beta(x: FrequencyData, kind: str) -> tuple:
     """``(beta_hat, a_n, b_n)`` from 1-D sums and a scalar case chain, as
     ``cv_beta`` computed them before it ran on stacks; ``x.n >= 2``."""
     base = x.counts / x.n
-    shape = shape_transform(kind, base)
+    shape = shape_transform(kind, x.counts, x.n)
     a_n = float(np.sum((shape - base) ** 2))
     loo = loo_vectors_fast(x, kind)
     b_n = float(np.sum(base * (loo.shape_loo - loo.pi)) - np.sum(base * (shape - base)))
@@ -255,7 +273,7 @@ def reference_fit(code: str, x: FrequencyData) -> np.ndarray:
         alpha = math.sqrt(x.n) / (x.n + math.sqrt(x.n))
         return alpha * np.full(base.size, 1.0 / base.size) + (1.0 - alpha) * base
     kind = GRENANDER if code[-1] == "G" else REARRANGEMENT
-    shape = shape_transform(kind, base)
+    shape = shape_transform(kind, x.counts, x.n)
     if code in ("r", "G"):
         return shape
     beta = reference_cv_beta(x, kind)[0] if x.n > 1 else 0.0

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -11,10 +10,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     counts_vectors,
+    exact_block_starts,
     exact_loo_grenander,
     loo_vectors,
     random_frequency_data,
     reference_loo_rearrangement,
+    shape_transform,
     staircase,
     staircase_vectors,
 )
@@ -39,6 +40,10 @@ from stackpmf import (
 from stackpmf import estimators as est
 from stackpmf.estimators import DENSE_LOO_MAX_D, NORMS, loo_stacks
 from stackpmf.models import MAX_COUNT, Geometric, TriangularDecreasing, builtin_models
+from stackpmf.shape import block_means
+
+#: The hull on Python ints, kept before any test counts its calls.
+HULL_VERTICES = est._hull_vertices
 
 #: Nonincreasing truths: M1-M4, tri-dec:s and geom:theta.
 DECREASING_TRUTHS = st.one_of(
@@ -192,6 +197,11 @@ class TestLooVectors:
                 assert np.all(loo.shape_loo <= scale * full + 1e-12)
 
 
+#: Falling counts 120 .. 1 and then 10**4: pooling reaches one more block
+#: per round.
+CASCADE = np.append(np.arange(120, 0, -1), 10**4)
+
+
 def _equal_total_stack(seed: int, rows: int, d: int, top: int) -> np.ndarray:
     """``rows`` permutations of one random count vector with entries up to
     ``top`` (and 2 more at one index), each then reshuffled by ``d`` random
@@ -308,26 +318,31 @@ class TestLooStacks:
         assert row.size > DENSE_LOO_MAX_D
         self.check_rows(np.array([row, row[::-1]], dtype=np.int64))
 
+    def test_cascading_pool_rounds_fall_back_to_the_hull(self, monkeypatch):
+        # the last count pools with one more block per round, so the rounds
+        # run out of work long before the 120 they would need; only that row
+        # takes the hull
+        built = []
+        monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
+        self.check_rows(np.array([CASCADE, CASCADE[::-1], np.sort(CASCADE)]))
+        assert built == [CASCADE.size + 1]
+
     @pytest.mark.parametrize("blocks", ["one-block", "singletons"])
     def test_wrong_pava_partition_falls_back_to_the_hull(self, blocks, monkeypatch):
-        # one block over-pools (points rise above the chord); singletons
-        # leave rising slopes: both fail the certificate
+        # rounds cut off after the first leave a partition that still pools:
+        # a rising run as one block below the next block's mean, or falling
+        # singletons before a large last count; the falling sort of the same
+        # counts is final after one round and keeps its blocks
+        if blocks == "one-block":
+            row = np.concatenate([np.arange(1, 81), [40, 500]])
+        else:
+            row = np.append(np.arange(80, 0, -1), 500)
         built = []
-
-        def wrong_pava(v, increasing):
-            edges = [0, v.size] if blocks == "one-block" else list(range(v.size + 1))
-            return types.SimpleNamespace(blocks=np.array(edges))
-
-        def hull_vertices(cum):
-            built.append(len(cum))
-            return hull(cum)
-
-        hull = est._hull_vertices
-        monkeypatch.setattr(est, "isotonic_regression", wrong_pava)
-        monkeypatch.setattr(est, "_hull_vertices", hull_vertices)
-        stack = _equal_total_stack(11, 3, 120, 3)
-        self.check_rows(stack)
-        assert built == [121] * 3
+        monkeypatch.setattr(est, "POOL_WORK_PER_CELL", 1)
+        monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
+        assert row.size > DENSE_LOO_MAX_D
+        self.check_rows(np.array([row, np.sort(row)[::-1]]))
+        assert built == [row.size + 1]
 
     @pytest.mark.parametrize("d, n, pass_name", [
         (127, 2**46, "_loo_grenander_vec"),  # (D + 1) n = 2**53
@@ -386,6 +401,69 @@ class TestLooStacks:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, peak
+
+
+@st.composite
+def _block_stacks(draw):
+    d = draw(st.integers(1, 400))
+    return _equal_total_stack(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 8)), d,
+                              draw(st.sampled_from([5, 2**30])))
+
+
+def _with_reversed(row) -> np.ndarray:
+    return np.array([row, row[::-1]], dtype=np.int64)
+
+
+#: Stacks of 1-8 rows of length 1-400 with one total, from counts 0-5
+#: (ties) or up to 2**30; and a staircase or a falling ramp (every point
+#: a vertex) stacked with its reverse, which rises into fewer blocks (one,
+#: for the ramp).
+block_stacks = st.one_of(
+    _block_stacks(),
+    staircase_vectors.map(_with_reversed),
+    st.integers(1, 400).map(lambda d: _with_reversed(np.arange(d, 0, -1))),
+)
+
+
+class TestGrenanderBlocks:
+    @staticmethod
+    def check_blocks(stack):
+        n, d = int(stack[0].sum()), stack.shape[1]
+        starts = est.grenander_blocks(stack, n)
+        _, levels, widths = block_means(stack / n, starts)
+        fit = np.repeat(levels, widths).reshape(stack.shape)
+        for b, row in enumerate(stack):
+            exact = exact_block_starts(row)
+            got = starts[(b * d <= starts) & (starts < (b + 1) * d)] - b * d
+            assert got.tolist() == exact == HULL_VERTICES([0] + np.cumsum(row).tolist())[:-1], b
+            assert fit[b].tobytes() == shape_transform(GRENANDER, row, n).tobytes(), b
+            # the float levels keep the exact block count: none merge
+            assert np.count_nonzero(np.diff(fit[b])) + 1 == len(exact), b
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(block_stacks)
+    def test_blocks_are_the_exact_pav_blocks(self, stack):
+        self.check_blocks(stack)
+
+    @pytest.mark.parametrize("d, n, hull_rows", [
+        (127, 2**46, 0),  # (D + 1) n = 2**53
+        (106, 3 * 28059810762433, 2),  # (D + 1) n = 2**53 + 1: every row
+    ], ids=["at-2p53", "past-2p53"])
+    def test_int64_rounds_run_up_to_the_exact_float_guard(self, d, n, hull_rows, monkeypatch):
+        assert (d + 1) * n - 2**53 == (hull_rows > 0)
+        built = []
+        monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
+        for even in (False, True):
+            self.check_blocks(_stack_totalling(17, 2, d, n, even))
+        assert built == [d + 1] * 2 * hull_rows
+
+    def test_cascade_falls_back_to_the_hull(self, monkeypatch):
+        # pooling 2000 .. 1 into the last count takes 2001 rounds
+        row = np.append(np.arange(2000, 0, -1), 10**7)
+        built = []
+        monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
+        self.check_blocks(np.array([row]))
+        assert built == [row.size + 1]
 
 
 class TestCvBeta:

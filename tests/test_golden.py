@@ -36,7 +36,7 @@ def _wide_counts() -> bytes:
 LOSS_M2 = ["simulate", "--model", "M2", "--n", 40, "--reps", 12, "--est", ALL,
            "--norm", "1,2,inf", "--svg", "--seed", 5]
 LOSS_M2_FILES = {
-    "losses.csv": "eeae68d66bfe9fcb60114b5c90a500063cc5fc03b53d4ce76de477499e62a559",
+    "losses.csv": "e1b51f0049939b1b338fc4b3c7c2c491b8161fbfefcd95ae86a7dc4b11de3196",
     "losses.svg": "cd16752801dcb12aa51f8a60ca4eba0a1a0706d330f1d4a5422ffebf16c08904",
 }
 
@@ -86,7 +86,7 @@ GOLDEN = {
     "loss-tri-dec-3000": (
         ["simulate", "--model", "tri-dec:3000", "--n", 500, "--reps", 30, "--est", ALL, "--norm", "1,2,inf",
          "--seed", 16],
-        {"losses.csv": "4fcd19dc614f0229d62ba0bc4ec958071735c250abb85af7c191b40a43a539ce"},
+        {"losses.csv": "229f981dde00afac6d83f34231ad7a81ab8ada2d3e2d5960801e63a9dfd103f3"},
     ),
     "estimate-sG-band": (
         ["estimate", "--input", "{counts}", "--kind", "sG", "--band", 0.1, "--mc", 500, "--seed", 9],
@@ -102,15 +102,15 @@ GOLDEN = {
     ),
     "estimate-sG-band-wide": (
         ["estimate", "--input", "{wide}", "--kind", "sG", "--band", 0.1, "--mc", 500, "--seed", 9],
-        {"estimate.json": "59dd628aa65754c41c9d0321b244bd10de4b2953960f16c87d3ab09e7c0c9330"},
+        {"estimate.json": "a5cf06547eb7e0ad28acc206895953eaf819b7f29cd99a2ec734ec4d115f0ea2"},
     ),
     "estimate-G-wide": (
         ["estimate", "--input", "{wide}", "--kind", "G", "--seed", 9],
-        {"estimate.json": "c3d02f505673a0bb6663679dd47c9ba5d8d4903db187bc55dd203c473233ddcd"},
+        {"estimate.json": "966eee120c6dc1eba58b91c6b9c5ee396960879d6d0b1e3c555d4da85feaa50c"},
     ),
     "band-input-sG-wide": (
         ["band", "--input", "{wide}", "--kind", "sG", "--alpha", 0.05, "--mc", 500, "--seed", 10],
-        {"band.csv": "5c2fa27233497342e69dc8db8232810da20d8bd65f089f2d0baf837fdf0df1d6"},
+        {"band.csv": "d163294d4addd8bad51d3198260bdf60e25b24a8b944b1159b99f9f5f528f35a"},
     ),
     "band-theta": (
         ["band", "--theta", "{theta}", "--alpha", 0.2, "--mc", 500, "--seed", 11],

@@ -107,12 +107,18 @@ class TestFitStack:
 
             return counted
 
-        for name in ("isotonic_decreasing", "loo_stacks", "loo_vectors_fast"):
+        for name in ("grenander_blocks", "isotonic_decreasing", "loo_stacks", "loo_vectors_fast"):
             monkeypatch.setattr(est, name, counting(name, getattr(est, name)))
         xs = [FrequencyData(np.array(c)) for c in ([1, 3, 0, 2, 5], [5, 3, 0, 2, 1], [2, 2, 2, 4, 1])]
         est.fit_stack(ESTIMATOR_CODES + ESTIMATOR_CODES, xs)
-        # one leave-one-out pass per stack and kind, none per row
-        assert sorted(calls) == ["isotonic_decreasing"] * 3 + ["loo_stacks"] * 2
+        # one isotonic partition and one leave-one-out pass per stack and
+        # kind, none per row
+        assert sorted(calls) == ["grenander_blocks"] + ["loo_stacks"] * 2
+        # past the dense kernel the leave-one-out pass reuses the partition
+        calls.clear()
+        ramp = np.arange(1, est.DENSE_LOO_MAX_D + 2)
+        est.fit_stack(("sG", "G"), [FrequencyData(ramp), FrequencyData(ramp[::-1].copy())])
+        assert sorted(calls) == ["grenander_blocks", "loo_stacks"]
 
     def test_unknown_code(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Importing stackpmf, running Poisson and uniform models, and fitting and
-banding a counts file load no ``scipy.stats``.
+banding a counts file load neither ``scipy.stats`` nor ``scipy.optimize``.
 
 ``scipy.stats`` takes most of the import time of ``stackpmf.cli``, so only
-the negative-binomial branches of :mod:`stackpmf.models` import it. Each
+the negative-binomial branches of :mod:`stackpmf.models` import it.
+``scipy.optimize`` is imported only by ``shape.isotonic_decreasing`` on
+float input: the estimators fit counts with their own integer PAVA. Each
 check runs in a fresh interpreter, because the test process itself has
-``scipy.stats`` loaded.
+both loaded.
 """
 
 import json
@@ -19,7 +21,10 @@ SRC = str(Path(stackpmf.__file__).resolve().parent.parent)
 
 SCRIPT = """
 import json, sys
-from stackpmf import cli
+from stackpmf import cli, isotonic_decreasing
+
+def loaded():
+    return ["scipy.stats" in sys.modules, "scipy.optimize" in sys.modules]
 
 out = sys.argv[1]
 common = ["--seed", "3", "--out", out]
@@ -32,12 +37,15 @@ runs = {
     "M1 coverage": ["simulate", "--model", "M1", "--n", "40", "--reps", "3", "--coverage", "--bandmc", "200"],
     "M7 loss": ["simulate", "--model", "M7", "--n", "40", "--reps", "3", "--est", "e,r,G,mm,sr,sG"],
     "M7 qq": ["qq", "--model", "M7", "--coord", "2", "--n", "40", "--reps", "5"],
-    "nbin loss": ["simulate", "--model", "nbin:3,0.5", "--n", "40", "--reps", "2"],
 }
-report = {"import": "scipy.stats" in sys.modules}
+report = {"import": loaded()}
 for name, argv in runs.items():
     code = cli.main(argv + common)
-    report[name] = [code, "scipy.stats" in sys.modules]
+    report[name] = [code] + loaded()
+isotonic_decreasing([1.0, 3.0, 2.0])
+report["isotonic_decreasing"] = loaded()
+code = cli.main(["simulate", "--model", "nbin:3,0.5", "--n", "40", "--reps", "2"] + common)
+report["nbin loss"] = [code] + loaded()
 print(json.dumps(report))
 """
 
@@ -48,12 +56,14 @@ def test_scipy_stats_loads_only_for_negative_binomial_models(tmp_path):
                           text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
+    # [exit code,] scipy.stats loaded, scipy.optimize loaded
     assert report == {
-        "import": False,
-        "estimate sG": [0, False],
-        "band input": [0, False],
-        "M1 coverage": [0, False],
-        "M7 loss": [0, False],
-        "M7 qq": [0, False],
-        "nbin loss": [0, True],
+        "import": [False, False],
+        "estimate sG": [0, False, False],
+        "band input": [0, False, False],
+        "M1 coverage": [0, False, False],
+        "M7 loss": [0, False, False],
+        "M7 qq": [0, False, False],
+        "isotonic_decreasing": [False, True],
+        "nbin loss": [0, True, True],
     }

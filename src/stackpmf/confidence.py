@@ -12,10 +12,15 @@ which costs O(D) per draw and needs no factorization of the covariance.
 The sampler and the quantile also take a ``(c, D)`` stack of plug-in
 vectors: the stack shares one set of normals ``Z`` per chunk, and each row's
 draws and quantile are bitwise equal to what that row gets on its own.
-The draws are built in row blocks of about ``2**17`` entries, each laid out
-with its longer axis (D or the number of draws) contiguous, so the sup norm
-reduces along memory order at small and large D alike. A band at large D
-holds one chunk of normals plus two small block buffers.
+The normals are drawn in row blocks of about ``2**17`` entries, and the
+draws are formed in a buffer laid out with its longer axis (D or the number
+of draws) contiguous, so the sup norm reduces along memory order at small
+and large D alike. The sampler holds three block buffers of at most
+``max(2**17, D)`` doubles (about 1 MB each at D up to ``2**17``) besides the
+plug-in roots and the draws it returns, whatever the chunk size. ``S`` is
+numpy's sum of the products ``sqrt(theta_k) * Z_k`` it has already formed,
+not a BLAS dot product, so the draws do not depend on the BLAS library or
+its thread count.
 """
 
 import math
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidPmfError
 from .models import Pmf
-from .rng import substream
+from .rng import _as_int, substream
 
 #: Target number of scalar normals per chunk of draws.
 _CHUNK_TARGET = 1 << 21
@@ -84,37 +89,41 @@ def iter_limit_process(theta, reps: int, seed: int):
 
     Chunk k comes from the substream ``(seed, "supnorm", k)`` with a chunk
     size that depends only on D, so the pooled draws are a deterministic
-    function of ``(seed, reps)`` regardless of scheduling. For a ``(c, D)``
-    stack of plug-in vectors, chunk k's normals are drawn once and its draws
-    are yielded for every row in row order, each bitwise equal to what that
-    row alone yields. Each chunk of a row is yielded in row blocks of at
-    most ``_BLOCK_TARGET // D`` draws, formed in a ``(D, rows)`` buffer whose
-    longer axis is contiguous; every yield is a view of that buffer,
-    overwritten by the next.
+    function of ``(seed, reps)`` regardless of scheduling. Each chunk is
+    drawn in row blocks of at most ``_BLOCK_TARGET // D`` draws, filled one
+    after another from the chunk's stream, so they are the normals one fill
+    of the whole chunk would give. For a ``(c, D)`` stack of plug-in vectors
+    a block's normals are drawn once and its draws are yielded for every row
+    in row order, each bitwise equal to what that row alone yields. A row's
+    draws are formed in a ``(D, rows)`` buffer whose longer axis is
+    contiguous, and ``S`` is numpy's sum of that buffer's products over D
+    (left to right when D is the shorter axis, pairwise along D otherwise),
+    so no BLAS call and no thread count enters the draws. Every yield is a
+    view of that buffer, overwritten by the next.
     """
     stack = _as_theta(theta)
     if reps < 1:
         raise ValueError(f"need at least one draw, got reps={reps}")
     dim = stack.shape[1]
-    # one allocation per root, as for a lone vector, so the BLAS dot product
-    # sees the same operand alignment in a stack as on its own
-    roots = [np.sqrt(row) for row in stack]
+    roots = np.sqrt(stack)
     chunk = _chunk_draws(dim)
     rows = min(chunk, reps, max(1, _BLOCK_TARGET // dim))
     order = "C" if dim < rows else "F"
-    zbuf = np.empty((min(chunk, reps), dim))
+    zbuf = np.empty((rows, dim))
     y_t = np.empty((dim, rows), order=order)
     tmp_t = np.empty((dim, rows), order=order)
+    sbuf = np.empty(rows)
     for k, done in enumerate(range(0, reps, chunk)):
         m = min(chunk, reps - done)
-        z = substream(seed, "supnorm", k).standard_normal(out=zbuf[:m])
-        for row, root in zip(stack, roots):
-            weighted = z @ root
-            for a in range(0, m, rows):
-                e = min(a + rows, m)
-                y, tmp = y_t[:, : e - a], tmp_t[:, : e - a]
-                np.multiply(z[a:e].T, root[:, None], out=y)
-                np.multiply(row[:, None], weighted[a:e], out=tmp)
+        gen = substream(seed, "supnorm", k)
+        for a in range(0, m, rows):
+            r = min(rows, m - a)
+            z = gen.standard_normal(out=zbuf[:r])
+            y, tmp, s = y_t[:, :r], tmp_t[:, :r], sbuf[:r]
+            for row, root in zip(stack, roots):
+                np.multiply(z.T, root[:, None], out=y)
+                np.sum(y, axis=0, out=s)
+                np.multiply(row[:, None], s, out=tmp)
                 y -= tmp
                 yield y.T
 
@@ -127,17 +136,15 @@ def sample_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
     """
     stack = _as_theta(theta)
     out = np.empty((stack.shape[0], reps))
-    chunk = _chunk_draws(stack.shape[1])
-    filled = [0] * stack.shape[0]
-    row = 0
-    for y in iter_limit_process(stack, reps, seed):
-        start = filled[row]
-        filled[row] += y.shape[0]
+    start = 0
+    # blocks come chunk by chunk, within a chunk block by block, and within
+    # a block one per stack row
+    for i, y in enumerate(iter_limit_process(stack, reps, seed)):
+        row = i % stack.shape[0]
         np.abs(y, out=y)
-        y.max(axis=1, out=out[row, start : filled[row]])
-        # blocks come chunk by chunk, and within a chunk row by row
-        if filled[row] % chunk == 0 or filled[row] == reps:
-            row = (row + 1) % stack.shape[0]
+        y.max(axis=1, out=out[row, start : start + y.shape[0]])
+        if row == stack.shape[0] - 1:
+            start += y.shape[0]
     return out if np.ndim(theta) == 2 else out[0]
 
 
@@ -162,13 +169,17 @@ def quantile_q_alpha(theta, alpha: float, reps: int, seed: int):
 def band(center, n: int, q_hat: float, alpha=None, mc_reps=None, seed=None) -> ConfidenceBand:
     """Band of half-width ``q_hat / sqrt(n)`` around ``center``, floored at 0.
 
-    There is no ceiling at 1; only the lower envelope is clamped.
+    There is no ceiling at 1; only the lower envelope is clamped. A NaN or
+    infinite quantile and a non-integer ``n`` raise ``ValueError``; a center
+    with a non-finite entry raises ``InvalidPmfError``.
     """
-    if q_hat < 0.0:
-        raise ValueError(f"quantile must be nonnegative, got {q_hat!r}")
-    if n < 1:
+    if not (math.isfinite(q_hat) and q_hat >= 0.0):
+        raise ValueError(f"quantile must be finite and nonnegative, got {q_hat!r}")
+    if _as_int(n, "sample size") < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     c = center.probs if isinstance(center, Pmf) else np.ascontiguousarray(center, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise InvalidPmfError("center entries must be finite")
     half = q_hat / math.sqrt(n)
     return ConfidenceBand(
         lower=np.maximum(c - half, 0.0),

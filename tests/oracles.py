@@ -24,9 +24,10 @@ at a time, as the CLI did before it converted plain files with numpy.
 library did before its stacked engine, and :func:`reference_fit` each
 estimator on one count vector, as the library did before one engine
 fitted every estimate as a stack.
-:func:`reference_sup_norm` forms each chunk of limit draws as a fresh
-``(m, D)`` array and reduces it row by row, as the library's sampler did
-before it built the draws in row blocks.
+:func:`reference_sup_norm` forms each row block of limit draws as a fresh
+array from a whole chunk of normals, with the centring sum written out in
+its summation order, against the library's sampler that streams the
+normals block by block into reused buffers.
 """
 
 import math
@@ -389,21 +390,35 @@ def reference_coverage(cfg, truth, i: int) -> tuple:
 
 
 def reference_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
-    """Sup-norm draws of the limit Gaussian vector, one whole chunk at a time.
+    """Sup-norm draws of the limit Gaussian vector, each row block from scratch.
 
     Chunk k holds ``max(64, min(8192, 2**21 // D))`` draws (fewer in the
-    last) from the substream ``(seed, "supnorm", k)``; every row of a
-    ``(c, D)`` stack uses the same normals. A vector gives ``(reps,)``.
+    last), drawn whole from the substream ``(seed, "supnorm", k)``; every
+    row of a ``(c, D)`` stack uses the same normals. The chunk is cut into
+    blocks of ``min(chunk, reps, max(1, 2**17 // D))`` draws. For each block
+    the products ``p_ij = Z_ij sqrt(theta_j)`` are a fresh ``(rows, D)``
+    array and ``S_i`` is their plain sum over j: left to right,
+    ``((p_i0 + p_i1) + p_i2) + ...``, when D is less than the block's rows,
+    and numpy's pairwise sum of the contiguous row ``p_i`` otherwise. Then
+    ``Y_ij = p_ij - S_i theta_j``. A vector gives ``(reps,)``.
     """
     stack = np.atleast_2d(np.asarray(theta, dtype=float))
     dim = stack.shape[1]
     chunk = max(64, min(8192, (1 << 21) // dim))
+    rows = min(chunk, reps, max(1, (1 << 17) // dim))
     out = np.empty((stack.shape[0], reps))
     for k, done in enumerate(range(0, reps, chunk)):
         m = min(chunk, reps - done)
         z = substream(seed, "supnorm", k).standard_normal((m, dim))
-        for i, row in enumerate(stack):
-            root = np.sqrt(row)
-            y = z * root - (z @ root)[:, None] * row
-            out[i, done : done + m] = np.abs(y).max(axis=1)
+        for a in range(0, m, rows):
+            for i, row in enumerate(stack):
+                p = z[a : a + rows] * np.sqrt(row)
+                if dim < rows:
+                    s = p[:, 0].copy()
+                    for j in range(1, dim):
+                        s += p[:, j]
+                else:
+                    s = p.sum(axis=1)
+                y = p - s[:, None] * row
+                out[i, done + a : done + a + len(y)] = np.abs(y).max(axis=1)
     return out if np.ndim(theta) == 2 else out[0]

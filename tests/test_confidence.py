@@ -1,6 +1,9 @@
 """Tests for the limit-process sampler, quantile estimation and the band."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -110,17 +113,48 @@ class TestBlockedSampler:
         theta = pmf_truncate(TriangularDecreasing(5000), 1e-12).probs
         np.testing.assert_array_equal(sample_sup_norm(theta, 1000, 9), reference_sup_norm(theta, 1000, 9))
 
-    def test_peak_memory_is_about_one_chunk_of_normals(self):
-        # one chunk of normals at D = 5001 is 419 x 5001 doubles, 16.8 MB;
-        # the bound is 1.5 chunks, fixed before measuring
-        theta = pmf_truncate(TriangularDecreasing(5000), 1e-12).probs
+    @pytest.mark.parametrize("support, reps", [(5000, 1000), (100_000, 100)], ids=["D-5001", "D-100001"])
+    def test_peak_memory_is_a_few_row_blocks(self, support, reps):
+        # the sampler holds three row blocks of at most 2**17 doubles (one
+        # row of D past that), the plug-in vector's roots, the draws and
+        # their partition copy; the bound adds one D-vector and 1 MiB for
+        # numpy and the stream, fixed before measuring. A whole chunk of
+        # normals is 16.8 MB at D = 5001 and 51 MB at D = 100 001.
+        theta = pmf_truncate(TriangularDecreasing(support), 1e-12).probs
+        dim = theta.size
+        block = max(1, 2**17 // dim) * dim * 8
+        bound = 3 * block + 2 * dim * 8 + 2 * reps * 8 + 2**20
         tracemalloc.start()
         try:
-            quantile_q_alpha(theta, 0.05, 1000, seed=9)
+            quantile_q_alpha(theta, 0.05, reps, seed=9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 25e6, peak
+        assert dim == support + 1
+        assert peak < bound, (peak, bound)
+
+    def test_draws_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the centring sum is numpy's, not a BLAS dot product whose blocking
+        # follows OPENBLAS_NUM_THREADS
+        thetas = {
+            "tri-dec-5000": (pmf_truncate(TriangularDecreasing(5000), 1e-12).probs, 1000, 9),
+            "dirichlet-777": (np.random.default_rng(4).dirichlet(np.ones(777)), 5000, 3),
+        }
+        script = tmp_path / "draws.py"
+        script.write_text(
+            "import sys\n"
+            "import numpy as np\n"
+            "from stackpmf import sample_sup_norm\n"
+            "theta, reps, seed = np.load(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])\n"
+            "np.save(sys.argv[4], sample_sup_norm(theta, reps, seed))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+        for name, (theta, reps, seed) in thetas.items():
+            np.save(tmp_path / f"{name}.npy", theta)
+            args = [str(tmp_path / f"{name}.npy"), str(reps), str(seed), str(tmp_path / f"{name}-draws.npy")]
+            subprocess.run([sys.executable, str(script), *args], env=env, check=True)
+            single = np.load(tmp_path / f"{name}-draws.npy")
+            np.testing.assert_array_equal(single, sample_sup_norm(theta, reps, seed), err_msg=name)
 
 
 class TestStackedCenters:
@@ -137,6 +171,15 @@ class TestStackedCenters:
         for i, theta in enumerate(stack):
             np.testing.assert_array_equal(draws[i], sample_sup_norm(theta, reps, seed))
             assert quantiles[i] == quantile_q_alpha(theta, 0.05, reps, seed)
+
+    # D of 300 to 2000 and at least 1000 draws: blocks of 65 to 436 draws,
+    # so every chunk spans several blocks
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(wide_pmf_stacks, st.integers(1000, 3000), st.integers(0, 2**32 - 1))
+    def test_wide_rows_bitwise_equal_to_single_centers(self, stack, reps, seed):
+        draws = sample_sup_norm(stack, reps, seed)
+        for i, theta in enumerate(stack):
+            np.testing.assert_array_equal(draws[i], sample_sup_norm(theta, reps, seed))
 
     def test_vector_keeps_its_return_types(self):
         theta = np.array([0.2, 0.3, 0.5])
@@ -251,6 +294,27 @@ class TestBand:
             quantile_q_alpha(np.array([0.5, 0.5]), 1.5, 1000, seed=1)
         with pytest.raises(ValueError):
             sample_sup_norm(np.array([0.5, 0.5]), 0, seed=1)
+
+    @pytest.mark.parametrize("q_hat", [math.nan, math.inf, np.float64("nan")], ids=["nan", "inf", "numpy-nan"])
+    def test_rejects_a_non_finite_quantile(self, q_hat):
+        with pytest.raises(ValueError, match="quantile"):
+            band(np.array([0.5, 0.5]), 100, q_hat)
+
+    @pytest.mark.parametrize("n", [10.5, 10.0, True, "10"], ids=["fraction", "integral-float", "bool", "str"])
+    def test_rejects_a_non_integer_sample_size(self, n):
+        with pytest.raises(ValueError, match="sample size"):
+            band(np.array([0.5, 0.5]), n, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_center(self, bad):
+        with pytest.raises(InvalidPmfError):
+            band(np.array([0.5, bad]), 100, 0.1)
+
+    def test_accepts_a_numpy_integer_sample_size(self):
+        a = band(np.array([0.5, 0.5]), np.int64(100), 0.1)
+        b = band(np.array([0.5, 0.5]), 100, 0.1)
+        np.testing.assert_array_equal(a.lower, b.lower)
+        np.testing.assert_array_equal(a.upper, b.upper)
 
     def test_one_shot_helper_matches_two_steps(self):
         theta = pmf_truncate(builtin_models()["M1"], 1e-12)

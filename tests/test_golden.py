@@ -94,11 +94,11 @@ GOLDEN = {
     ),
     "estimate-sr-band": (
         ["estimate", "--input", "{counts}", "--kind", "sr", "--band", 0.1, "--mc", 500, "--seed", 9],
-        {"estimate.json": "b4699e4ac9f11c3fe41b721bbf046065aa44a33ddf6cf0a83e84c8a547e86a61"},
+        {"estimate.json": "850ccd82e621a435a28de3c60898d4117754d53943875d2a688bf2f729529346"},
     ),
     "band-input": (
         ["band", "--input", "{counts}", "--kind", "G", "--alpha", 0.05, "--mc", 500, "--seed", 10],
-        {"band.csv": "fcc1d9889fcaaafd65e65f10e7275043db11d7f1bed1fada01fa270f648d288a"},
+        {"band.csv": "a52af91de81b5b8d59fecced20065aa25022de5d8d55ca6c9f21e305cb935a97"},
     ),
     "estimate-sG-band-wide": (
         ["estimate", "--input", "{wide}", "--kind", "sG", "--band", 0.1, "--mc", 500, "--seed", 9],
@@ -114,7 +114,7 @@ GOLDEN = {
     ),
     "band-theta": (
         ["band", "--theta", "{theta}", "--alpha", 0.2, "--mc", 500, "--seed", 11],
-        {"band.csv": "47816567fd358718154901e78ec4e060b9822886ea2457567202819f0a3d0417"},
+        {"band.csv": "466dc7141d01ddd888ee5f61f9d7755760dd70f8f46a546b564ea0cd627f06e4"},
     ),
 }
 

@@ -2,14 +2,19 @@
 
 The tracer records a missing name without failing, so a renamed or deleted
 function would silently zero a per-layer metric; this keeps the lookups in
-the main test suite.
+the main test suite. The sampler is also run under counting wrappers like
+the tracer's, so its draw and chunk counts keep their meaning.
 """
 
 import importlib
 import importlib.util
+import math
 import os
 
+import numpy as np
 import pytest
+
+from stackpmf import confidence
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -31,3 +36,34 @@ LOOKUPS = [(module, attr) for module, attr, _ in _load_tracer().PLAIN_PATCHES] +
 @pytest.mark.parametrize("module,attr", LOOKUPS, ids=[f"{m}.{a}" for m, a in LOOKUPS])
 def test_tracer_lookup_resolves(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("stack_rows, dim, reps", [(3, 12, 8200), (2, 5001, 1000)], ids=["D-12", "D-5001"])
+def test_sampler_wrapped_as_the_tracer_wraps_it(monkeypatch, stack_rows, dim, reps):
+    # the tracer counts y.shape[0] over the yields of iter_limit_process as
+    # the draws, and the calls of confidence.substream as the chunks
+    stack = np.random.default_rng(dim).dirichlet(np.ones(dim), size=stack_rows)
+    expected = confidence.sample_sup_norm(stack, reps, seed=5)
+    counts = {"draws": 0, "substreams": 0}
+
+    def counted_substream(fn):
+        def traced(*args, **kwargs):
+            counts["substreams"] += 1
+            return fn(*args, **kwargs)
+
+        return traced
+
+    def counted_blocks(fn):
+        def traced(*args, **kwargs):
+            for y in fn(*args, **kwargs):
+                counts["draws"] += y.shape[0]
+                yield y
+
+        return traced
+
+    monkeypatch.setattr(confidence, "substream", counted_substream(confidence.substream))
+    monkeypatch.setattr(confidence, "iter_limit_process", counted_blocks(confidence.iter_limit_process))
+    draws = confidence.sample_sup_norm(stack, reps, seed=5)
+    chunk = confidence._chunk_draws(dim)
+    assert counts == {"draws": stack_rows * reps, "substreams": math.ceil(reps / chunk)}
+    np.testing.assert_array_equal(draws, expected)

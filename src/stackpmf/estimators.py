@@ -30,14 +30,13 @@ the cumulative counts ``C``,
 
     min over u <= q of max over w > q of (C_w - 1 - C_u) / ((w - u)(n - 1)).
 
-Up to ``DENSE_LOO_MAX_D`` points it is computed densely, every ``(u, w)``
-pair at once in O(D^2) per row. Beyond that cap a vectorized pass runs per
-row: from the vertices of the majorant of C, one whole-array tangent
-search per point and a running min, in O(D log D) numpy operations. Both
-need ``(D + 1) n <= 2**53``, so that a slope's numerator and denominator
-are exact floats and their cross products exact int64; past that bound an
-O(D log D) hull pass on Python ints runs per row.
-All three give the correctly rounded exact value.
+One kernel computes it for every D and n: from the vertices of the
+majorant of C, one whole-array tangent search per point over the whole
+stack and a running min, in O(B D log D) numpy operations. The value type
+follows from the input. While ``(D + 1) n <= 2**53`` a slope's numerator
+and denominator are exact floats and their cross products exact int64;
+past that bound the cumulative counts are Python ints in object arrays.
+Either way each value is the correctly rounded exact value.
 """
 
 import math
@@ -62,17 +61,9 @@ SHAPE_KINDS = {"r": REARRANGEMENT, "G": GRENANDER, "sr": REARRANGEMENT, "sG": GR
 #: The l_k norms :func:`lk_distance` supports.
 NORMS = (1, 2, math.inf)
 
-#: Largest D at which the isotonic leave-one-out pass uses the dense O(D^2)
-#: min-max kernel; above it the vectorized O(D log D) pass runs per row.
-DENSE_LOO_MAX_D = 64
-
 #: Blocks per count cell that the rounds of :func:`grenander_blocks` may
 #: visit before the rows still pooling take their vertices from the hull.
 POOL_WORK_PER_CELL = 4
-
-#: Slopes per slice of the dense kernel's rows, which bounds its working set
-#: at any number of rows.
-DENSE_LOO_SLICE = 2**16
 
 #: Below this, the squared distance between shape and base is treated as zero
 #: and the mixture weight defaults to 0 (the estimate is unchanged either way).
@@ -139,38 +130,6 @@ def _loo_rearrangement(counts: np.ndarray, n: int) -> np.ndarray:
     desc_next[:, :-1] = desc[:, 1:]
     lowered = (desc >= counts) & (counts > desc_next)
     return np.where(counts > 0, desc - lowered, 0) / (n - 1)
-
-
-def _loo_grenander_dense(counts: np.ndarray, n: int) -> np.ndarray:
-    """The min-max value of :func:`_loo_grenander_fast` for every row and
-    index, from all ``(u, w)`` slopes at once; O(D^2) per row.
-
-    Slopes are correctly rounded quotients of the exact integers
-    ``C_w - 1 - C_u`` and ``(w - u)(n - 1)`` while ``(D + 1) n <= 2**53``,
-    and rounding is monotone, so the min and max of the rounded slopes are
-    the rounded min-max: bitwise the hull's value. Rows go through in
-    slices of about ``DENSE_LOO_SLICE`` slopes.
-    """
-    rows, d = counts.shape
-    cum = np.zeros((rows, d + 1))
-    np.cumsum(counts, axis=1, out=cum[:, 1:])
-    # axis 1 is u = 0 .. D-1, axis 2 is w = D .. 1 (reversed, so a running
-    # max along it is the max over w > q, with q = D - 1 - position)
-    span = np.arange(d, 0, -1)[None, :] - np.arange(d)[:, None]
-    valid = span > 0
-    den = (span * (n - 1)).astype(float)
-    step = max(1, DENSE_LOO_SLICE // (d * d))
-    # slopes with w <= u are +inf, and stay +inf through the running max:
-    # for u > q the max over w > q then reaches w = u, so the min skips u
-    slopes = np.full((min(step, rows), d, d), np.inf)
-    out = np.empty((rows, d))
-    for lo in range(0, rows, step):
-        c = cum[lo : lo + step]
-        s = slopes[: len(c)]
-        np.divide(c[:, None, :0:-1] - (c[:, :d, None] + 1.0), den, out=s, where=valid)
-        np.maximum.accumulate(s, axis=2, out=s)
-        out[lo : lo + len(c)] = s.min(axis=1)[:, ::-1]
-    return np.where(counts > 0, out, 0.0)
 
 
 def _push_hull(hull: list[int], cum: list[int], i: int) -> None:
@@ -241,133 +200,82 @@ def grenander_blocks(counts: np.ndarray, n: int) -> np.ndarray:
     return np.sort(np.concatenate(starts), kind="stable")  # merges the sorted runs
 
 
-def _row_vertices(starts: np.ndarray, rows: int, d: int) -> list[np.ndarray]:
-    """Per row, the majorant vertices V from the flat block starts of
-    :func:`grenander_blocks` on a ``(rows, d)`` stack."""
-    cuts = np.searchsorted(starts, np.arange(1, rows) * d)
-    return [np.append(s - b * d, d) for b, s in enumerate(np.split(starts, cuts))]
+def _loo_grenander_stack(counts: np.ndarray, n: int, starts: np.ndarray) -> np.ndarray:
+    """Coordinate j of the isotonic fit of ``counts[b] - e_j``, for every
+    row b and index j at once, from the block starts ``starts`` of
+    :func:`grenander_blocks` on the ``(B, D)`` stack ``counts``.
 
+    Works on the cumulative-sum diagram C of each row: decrementing index q
+    lowers every point right of q by one, and the fitted value at q is the
+    slope of the bridge of the least concave majorant across q,
 
-def _max_slope_vertices(vert: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """For each point u, the majorant vertex w past the last vertex <= u
-    that maximizes ``(C_w - 1 - C_u) / (w - u)``, for the majorant vertices
-    ``vert`` and int64 cumulative counts ``cum``.
+        value(q) = min over u <= q of max over w > q of (C_w - 1 - C_u) / ((w - u)(n - 1)).
 
-    Seen from a point left of a concave chain, the slopes to its vertices
-    are unimodal, so this is a binary search, run for every point at once
-    and each round only over the points still searching.
-    """
-    d, cv = cum.size - 1, cum[vert]
-    lo = np.searchsorted(vert, np.arange(d), side="right")
-    hi = np.full(d, vert.size - 1)
-    live = np.flatnonzero(lo < hi)
-    while live.size:
-        mid = (lo[live] + hi[live]) >> 1
-        y = cum[live] + 1
-        # the slope to vertex mid + 1 exceeds the slope to mid (times the positive widths)
-        right = (cv[mid + 1] - y) * (vert[mid] - live) > (cv[mid] - y) * (vert[mid + 1] - live)
-        lo[live[right]] = mid[right] + 1
-        hi[live[~right]] = mid[~right]
-        live = live[lo[live] < hi[live]]
-    return vert[lo]
+    Let V be the majorant's vertices, ``s <= q < t`` its neighbours around
+    q, and ``H(u)`` the max of ``(C_w - 1 - C_u) / (w - u)`` over the
+    vertices w past the last vertex ``<= u``. The lowered points q+1 .. t lie
+    under the chord s-t while the bridge is no steeper than it, so the
+    bridge touches V at or after t, and the value at q is the running min
+    of H up to q:
 
-
-def _loo_grenander_vec(row: tuple, n: int) -> np.ndarray:
-    """:func:`_loo_grenander_fast` in whole-array passes, for one row
-    ``(counts, vert)`` with ``(D + 1) n <= 2**53``.
-
-    Let V be the majorant's vertices and ``H(u)`` the max of ``(C_w - 1 -
-    C_u) / (w - u)`` over the vertices w past the last vertex ``<= u``. The
-    value at q is the running min of H up to q. Take q with majorant
-    neighbours ``s <= q < t``. The bridge touches V at or after t, so the
-    value is the min over u <= q of the max over w in V, w >= t:
-
-    * for ``s <= u <= q`` that max is H(u);
+    * for ``s <= u <= q`` the max over w in V, w >= t, is H(u);
     * for u < s it is no smaller than at s, as from each such w the chord
       of the majorant and ``-1 / (w - u)`` both fall while u rises to s;
     * and every H(u), u <= q, is at least the value, as it maxes over more w.
 
-    H comes from :func:`_max_slope_vertices`. Each value is one division of
-    exact int64 operands, ``num / (den (n - 1))``, and rounding is monotone,
-    so the running min of the rounded values is the rounded exact min:
-    bitwise the hull pass's value.
+    Seen from a point left of a concave chain, the slopes to its vertices
+    are unimodal, so H is one binary search per point, run for every point
+    of the stack at once, each round over the points still searching. The
+    rows share one flat index space, point j of row b at ``b (D + 1) + j``,
+    and each search ends at its own row's last vertex D.
+
+    Each value is one division ``num / (den (n - 1))`` of exact integers,
+    and rounding is monotone, so the running min of the rounded values is
+    the rounded exact min. While ``(D + 1) n <= 2**53`` the integers and
+    every cross product of the search are exact int64, and their quotient
+    is one of exact floats; past that bound the cumulative counts and the
+    denominators are Python ints, whose products are exact and whose
+    quotient is correctly rounded.
     """
-    counts, vert = row
-    d = counts.size
-    cum = np.zeros(d + 1, dtype=np.int64)
-    np.cumsum(counts, out=cum[1:])
-    w = _max_slope_vertices(vert, cum)
-    vals = (cum[w] - 1 - cum[:-1]) / ((w - np.arange(d)) * (n - 1))
-    np.minimum.accumulate(vals, out=vals)
+    rows, d = counts.shape
+    exact_floats = (d + 1) * n <= 2**53
+    cum = np.zeros((rows, d + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=cum[:, 1:])  # per row: offset rows would leave int64
+    if not exact_floats:
+        cum = cum.astype(object)
+    flat = cum.ravel()
+    ends = np.searchsorted(starts, np.arange(1, rows + 1) * d)
+    vert = np.insert(starts + starts // d, ends, np.arange(rows) * (d + 1) + d)
+    cv = flat[vert] - 1
+    rise, run = np.diff(cv), np.diff(vert)
+    # lo: the first vertex past each point; hi: its row's end vertex (row
+    # ends themselves start past it and never search)
+    lo = np.searchsorted(vert, np.arange(flat.size), side="right")
+    hi = np.repeat(ends + np.arange(rows), d + 1)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live]) >> 1
+        # the slope from u to vertex mid + 1 exceeds the slope to mid: with
+        # a = C_mid - 1 - C_u, (a + rise) / (width + run) > a / width
+        right = rise[mid] * (vert[mid] - live) > (cv[mid] - flat[live]) * run[mid]
+        lo[live[right]] = mid[right] + 1
+        hi[live[~right]] = mid[~right]
+        live = live[lo[live] < hi[live]]
+    del hi, live, cv, rise, run  # before the quotient's temporaries: it sets the peak
+    w = vert[lo.reshape(rows, d + 1)[:, :d]]
+    del lo, vert
+    num = flat[w]
+    num -= 1
+    num -= cum[:, :d]
+    w -= (np.arange(rows) * (d + 1))[:, None]
+    w -= np.arange(d)
+    if not exact_floats:
+        w = w.astype(object)
+    w *= n - 1
+    vals = (num / w).astype(float, copy=False)
+    np.minimum.accumulate(vals, axis=1, out=vals)
     vals[counts == 0] = 0.0
     return vals
-
-
-def _loo_grenander_fast(row: tuple, n: int) -> np.ndarray:
-    """Coordinate j of the isotonic fit of ``counts - e_j``, for all j, for
-    one row ``(counts, vert)``: a count vector and the vertices of the
-    least concave majorant of its cumulative counts.
-
-    Works on the cumulative-sum diagram: decrementing index q lowers every
-    point right of q by one, and the fitted value at q is the slope of the
-    bridge of the least concave majorant across q,
-
-        value(q) = min over u <= q of max over w > q of (C_w - 1 - C_u)/(w - u).
-
-    Let V be the majorant's vertices, s <= q < t its neighbours around q
-    and sigma the slope of s-t. The bridge slope is below sigma (take
-    u = s), while the lowered points q+1 .. t lie under s-t, so their hull
-    edges have slopes of at least sigma. The bridge thus touches the
-    lowered suffix at or after t, where its hull is V, and the max needs
-    only w in V, w >= t. The min runs over a prefix hull grown with q, t is
-    a pointer into V that only moves forward, and the bridge comes from
-    alternating binary tangent searches.
-    """
-    counts, vert = row
-    cum = [0] + np.cumsum(counts).tolist()
-    vertices = vert.tolist()
-
-    out = np.zeros(counts.size)
-    hull: list[int] = []
-    k = 0
-    for q, count in enumerate(counts.tolist()):
-        _push_hull(hull, cum, q)
-        while vertices[k] <= q:
-            k += 1
-        if count == 0:
-            continue
-        u, w = hull[-1], -1
-        # Terminates: each tangent line supports one chain, so u only moves
-        # left on the prefix hull and w only right on V.
-        while True:
-            # w: the vertex in vertices[k:] maximizing (C_w - 1 - C_u)/(w - u)
-            base = cum[u] + 1
-            lo, hi = k, len(vertices) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                w1, w2 = vertices[mid], vertices[mid + 1]
-                if (cum[w2] - base) * (w1 - u) > (cum[w1] - base) * (w2 - u):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if vertices[lo] == w:
-                break
-            w = vertices[lo]
-            # u: the prefix-hull vertex minimizing (C_w - 1 - C_u)/(w - u)
-            top = cum[w] - 1
-            lo, hi = 0, len(hull) - 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                u1, u2 = hull[mid], hull[mid + 1]
-                if (top - cum[u2]) * (w - u1) < (top - cum[u1]) * (w - u2):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if hull[lo] == u:
-                break
-            u = hull[lo]
-        out[q] = (cum[w] - 1 - cum[u]) / ((w - u) * (n - 1))
-    return out
 
 
 def loo_stacks(counts: np.ndarray, n: int, kind: str,
@@ -376,28 +284,21 @@ def loo_stacks(counts: np.ndarray, n: int, kind: str,
     stacks, for a ``(B, D)`` integer count stack whose rows all total ``n``.
     Row b is bitwise :func:`loo_vectors_fast` on row b alone.
 
-    The isotonic pass takes one of three routes. While every slope is an
-    exact-float quotient, ``(D + 1) n <= 2**53``, it is the dense kernel up
-    to ``D = DENSE_LOO_MAX_D`` and the vectorized pass row by row beyond;
-    past that bound the hull pass runs row by row on Python ints. The last
-    two take each row's majorant vertices from the block starts of
-    :func:`grenander_blocks` on the stack: ``starts`` when given (the
-    Grenander fit of the stack already has them), else computed here.
+    The isotonic values come from one kernel for every D and n,
+    :func:`_loo_grenander_stack`, on exact int64 integers while ``(D + 1)
+    n <= 2**53`` and on Python ints past that. It takes each row's majorant
+    vertices from the block starts of :func:`grenander_blocks` on the
+    stack: ``starts`` when given (the Grenander fit of the stack already
+    has them), else computed here.
     """
     _check_kind(kind)
     if n < 2:
         raise InsufficientSampleError("leave-one-out needs at least 2 observations")
     pi = np.maximum(counts - 1, 0) / (n - 1)
-    d = counts.shape[1]
     if kind == REARRANGEMENT:
         shape_loo = _loo_rearrangement(counts, n)
-    elif d <= DENSE_LOO_MAX_D and (d + 1) * n <= 2**53:
-        shape_loo = _loo_grenander_dense(counts, n)
     else:
-        if starts is None:
-            starts = grenander_blocks(counts, n)
-        one_row = _loo_grenander_vec if (d + 1) * n <= 2**53 else _loo_grenander_fast
-        shape_loo = np.stack([one_row(row, n) for row in zip(counts, _row_vertices(starts, *counts.shape))])
+        shape_loo = _loo_grenander_stack(counts, n, grenander_blocks(counts, n) if starts is None else starts)
     return pi, shape_loo
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special
 
 from .errors import EmptyInputError, InvalidPmfError, ParameterError
-from .rng import substream
+from .rng import _as_int, substream
 
 #: Tail mass discarded when an infinite support is materialized for sampling.
 SAMPLING_TRUNCATION = 1e-12
@@ -376,13 +376,15 @@ def sample(model: ModelSpec, n: int, seed: int) -> FrequencyData:
     vector; a uniform draw landing in the discarded tail (probability at
     most ``SAMPLING_TRUNCATION``) maps to the last retained point. The
     output has length ``max drawn value + 1`` and is a bit-identical
-    function of ``(model, n, seed)``.
+    function of ``(model, n, seed)``. ``n`` must be an integer: floats and
+    bools raise ``ValueError`` rather than being truncated.
     """
+    n = _as_int(n, "sample size")
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     cum = _sampling_table(model)
     rng = substream(seed)
-    u = rng.random(int(n))
+    u = rng.random(n)
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, cum.size - 1)
     counts = np.bincount(idx)

@@ -38,7 +38,7 @@ from stackpmf import (
     stacked,
 )
 from stackpmf import estimators as est
-from stackpmf.estimators import DENSE_LOO_MAX_D, NORMS, loo_stacks
+from stackpmf.estimators import NORMS, loo_stacks
 from stackpmf.models import MAX_COUNT, Geometric, TriangularDecreasing, builtin_models
 from stackpmf.shape import block_means
 
@@ -170,10 +170,9 @@ class TestLooVectors:
         self.check_grenander_is_exact(counts)
 
     def test_grenander_peak_memory(self):
-        # O(D) int64 and float arrays of the vectorized pass (2.8 MB here;
-        # the hull pass on Python ints measures 4.8 MB); the bound was fixed
-        # against 10.4 MB with one persistent hull per suffix plus
-        # binary-lifting tables
+        # O(D) int64 and float arrays of the tangent search (2.1 MB here);
+        # the bound was fixed against 10.4 MB with one persistent hull per
+        # suffix plus binary-lifting tables
         x = FrequencyData(np.arange(1, 50002, dtype=np.int64))
         tracemalloc.start()
         try:
@@ -227,16 +226,15 @@ def _reshuffled_permutations(rng, base: np.ndarray, rows: int) -> np.ndarray:
 
 @st.composite
 def _loo_stacks_cases(draw):
-    d = draw(st.one_of(st.integers(1, 8), st.integers(DENSE_LOO_MAX_D - 3, DENSE_LOO_MAX_D + 3),
-                       st.integers(DENSE_LOO_MAX_D + 1, 400)))
-    rows = draw(st.integers(1, 40 if d <= DENSE_LOO_MAX_D + 3 else 3))
+    d = draw(st.one_of(st.integers(1, 8), st.integers(61, 67), st.integers(65, 400)))
+    rows = draw(st.integers(1, 40 if d <= 67 else 3))
     return _equal_total_stack(draw(st.integers(0, 2**32 - 1)), rows, d, draw(st.sampled_from([3, 2**30, 2**40])))
 
 
-#: Stacks whose length D is small, straddles DENSE_LOO_MAX_D (1-40 rows) or
-#: lies past it up to 400 (1-3 rows, where the exact oracle is slow), with
-#: tie-heavy counts (0-3) or large ones (up to 2**30, or up to 2**40, which
-#: from D of about 128 pushes (D + 1) n past 2**53, so the hull pass runs).
+#: Stacks whose length D is small, 61-67 (1-40 rows) or up to 400 (1-3
+#: rows, where the exact oracle is slow), with tie-heavy counts (0-3) or
+#: large ones (up to 2**30, or up to 2**40, which from D of about 128 pushes
+#: (D + 1) n past 2**53, so the values are taken on Python ints).
 loo_stacks_cases = _loo_stacks_cases()
 
 
@@ -260,6 +258,49 @@ def stacks_past_int64_offsets(draw):
     rows = draw(st.integers(2, 40))
     n = draw(st.integers(-(-(2**63) // rows) - 2, MAX_COUNT))
     return _stack_totalling(draw(st.integers(0, 2**32 - 1)), rows, draw(st.integers(1, 39)), n, draw(st.booleans()))
+
+
+def _vertex_row(inc: np.ndarray) -> np.ndarray:
+    """Strictly falling counts with the falls ``inc``: every point is a
+    majorant vertex. Their total is the sum of ``(k + 1) inc[k]``."""
+    return np.cumsum(inc[::-1])[::-1]
+
+
+@st.composite
+def mixed_row_stacks(draw, past: bool):
+    """Stacks of 2-8 rows of length D in 65-400 with one total n, each row
+    one of: strictly falling counts (every point a vertex, from one set of
+    falls moved about without changing n), a rising or flat row (a single
+    block), and ties (n / D, with whole cells moved onto others). The falls
+    lie in [1, 2**20], which keeps (D + 1) n below 2**53, or in [2**43,
+    2**44], which puts it past."""
+    d = draw(st.integers(65, 400))
+    kinds = draw(st.lists(st.sampled_from(["vertices", "one-block", "ties"]), min_size=2, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inc = rng.integers(2**43, 2**44, d, endpoint=True) if past else rng.integers(1, 2**20, d, endpoint=True)
+    ramp = _vertex_row(inc)
+    n = int(ramp.sum())
+    q, r = divmod(n, d)
+    rows = []
+    for kind in kinds:
+        if kind == "vertices":
+            falls = inc.copy()
+            for k in rng.integers(1, d - 1, size=d):
+                if falls[k] >= 3:  # one unit each to k - 1 and k + 1 keeps the total
+                    falls[k] -= 2
+                    falls[k - 1] += 1
+                    falls[k + 1] += 1
+            rows.append(_vertex_row(falls))
+        elif kind == "one-block":
+            rows.append(ramp[::-1] if rng.integers(2) else np.append(np.full(d - 1, q), q + r))
+        else:
+            row = np.full(d, q)
+            row[rng.choice(d, r, replace=False)] += 1
+            for i, j in rng.integers(d, size=(d // 4, 2)):
+                moved, row[i] = row[i], 0
+                row[j] += moved
+            rows.append(row)
+    return np.array(rows, dtype=np.int64)
 
 
 class TestLooStacks:
@@ -294,12 +335,8 @@ class TestLooStacks:
         # the next sorted value after lowering (1 next to 0)
         self.check_rows(np.array([[0, 3, 0], [3, 0, 0], [1, 1, 1], [0, 0, 3], [2, 0, 1]]))
 
-    def test_past_exact_floats_the_hull_runs_and_stays_exact(self, monkeypatch):
-        # (D + 1) n = 4 (2**52 + 8) > 2**53: the dense kernel's slopes could round
-        def dense_is_not_called(*args):
-            raise AssertionError("dense kernel called past 2**53")
-
-        monkeypatch.setattr(est, "_loo_grenander_dense", dense_is_not_called)
+    def test_past_exact_floats_the_values_stay_exact(self):
+        # (D + 1) n = 4 (2**52 + 8) > 2**53: float slopes could round
         self.check_rows(np.array([[2**51, 7, 2**51 + 1], [2**51 + 1, 2**51, 7], [7, 2**51 + 1, 2**51]]))
 
     @pytest.mark.parametrize("row", [
@@ -310,12 +347,7 @@ class TestLooStacks:
         pytest.param(np.arange(300, 0, -1), id="every-point-a-vertex"),
         pytest.param(np.arange(200, 0, -1) ** 2, id="every-point-a-vertex-convex-counts"),
     ])
-    def test_wide_rows_of_known_shape_are_exact(self, row, monkeypatch):
-        def hull_is_not_called(*args):
-            raise AssertionError("hull pass called below 2**53")
-
-        monkeypatch.setattr(est, "_loo_grenander_fast", hull_is_not_called)
-        assert row.size > DENSE_LOO_MAX_D
+    def test_wide_rows_of_known_shape_are_exact(self, row):
         self.check_rows(np.array([row, row[::-1]], dtype=np.int64))
 
     def test_cascading_pool_rounds_fall_back_to_the_hull(self, monkeypatch):
@@ -340,37 +372,32 @@ class TestLooStacks:
         built = []
         monkeypatch.setattr(est, "POOL_WORK_PER_CELL", 1)
         monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
-        assert row.size > DENSE_LOO_MAX_D
         self.check_rows(np.array([row, np.sort(row)[::-1]]))
         assert built == [row.size + 1]
 
-    @pytest.mark.parametrize("d, n, pass_name", [
-        (127, 2**46, "_loo_grenander_vec"),  # (D + 1) n = 2**53
-        (106, 3 * 28059810762433, "_loo_grenander_fast"),  # (D + 1) n = 2**53 + 1
+    @pytest.mark.parametrize("d, n, past", [
+        (127, 2**46, 0),  # (D + 1) n = 2**53: the last int64 stack
+        (106, 3 * 28059810762433, 1),  # (D + 1) n = 2**53 + 1: the first on Python ints
     ], ids=["at-2p53", "past-2p53"])
-    def test_vectorized_pass_runs_up_to_the_exact_float_guard(self, d, n, pass_name, monkeypatch):
-        assert (d + 1) * n - 2**53 == (pass_name == "_loo_grenander_fast")
-        other = {"_loo_grenander_vec": "_loo_grenander_fast", "_loo_grenander_fast": "_loo_grenander_vec"}[pass_name]
-        calls = []
-
-        def not_called(*args):
-            raise AssertionError(f"{other} called")
-
-        def counted(row, total, run=getattr(est, pass_name)):
-            calls.append(total)
-            return run(row, total)
-
-        monkeypatch.setattr(est, other, not_called)
-        monkeypatch.setattr(est, pass_name, counted)
+    def test_vectorized_pass_runs_up_to_the_exact_float_guard(self, d, n, past):
+        assert (d + 1) * n - 2**53 == past
         for even in (False, True):
-            stack = _stack_totalling(17, 2, d, n, even)
-            self.check_rows(stack)
-        assert calls == [n] * 4
+            self.check_rows(_stack_totalling(17, 2, d, n, even))
+
+    @pytest.mark.parametrize("past", [False, True], ids=["below-2p53", "past-2p53"])
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_mixed_rows_are_bitwise_exact(self, past, data):
+        # neighbouring rows whose searches would run furthest into the next
+        # row if they could: every point a vertex, one block, and ties
+        stack = data.draw(mixed_row_stacks(past))
+        assert ((stack.shape[1] + 1) * int(stack[0].sum()) > 2**53) == past
+        self.check_rows(stack)
 
     def test_vectorized_peak_memory_on_decreasing_counts(self):
         # every point is a majorant vertex, so the binary searches run over
         # D + 1 vertices for D points at once; the bound was fixed before
-        # measuring 5.3 MB here (the hull pass: 8.7 MB)
+        # measuring 5.7 MB here
         x = FrequencyData(np.arange(50001, 0, -1, dtype=np.int64))
         tracemalloc.start()
         try:
@@ -379,6 +406,19 @@ class TestLooStacks:
         finally:
             tracemalloc.stop()
         assert peak < 10e6, peak
+
+    def test_python_int_peak_memory_on_decreasing_counts(self):
+        # (D + 1) n is about 2**66, so the cumulative counts, the search's
+        # cross products and the quotients are Python ints; the bound was
+        # fixed before measuring 16.1 MB here
+        x = FrequencyData(np.arange(50001, 0, -1, dtype=np.int64) * 2**20)
+        tracemalloc.start()
+        try:
+            loo_vectors_fast(x, GRENANDER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
 
     @pytest.mark.parametrize("n", [2**62 - 3, MAX_COUNT], ids=["total-2p62-minus-3", "total-max-count"])
     def test_rearrangement_at_totals_near_max_count(self, n):
@@ -390,10 +430,10 @@ class TestLooStacks:
             assert values.tobytes() == reference_loo_rearrangement(row, n).tobytes()
 
     def test_dense_peak_memory_does_not_grow_with_rows(self):
-        # fixed before measuring: the (1000, D) stacks take about 4 MB and
-        # each slice of at most 2**16 slopes 0.5 MB, while one unsliced
-        # (1000, D, D) slope array alone would take 33 MB
-        stack = _equal_total_stack(5, 1000, DENSE_LOO_MAX_D, 3)
+        # the O(B D) arrays of the flat search over a (1000, 64) stack take
+        # 4.4 MB, while one (1000, D, D) array of all slopes alone would take
+        # 33 MB
+        stack = _equal_total_stack(5, 1000, 64, 3)
         tracemalloc.start()
         try:
             loo_stacks(stack, int(stack[0].sum()), GRENANDER)

@@ -22,7 +22,7 @@ def _wide_counts() -> bytes:
     """A counts file of 3004 tokens on CRLF lines of 17: a noisy decreasing
     ramp with ties, interior zeros and leading-zero tokens, ending in four
     zero counts that the reader strips with a warning. D = 3000 runs the
-    leave-one-out pass past the dense kernel and writes long float lists."""
+    leave-one-out pass over thousands of points and writes long float lists."""
     tokens = []
     for j in range(3000):
         count = 0 if (j * 31) % 17 == 0 else (3000 - j) // 60 + (j * 7919) % 4

@@ -114,9 +114,9 @@ class TestFitStack:
         # one isotonic partition and one leave-one-out pass per stack and
         # kind, none per row
         assert sorted(calls) == ["grenander_blocks"] + ["loo_stacks"] * 2
-        # past the dense kernel the leave-one-out pass reuses the partition
+        # on a rising and a falling ramp the leave-one-out pass reuses the partition
         calls.clear()
-        ramp = np.arange(1, est.DENSE_LOO_MAX_D + 2)
+        ramp = np.arange(1, 66)
         est.fit_stack(("sG", "G"), [FrequencyData(ramp), FrequencyData(ramp[::-1].copy())])
         assert sorted(calls) == ["grenander_blocks", "loo_stacks"]
 

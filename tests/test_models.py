@@ -29,6 +29,7 @@ from stackpmf import (
     sample,
     support_size,
 )
+from stackpmf.harness import ExperimentConfig, run_loss_experiment
 from stackpmf.models import MAX_COUNT, MAX_SUPPORT, _sampling_table, _tail_mass, check_support
 
 ALL_BUILTIN = tuple(builtin_models().items())
@@ -182,6 +183,21 @@ class TestSample:
         x = sample(Geometric(0.25), 10**6, seed=9)
         se = math.sqrt(0.75 * 0.25 / 10**6)
         assert abs(x.counts[0] / x.n - 0.75) <= 5 * se
+
+    @pytest.mark.parametrize("n", [2.5, True, 3.0], ids=["fraction", "bool", "integral-float"])
+    def test_non_integer_sample_size_rejected(self, n):
+        with pytest.raises(ValueError, match="sample size"):
+            sample(builtin_models()["M1"], n, seed=3)
+
+    def test_numpy_integer_sample_size_accepted(self):
+        x = sample(builtin_models()["M1"], np.int64(5), seed=3)
+        assert x.n == 5
+        np.testing.assert_array_equal(x.counts, sample(builtin_models()["M1"], 5, seed=3).counts)
+
+    def test_loss_experiment_rejects_fractional_sample_size(self):
+        cfg = ExperimentConfig(model=builtin_models()["M1"], reps=2, n=2.5)
+        with pytest.raises(ValueError, match="sample size"):
+            run_loss_experiment(cfg)
 
     def test_bit_identical_given_seed(self):
         a = sample(builtin_models()["M7"], 3000, seed=77)

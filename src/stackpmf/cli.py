@@ -73,10 +73,12 @@ def read_counts(path: str) -> tuple[np.ndarray, list[str]]:
     because the vector length encodes the largest observed value. The total
     count must fit in an int64.
 
-    The file is read once. A file of ASCII digits and whitespace whose
-    counts all fit in int64, with ``max * len <= MAX_COUNT`` and some count
-    positive, is converted by numpy in one call. Every other file goes
-    through the token scan, which alone reports errors and their lines.
+    The file is read once. A file of ASCII digits and whitespace is parsed
+    by one ``np.fromstring`` call, and the result is kept when it has one
+    value per digit run, none at the int64 maximum (numpy's value for a
+    count past it), ``max * len <= MAX_COUNT`` and some count positive.
+    Every other file goes through the token scan, which alone reports
+    errors and their lines.
     """
     try:
         with open(path, "rb") as fh:
@@ -93,17 +95,22 @@ def _trailing_zero_warnings(zeros: int) -> list[str]:
 def _convert_plain_counts(data: bytes) -> tuple[np.ndarray, list[str]] | None:
     """:func:`read_counts` of the file bytes ``data`` by numpy, or None when
     the token scan must read them."""
-    if data.translate(None, _PLAIN_COUNT_BYTES):
+    if not data or data.translate(None, _PLAIN_COUNT_BYTES):
         return None
-    try:
-        values = np.array(data.split(), dtype=np.int64)
-    except (OverflowError, ValueError):  # past int64, or past int()'s digit limit
+    # numpy parses a blank file as [0]: count the digit runs (digits are the
+    # only plain bytes past the whitespace) and hold it to one value each
+    digit = np.frombuffer(data, np.uint8) > ord(" ")
+    runs = int(digit[0]) + np.count_nonzero(digit[1:] > digit[:-1])
+    del digit
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    # numpy clamps a count past int64 to its maximum; the scan reads one at it
+    if values.size != runs or (values == MAX_COUNT).any():
         return None
-    positive = np.flatnonzero(values)
+    positive = values != 0
     # max * len bounds the total, so the int64 sum cannot wrap past MAX_COUNT
-    if not positive.size or int(values.max()) * values.size > MAX_COUNT:
+    if not positive.any() or int(values.max()) * values.size > MAX_COUNT:
         return None
-    trimmed = positive[-1] + 1
+    trimmed = values.size - int(np.argmax(positive[::-1]))
     return values[:trimmed], _trailing_zero_warnings(values.size - trimmed)
 
 
@@ -275,45 +282,54 @@ def _make_out_dir(path: str) -> None:
         raise _UsageError(f"--out {path}: cannot create the output directory: {exc.strerror}") from None
 
 
-#: Where :func:`_write_json` writes list k of floats: the JSON of the
-#: string ``"\0k"``. Every list is checked to land at exactly one match.
-_FLOAT_LIST_MARK = re.compile(r'"\\u0000(\d+)"')
+#: Where :func:`_write_json` writes float array k: the JSON of the string
+#: ``"\0k"``. Every array is checked to land at exactly one match.
+_FLOAT_ARRAY_MARK = re.compile(r'"\\u0000(\d+)"')
+
+#: Floats :func:`_write_json` joins into one write.
+JSON_CHUNK = 4096
 
 
 def _write_json(path: str, payload) -> None:
-    """``payload`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it.
+    """``payload`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it
+    with every ndarray in it replaced by its ``tolist()``.
 
-    That dump writes a skeleton with each list of finite floats replaced by
-    a marker, and each list is streamed in at its marker, one
-    ``float.__repr__`` per line, which is how json writes a finite float.
-    The bytes are the same, and a long estimate skips the pure-Python
-    encoder's per-item work without being held as one string.
+    That dump writes a skeleton with each nonempty 1-D float64 array of
+    finite values replaced by a marker, and each such array is streamed in
+    at its marker, ``JSON_CHUNK`` values per write, one ``float.__repr__``
+    per line, which is how json writes a finite float. The bytes are the
+    same, and a long estimate is never held as one list or one string.
+    Every other array goes through ``tolist()``.
     """
-    lists = []
+    arrays = []
 
     def stub(value):
         if isinstance(value, dict):
             return {key: stub(item) for key, item in value.items()}
         if isinstance(value, list):
-            if value and set(map(type, value)) == {float} and all(map(math.isfinite, value)):
-                lists.append(value)
-                return f"\0{len(lists) - 1}"
             return [stub(item) for item in value]
+        if isinstance(value, np.ndarray):
+            if value.dtype == np.float64 and value.ndim == 1 and value.size and np.isfinite(value).all():
+                arrays.append(value)
+                return f"\0{len(arrays) - 1}"
+            return value.tolist()
         return value
 
     text = json.dumps(stub(payload), indent=2, sort_keys=True)
-    marks = list(_FLOAT_LIST_MARK.finditer(text))
-    if sorted(mark[1] for mark in marks) != sorted(map(str, range(len(lists)))):
+    marks = list(_FLOAT_ARRAY_MARK.finditer(text))
+    if sorted(mark[1] for mark in marks) != sorted(map(str, range(len(arrays)))):
         # a string of the payload looks like a marker
-        marks, text = [], json.dumps(payload, indent=2, sort_keys=True)
+        marks, text = [], json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
     with _out_file(path) as fh:
         end = 0
         for mark in marks:
             line = text[text.rfind("\n", 0, mark.start()) + 1 : mark.start()]
             pad = line[: len(line) - len(line.lstrip(" "))]
-            items = map(float.__repr__, lists[int(mark[1])])
-            fh.write(f"{text[end : mark.start()]}[\n  {pad}{next(items)}")
-            fh.writelines(map(f",\n  {pad}".__add__, items))
+            sep, values = f",\n  {pad}", arrays[int(mark[1])]
+            fh.write(f"{text[end : mark.start()]}[\n  {pad}")
+            for at in range(0, values.size, JSON_CHUNK):
+                items = sep.join(map(float.__repr__, values[at : at + JSON_CHUNK].tolist()))
+                fh.write(f"{sep}{items}" if at else items)
             fh.write(f"\n{pad}]")
             end = mark.end()
         fh.write(text[end:])
@@ -375,7 +391,7 @@ def _cmd_estimate(args) -> int:
             payload["diagnostics"] = fit.diagnostics
     else:
         estimate = fit_estimator(args.kind, x)
-    payload["estimate"] = estimate.tolist()
+    payload["estimate"] = estimate
     if args.band is not None:
         q_hat = quantile_q_alpha(estimate, args.band, args.mc, seed)
         cb = make_band(estimate, x.n, q_hat, alpha=args.band, mc_reps=args.mc, seed=seed)
@@ -384,8 +400,8 @@ def _cmd_estimate(args) -> int:
             "q_hat": cb.q_hat,
             "mc_reps": args.mc,
             "seed": seed,
-            "lower": cb.lower.tolist(),
-            "upper": cb.upper.tolist(),
+            "lower": cb.lower,
+            "upper": cb.upper,
         }
     _make_out_dir(args.out)
     out_path = os.path.join(args.out, "estimate.json")
@@ -484,16 +500,17 @@ def _cmd_band(args) -> int:
         try:
             with open(args.theta, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            estimate = np.asarray(payload["estimate"], dtype=float)
-            if estimate.ndim != 1:
-                raise ValueError(f"the estimate must be a vector, got {estimate.ndim} dimensions")
-            center = _as_theta(estimate)[0]
+            entries = payload["estimate"]
+            # type(), not isinstance(): a JSON true or false is a Python bool, an int subclass
+            if not isinstance(entries, list) or not all(type(v) in (int, float) for v in entries):
+                raise ValueError("the estimate must be a list of numbers")
+            center = _as_theta(np.asarray(entries, dtype=float))[0]
             n = payload["n"]
             if not isinstance(n, int) or isinstance(n, bool):
                 raise ValueError(f"sample size must be an integer, got {n!r}")
             if not 1 <= n <= MAX_COUNT:
                 raise ValueError(f"sample size must lie in [1, {MAX_COUNT}], got {n}")
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
             raise CountsParseError(f"cannot read estimate json {args.theta}: {exc}", line=0) from exc
         source = {"theta": args.theta}
         argv = ["band", "--theta", args.theta]

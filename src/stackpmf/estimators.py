@@ -250,7 +250,7 @@ def _loo_grenander_stack(counts: np.ndarray, n: int, starts: np.ndarray) -> np.n
     rise, run = np.diff(cv), np.diff(vert)
     # lo: the first vertex past each point; hi: its row's end vertex (row
     # ends themselves start past it and never search)
-    lo = np.searchsorted(vert, np.arange(flat.size), side="right")
+    lo = np.repeat(np.arange(1, vert.size + 1), np.diff(vert, append=flat.size))
     hi = np.repeat(ends + np.arange(rows), d + 1)
     live = np.flatnonzero(lo < hi)
     while live.size:
@@ -267,6 +267,7 @@ def _loo_grenander_stack(counts: np.ndarray, n: int, starts: np.ndarray) -> np.n
     num = flat[w]
     num -= 1
     num -= cum[:, :d]
+    del cum, flat
     w -= (np.arange(rows) * (d + 1))[:, None]
     w -= np.arange(d)
     if not exact_floats:
@@ -289,17 +290,17 @@ def loo_stacks(counts: np.ndarray, n: int, kind: str,
     n <= 2**53`` and on Python ints past that. It takes each row's majorant
     vertices from the block starts of :func:`grenander_blocks` on the
     stack: ``starts`` when given (the Grenander fit of the stack already
-    has them), else computed here.
+    has them), else computed here. ``pi`` is formed after the shape pass,
+    so the two stacks are never alive beside that pass's temporaries.
     """
     _check_kind(kind)
     if n < 2:
         raise InsufficientSampleError("leave-one-out needs at least 2 observations")
-    pi = np.maximum(counts - 1, 0) / (n - 1)
     if kind == REARRANGEMENT:
         shape_loo = _loo_rearrangement(counts, n)
     else:
         shape_loo = _loo_grenander_stack(counts, n, grenander_blocks(counts, n) if starts is None else starts)
-    return pi, shape_loo
+    return np.maximum(counts - 1, 0) / (n - 1), shape_loo
 
 
 def loo_vectors_fast(x: FrequencyData, kind: str) -> LooVectors:
@@ -318,11 +319,20 @@ def cv_betas(counts: np.ndarray, n: int, kind: str, base: np.ndarray, shape: np.
     """:func:`cv_beta` as arrays ``(beta_hat, a_n, b_n)`` for a ``(B, D)``
     count stack ``counts`` whose rows all total n >= 2, with its empirical
     and shape stacks ``base`` and ``shape``; ``starts`` goes on to
-    :func:`loo_stacks`."""
-    pi, shape_loo = loo_stacks(counts, n, kind, starts)
-    loo = shape_loo - pi
-    a_n = np.sum((shape - base) ** 2, axis=1)
-    b_n = np.sum(base * loo, axis=1) - np.sum(base * (shape - base), axis=1)
+    :func:`loo_stacks`.
+
+    The products ``(shape_loo - pi) * base``, ``(shape - base) * base``
+    and ``(shape - base)**2`` are formed in place in the two leave-one-out
+    stacks, so no further ``(B, D)`` array is allocated. Each is the same
+    elementwise product as a fresh array would hold (``x**2`` is ``x * x``),
+    so the row sums keep their bits."""
+    pi, loo = loo_stacks(counts, n, kind, starts)
+    loo -= pi
+    loo *= base
+    diff = np.subtract(shape, base, out=pi)
+    b_n = np.sum(loo, axis=1)
+    b_n -= np.sum(np.multiply(diff, base, out=loo), axis=1)
+    a_n = np.sum(np.multiply(diff, diff, out=diff), axis=1)
     above = a_n > A_N_TOL
     interior = above & (0.0 <= b_n) & (b_n <= a_n)
     beta = np.divide(b_n, a_n, out=np.zeros_like(a_n), where=interior)
@@ -343,7 +353,7 @@ def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
     the criterion undefined: the weight is 0 and ``b_n`` is None.
     """
     n = xs[0].n
-    counts = np.stack([x.counts for x in xs])
+    counts = xs[0].counts[None] if len(xs) == 1 else np.stack([x.counts for x in xs])
     base = counts / n
     fits, weights, starts = {"e": base}, {}, None
     for code in codes:

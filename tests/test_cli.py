@@ -209,6 +209,50 @@ class TestReadCounts:
             assert code == (3 if len(reference) == 2 else 0)
 
 
+    @pytest.mark.parametrize(
+        "data, numpy_reads",
+        [
+            (b"\n", False),  # numpy parses a blank file as [0]
+            (b" \t \r\n", False),
+            (b"0", False),
+            (b"9" * 18 + b" 1\n", True),
+            (b"1" * 19 + b"\n", True),
+            (b"9" * 19 + b"\n", False),  # numpy clamps a count past int64 to its maximum
+            (b"1" + b"0" * 19 + b" 3\n", False),
+            (f"{MAX_COUNT}\n".encode(), False),
+            (b"1\x0b2\x0c3\n", True),
+            (b"007 0 012\n", True),
+        ],
+        ids=["lone-newline", "whitespace-only", "zero", "18-digits", "19-digits-in-int64",
+             "19-digits-past-int64", "20-digits", "int64-max", "vt-ff-separators", "leading-zeros"],
+    )
+    def test_numpy_text_parse_quirks(self, data, numpy_reads, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(data)
+        reference = _read_outcome(reference_read_counts, str(path))
+        assert (cli._convert_plain_counts(data) is not None) == numpy_reads
+        assert _read_outcome(cli.read_counts, str(path)) == reference
+        code = main(["estimate", "--input", str(path), "--kind", "e", "--out", str(tmp_path / "out")])
+        assert code == (3 if len(reference) == 2 else 0)
+
+    def test_wide_file_is_read_in_a_few_arrays(self, tmp_path):
+        # the file bytes, two byte masks over them and the int64 counts:
+        # one bytes object per count would take several times this
+        d = 200_001
+        data = "\n".join(str(j + 1) for j in range(d)).encode() + b"\n"
+        path = tmp_path / "counts.txt"
+        path.write_bytes(data)
+        bound = 3 * len(data) + 8 * d
+        tracemalloc.start()
+        try:
+            counts, warnings = cli.read_counts(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.tolist() == list(range(1, d + 1)) and warnings == []
+        assert peak < bound, (peak, bound)
+
+
 _json_text = st.text(alphabet=st.sampled_from(["a", "1", "\x00", '"', "\\", "\u00e9"]), max_size=4)
 
 #: JSON payloads whose leaves include lists of floats (nan, inf and -0.0
@@ -228,6 +272,42 @@ class TestWriters:
             path = Path(tmp) / "out.json"
             cli._write_json(str(path), payload)
             assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.linspace(0.1, 0.9, size) for size in
+            (1, cli.JSON_CHUNK - 1, cli.JSON_CHUNK, cli.JSON_CHUNK + 1, 2 * cli.JSON_CHUNK + 1)
+        ] + [
+            np.array([0.5, math.nan]),
+            np.array([-math.inf, 0.25]),
+            np.arange(5),
+            np.array([]),
+            np.array([[0.5, 0.25]]),
+        ],
+        ids=["1", "chunk-1", "chunk", "chunk+1", "2chunk+1", "nan", "inf", "int", "empty", "2d"],
+    )
+    @pytest.mark.parametrize("note", ["plain", "\0" + "0", "\0" + "1"], ids=["text", "marker-0", "marker-1"])
+    def test_json_writer_streams_arrays_as_lists(self, tmp_path, values, note):
+        payload = {"estimate": values, "note": note, "band": {"lower": -values, "q_hat": 0.5}, "rows": [[values]]}
+        path = tmp_path / "out.json"
+        cli._write_json(str(path), payload)
+        lists = {"estimate": values.tolist(), "note": note,
+                 "band": {"lower": (-values).tolist(), "q_hat": 0.5}, "rows": [[values.tolist()]]}
+        assert path.read_bytes() == (json.dumps(lists, indent=2, sort_keys=True) + "\n").encode()
+
+    def test_json_writer_never_holds_a_wide_array_as_one_list(self, tmp_path):
+        # a list of the floats alone takes 8 bytes a pointer, plus each float object
+        values = np.linspace(0.0, 1.0, 200_001)
+        tracemalloc.start()
+        try:
+            cli._write_json(str(tmp_path / "out.json"), {"estimate": values})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * values.size, peak
+        expected = json.dumps({"estimate": values.tolist()}, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "out.json").read_text() == expected
 
     def test_loss_table_gives_csv_writer_bytes(self, tmp_path):
         losses = np.random.default_rng(3).random((7, 3, 2)) * 10.0 ** np.arange(-8, 10, 3).reshape(1, 3, 2)
@@ -342,14 +422,20 @@ class TestBand:
             {"estimate": [0.5, 0.5], "n": 10.7},
             {"estimate": [0.5, 0.5], "n": True},
             {"estimate": [0.5, 0.5], "n": 10**400},
+            {"estimate": [True], "n": 5},
+            {"estimate": ["0.5", "0.5"], "n": 5},
+            {"estimate": [None, 1.0], "n": 5},
+            {"estimate": [0.5, [0.5]], "n": 5},
+            {"estimate": [10**400, 0], "n": 5},
         ],
         ids=["not-summing-to-one", "n-zero", "empty-estimate", "nested-estimate", "n-float", "n-bool",
-             "n-past-int64"],
+             "n-past-int64", "bool-entry", "string-entries", "null-entry", "list-entry", "int-past-float"],
     )
-    def test_bad_estimate_json_is_data_error(self, tmp_path, payload):
+    def test_bad_estimate_json_is_data_error(self, tmp_path, payload, capsys):
         theta = tmp_path / "estimate.json"
         theta.write_text(json.dumps(payload))
         assert run(["band", "--theta", theta, "--alpha", 0.05, "--mc", 500, "--out", tmp_path]) == 3
+        assert f"cannot read estimate json {theta}" in capsys.readouterr().err
 
 
 class TestQq:

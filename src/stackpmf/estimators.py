@@ -194,7 +194,7 @@ def grenander_blocks(counts: np.ndarray, n: int) -> np.ndarray:
             start = start[heads][live]
             sums = np.add.reduceat(sums, heads)[live]
             widths = np.add.reduceat(widths, heads)[live]
-        hulled = np.unique(start[live] // d).tolist()
+        hulled = sorted(set((start[live] // d).tolist()))  # np.unique would load numpy.ma
     for b in hulled:
         starts.append(b * d + np.array(_hull_vertices([0] + np.cumsum(counts[b]).tolist())[:-1]))
     return np.sort(np.concatenate(starts), kind="stable")  # merges the sorted runs

@@ -19,7 +19,6 @@ import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import estimators as est
 from .confidence import band, quantile_q_alpha
@@ -204,7 +203,11 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_qq_samples(cfg: ExperimentConfig, coord: int) -> ExperimentResult:
     """Samples of ``sqrt(n) * (estimate_coord - p_coord)`` per estimator,
-    with normal quantiles scaled by the sample standard deviation."""
+    with normal quantiles scaled by the sample standard deviation. The
+    quantiles come from ``scipy.special.ndtri``, which only this driver
+    loads."""
+    from scipy.special import ndtri
+
     if cfg.n is None:
         raise ValueError("QQ sampling needs a single sample size n")
     truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs

@@ -13,11 +13,15 @@ Conventions fixed here:
 * ``NegativeBinomial(r, theta)`` counts successes before the r-th failure:
   ``p_j = C(j + r - 1, j) * theta**j * (1 - theta)**r``.
 
-The Poisson pmf is ``exp(xlogy(j, lam) - gammaln(j + 1) - lam)`` and its
-tail ``pdtrc(length - 1, lam)``, both clipped to [0, 1], from
-``scipy.special``: the formulas of ``scipy.stats.poisson``, bit for bit,
-without importing ``scipy.stats``. The negative binomial still uses
-``scipy.stats.nbinom``, imported only when one is evaluated.
+The Poisson pmf is ``exp(j * log(lam) - log(j!) - lam)`` clipped to
+[0, 1], the formula of ``scipy.stats.poisson`` bit for bit, with
+``log(j!)`` from a numpy port of the cephes ``lgam`` that
+``scipy.special.gammaln`` runs. Its tail, ``pdtrc(length - 1, lam)`` from
+``scipy.special``, is the reference for truncation, but truncation decides
+"tail > epsilon" from a direct sum of the pmf and asks ``pdtrc`` only when
+that sum cannot tell (see :func:`pmf_truncate`). So evaluating, truncating
+and sampling a Poisson loads no scipy module. The negative binomial still
+uses ``scipy.stats.nbinom``, imported only when one is evaluated.
 """
 
 import functools
@@ -28,7 +32,6 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .errors import EmptyInputError, InvalidPmfError, ParameterError
 from .rng import _as_int, substream
@@ -45,6 +48,32 @@ MAX_SUPPORT = 2**22
 MAX_COUNT = np.iinfo(np.int64).max
 
 _MIXTURE_WEIGHT_TOL = 1e-12
+
+#: cephes ``lgam``: ``log(sqrt(2 pi))`` and the coefficients of its Stirling
+#: correction ``polevl(1 / x**2, A, 4) / x``.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
+_LOG_BLOCK = 2**16
+
+#: Base relative margin of the scipy-free Poisson tail (see :func:`pmf_truncate`).
+_TAIL_MARGIN = 1e-10
+
+#: Absolute slack of that tail, for sums that underflow.
+_TAIL_FLOOR = 1e-300
+
+#: The tail sum runs in blocks of ``_TAIL_BLOCK`` terms, at most ``_TAIL_BLOCKS``
+#: of them; ``pdtrc`` sums the same series for at most 2000 terms.
+_TAIL_BLOCK = 1024
+_TAIL_BLOCKS = 64
+
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +303,7 @@ def pmf_values(model: ModelSpec, length: int) -> np.ndarray:
 
         return nbinom.pmf(j, model.r, 1.0 - model.theta)
     if isinstance(model, Poisson):
-        log_p = special.xlogy(j, model.lam) - special.gammaln(j + 1) - model.lam
+        log_p = j * math.log(model.lam) - _log_factorial(j) - model.lam
         return np.clip(np.exp(log_p), 0.0, 1.0)
     if isinstance(model, Mixture):
         out = np.zeros(length)
@@ -284,8 +313,39 @@ def pmf_values(model: ModelSpec, length: int) -> np.ndarray:
     raise TypeError(f"not a model: {model!r}")
 
 
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """``log(k!)`` for an int64 array ``k >= 0``, bitwise equal to
+    ``scipy.special.gammaln(k + 1)``.
+
+    A port of cephes ``lgam`` at the integer ``x = k + 1``: below 13 the log
+    of the product ``(x - 1)(x - 2)...2``; from 13 Stirling's
+    ``(x - 0.5) log x - x + log sqrt(2 pi)`` plus ``polevl(1/x**2, A, 4) / x``,
+    a three-term correction from 1000, and none past 1e8. The logs are
+    libm's (``math.log``): numpy's differ from them in the last bit. Runs in
+    blocks of ``_LOG_BLOCK`` values, so the Python floats the logs pass
+    through stay few.
+    """
+    out = np.empty(k.shape)
+    for at in range(0, k.size, _LOG_BLOCK):
+        part = k[at : at + _LOG_BLOCK]
+        x = (part + 1).astype(float)
+        q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, x.size) - x + _LS2PI
+        p = 1.0 / (x * x)
+        series = np.full_like(p, _LGAM_A[0])
+        for a in _LGAM_A[1:]:
+            series = series * p + a
+        three_term = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+        q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, three_term, series) / x)
+        out[at : at + _LOG_BLOCK] = np.where(x < 13.0, _LOG_FACTORIAL_SMALL[np.minimum(part, 11)], q)
+    return out
+
+
 def _tail_mass(model: ModelSpec, length: int) -> float:
-    """Probability of values ``>= length`` under ``model``."""
+    """Probability of values ``>= length`` under ``model``: the reference
+    tail. A Poisson's is ``pdtrc(length - 1, lam)`` and loads
+    ``scipy.special``; truncation calls it only through
+    :func:`_tail_within`, when the scipy-free sum cannot decide.
+    """
     if isinstance(model, UniformRange):
         return max(model.s + 1 - length, 0) / (model.s + 1)
     if isinstance(model, Geometric):
@@ -308,10 +368,85 @@ def _tail_mass(model: ModelSpec, length: int) -> float:
     if isinstance(model, Poisson):
         if length <= 0:
             return 1.0
-        return float(np.clip(special.pdtrc(length - 1, model.lam), 0.0, 1.0))
+        from scipy.special import pdtrc
+
+        return float(np.clip(pdtrc(length - 1, model.lam), 0.0, 1.0))
     if isinstance(model, Mixture):
         return float(sum(w * _tail_mass(comp, length) for w, comp in model.components))
     raise TypeError(f"not a model: {model!r}")
+
+
+def _poisson_upper_tail(lam: float, length: int):
+    """``(tail, margin)``: the Poisson(lam) pmf summed over ``k >= length >
+    lam``, and a relative margin that holds both it and ``pdtrc`` within
+    ``tail * (1 +- margin)``; ``None`` when the sum has not converged in
+    ``_TAIL_BLOCKS`` blocks.
+
+    The terms fall by ``lam / (k + 1) < 1``; the sum stops once the
+    geometric bound on the rest is below one ulp of it. Its error, and
+    ``pdtrc``'s, are those of the pmf's exponent, which grow with the
+    magnitude ``S = length |log lam| + log(length!) + lam`` of its parts:
+    ``margin = 1e-10 + 16 eps (S + terms)``. ``pdtrc`` sums this series for
+    at most 2000 terms, so the share of the sum past its first block is
+    added to the margin.
+    """
+    log_fact = float(_log_factorial(np.array([length]))[0])
+    log_lam = math.log(lam)
+    term = math.exp(length * log_lam - log_fact - lam)  # p_k at k = length, not yet summed
+    total, head, k = 0.0, None, length
+    for _ in range(_TAIL_BLOCKS):
+        run = term * np.cumprod(lam / np.arange(k + 1, k + _TAIL_BLOCK + 1))
+        total += term + float(np.sum(run[:-1]))
+        term, k = float(run[-1]), k + _TAIL_BLOCK
+        if head is None:
+            head = total
+        if term <= (1.0 - lam / (k + 1)) * _EPS * total:  # the rest is at most term / (1 - lam / (k + 1))
+            scale = length * abs(log_lam) + log_fact + lam + (k - length)
+            rest = (total - head) / total if total else 0.0
+            return total, _TAIL_MARGIN + 16 * _EPS * scale + rest
+    return None
+
+
+def _tail_bounds(model: ModelSpec, length: int):
+    """``(tail, lo, hi)`` with ``lo <= _tail_mass(model, length) <= hi``,
+    without scipy for a Poisson; ``tail`` is the estimate, or ``None`` where
+    only the bounds are known.
+
+    A Poisson at ``length <= lam`` has tail at least 1/2: its median is at
+    least ``lam - ln 2``, so every integer ``length <= lam`` lies at or below
+    it. Above the mean the tail is :func:`_poisson_upper_tail`. A mixture
+    adds its components' bounds with its weights, in ``_tail_mass``'s order,
+    and rounding is monotone, so the bounds hold for the mixture too. Every
+    other model returns its ``_tail_mass`` three times.
+    """
+    if isinstance(model, Poisson) and length > 0:
+        if length <= model.lam:
+            return None, 0.5, 1.0
+        upper = _poisson_upper_tail(model.lam, length)
+        if upper is None:
+            return None, 0.0, 1.0
+        tail, margin = upper
+        return tail, tail * (1.0 - margin), tail * (1.0 + margin) + _TAIL_FLOOR
+    if isinstance(model, Mixture):
+        parts = [(w, _tail_bounds(comp, length)) for w, comp in model.components]
+        tails = [b[0] for _, b in parts]
+        tail = None if None in tails else float(sum(w * b[0] for w, b in parts))
+        return tail, sum(w * b[1] for w, b in parts), sum(w * b[2] for w, b in parts)
+    tail = _tail_mass(model, length)
+    return tail, tail, tail
+
+
+def _tail_within(model: ModelSpec, length: int, epsilon: float):
+    """The tail mass at ``length`` if ``_tail_mass(model, length) <=
+    epsilon``, else ``None``. The bounds of :func:`_tail_bounds` decide;
+    ``_tail_mass`` decides, and gives the tail, only when ``epsilon`` lies
+    between them or the estimate is unknown."""
+    tail, lo, hi = _tail_bounds(model, length)
+    if lo > epsilon:
+        return None
+    if tail is None or hi > epsilon:
+        tail = _tail_mass(model, length)
+    return tail if tail <= epsilon else None
 
 
 def support_size(model: ModelSpec):
@@ -329,11 +464,16 @@ def support_size(model: ModelSpec):
 def check_support(model: ModelSpec, epsilon: float) -> None:
     """Raise :class:`ParameterError` when ``model`` truncated at tail mass
     ``epsilon`` keeps more than ``MAX_SUPPORT`` points, from the support
-    size or one tail evaluation, without building a vector."""
+    size or one tail decision, without building a vector.
+
+    The decision is ``_tail_mass(model, MAX_SUPPORT) > epsilon``, taken as
+    :func:`pmf_truncate` takes its own, so a Poisson with ``lam >=
+    MAX_SUPPORT`` is rejected at once, without scipy, for ``epsilon < 1/2``.
+    """
     finite = support_size(model)
     if finite is not None and finite > MAX_SUPPORT:
         raise ParameterError(f"support of {finite} points exceeds the cap MAX_SUPPORT = {MAX_SUPPORT}")
-    if finite is None and _tail_mass(model, MAX_SUPPORT) > epsilon:
+    if finite is None and _tail_within(model, MAX_SUPPORT, epsilon) is None:
         raise ParameterError(
             f"truncation at tail mass {epsilon} keeps more than the cap MAX_SUPPORT = {MAX_SUPPORT} points"
         )
@@ -344,6 +484,18 @@ def pmf_truncate(model: ModelSpec, epsilon: float) -> Pmf:
 
     Finite-support models are returned exactly, with zero tail mass. A
     vector longer than ``MAX_SUPPORT`` is a :class:`ParameterError`.
+
+    The length is the one that searching on the reference tail
+    ``_tail_mass`` (``pdtrc`` for a Poisson) gives, but each "tail >
+    epsilon" is decided without scipy where it can be. A Poisson tail at a
+    length ``<= lam`` is at least 1/2. Above the mean the pmf is summed
+    upward, and the sum and ``pdtrc`` both lie within a relative margin
+    ``1e-10 + 16 eps S`` of it, where ``S`` is the magnitude of the pmf's
+    exponent at that length plus the number of terms; the share of the sum
+    past its first 1024 terms is added, because ``pdtrc`` stops its series
+    at 2000. Only a decision whose sum lies within that margin of
+    ``epsilon`` (M7's nearest is 43 % away from 1e-12) calls ``pdtrc``,
+    which then also gives ``tail_mass``; otherwise ``tail_mass`` is the sum.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"truncation epsilon must lie in (0, 1), got {epsilon!r}")
@@ -353,16 +505,16 @@ def pmf_truncate(model: ModelSpec, epsilon: float) -> Pmf:
         return Pmf(pmf_values(model, finite), tail_mass=0.0)
 
     hi = 1
-    while _tail_mass(model, hi) > epsilon:
+    while (tail := _tail_within(model, hi, epsilon)) is None:
         hi *= 2
     lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _tail_mass(model, mid) <= epsilon:
-            hi = mid
+        if (mid_tail := _tail_within(model, mid, epsilon)) is not None:
+            hi, tail = mid, mid_tail
         else:
             lo = mid + 1
-    return Pmf(pmf_values(model, hi), tail_mass=_tail_mass(model, hi))
+    return Pmf(pmf_values(model, hi), tail_mass=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ at a time, as the CLI did before it converted plain files with numpy.
 library did before its stacked engine, and :func:`reference_fit` each
 estimator on one count vector, as the library did before one engine
 fitted every estimate as a stack.
+:func:`reference_poisson_truncation` truncates a Poisson by searching on
+``scipy.special.pdtrc`` and evaluates it with ``scipy.stats.poisson``, as
+the library did before its Poisson pmf and truncation dropped scipy.
 :func:`reference_sup_norm` forms each row block of limit draws as a fresh
 array from a whole chunk of normals, with the centring sum written out in
 its summation order, against the library's sampler that streams the
@@ -422,3 +425,26 @@ def reference_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
                 y = p - s[:, None] * row
                 out[i, done + a : done + a + len(y)] = np.abs(y).max(axis=1)
     return out if np.ndim(theta) == 2 else out[0]
+
+
+def reference_poisson_truncation(lam: float, epsilon: float) -> np.ndarray:
+    """Probabilities of Poisson(lam) up to the shortest length whose tail
+    ``pdtrc(length - 1, lam)`` is at most ``epsilon``, found by doubling and
+    then bisection on that tail."""
+    from scipy.special import pdtrc
+    from scipy.stats import poisson
+
+    def within(length):
+        return float(np.clip(pdtrc(length - 1, lam), 0.0, 1.0)) <= epsilon
+
+    hi = 1
+    while not within(hi):
+        hi *= 2
+    lo = max(1, hi // 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if within(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return poisson.pmf(np.arange(hi), lam)

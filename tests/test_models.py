@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_frequency_total, reference_sample
+from oracles import reference_frequency_total, reference_poisson_truncation, reference_sample
 from stackpmf import (
     FrequencyData,
     Geometric,
@@ -30,7 +31,14 @@ from stackpmf import (
     support_size,
 )
 from stackpmf.harness import ExperimentConfig, run_loss_experiment
-from stackpmf.models import MAX_COUNT, MAX_SUPPORT, _sampling_table, _tail_mass, check_support
+from stackpmf.models import (
+    MAX_COUNT,
+    MAX_SUPPORT,
+    _log_factorial,
+    _sampling_table,
+    _tail_mass,
+    check_support,
+)
 
 ALL_BUILTIN = tuple(builtin_models().items())
 
@@ -139,6 +147,45 @@ class TestPoissonMatchesScipyStats:
         tail = _tail_mass(model, length)
         assert type(tail) is float
         assert _bits(tail) == _bits(float(scipy.stats.poisson.sf(length - 1, lam)))
+
+
+class TestScipyFreePoisson:
+    """The Poisson pmf takes ``log(j!)`` from a port of cephes ``lgam`` and
+    truncation decides its tails by a direct sum, asking ``pdtrc`` only near
+    ``epsilon``; both must give scipy's bytes and lengths."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(0, MAX_SUPPORT - 1))
+    @example(11)
+    @example(12)
+    @example(998)
+    @example(999)
+    @example(MAX_SUPPORT - 1)
+    def test_log_factorial_is_bitwise_gammaln(self, k):
+        k = np.array([k])
+        assert _bits(_log_factorial(k)) == _bits(scipy.special.gammaln(k + 1))
+
+    def test_log_factorial_is_bitwise_gammaln_below_2p16(self):
+        k = np.arange(2**16)
+        np.testing.assert_array_equal(_bits(_log_factorial(k)), _bits(scipy.special.gammaln(k + 1)))
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10])
+    def test_truncation_matches_a_pdtrc_search(self, eps):
+        for lam in np.geomspace(0.01, 1e5, 701):
+            got = pmf_truncate(Poisson(lam), eps)
+            want = reference_poisson_truncation(float(lam), eps)
+            assert got.probs.size == want.size, lam
+            assert got.probs.tobytes() == want.tobytes(), lam
+            assert got.tail_mass <= eps
+
+    @pytest.mark.parametrize("model", [Poisson(2.0), Poisson(15.0), Poisson(1234.5), builtin_models()["M7"]])
+    def test_a_tail_equal_to_epsilon_keeps_its_length(self, model):
+        # tail(L) == eps exactly: only the fallback to pdtrc can call this tie
+        length = pmf_truncate(model, 1e-12).probs.size
+        eps = _tail_mass(model, length)
+        got = pmf_truncate(model, eps)
+        assert got.probs.size == length
+        assert got.tail_mass == eps
 
 
 class TestSupportCap:

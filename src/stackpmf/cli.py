@@ -6,7 +6,7 @@ Subcommands: ``estimate`` (fit one estimator to a counts file), ``simulate``
 recording the resolved arguments, so rerunning the manifest's argv
 reproduces the files byte for byte.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure or out of memory.
 """
 
 import argparse
@@ -27,14 +27,13 @@ from .confidence import band as make_band
 from .confidence import MAX_QUANTILE_DRAWS, MIN_QUANTILE_DRAWS, _as_theta, quantile_q_alpha
 from .estimators import ESTIMATOR_CODES, SHAPE_KINDS, fit_estimator, stacked
 from .harness import (
-    TRUTH_TRUNCATION,
     ExperimentConfig,
     run_coverage,
     run_loss_experiment,
     run_qq_samples,
     run_risk_curve,
 )
-from .models import MAX_COUNT, FrequencyData, parse_model, pmf_truncate
+from .models import MAX_COUNT, FrequencyData, parse_model, truncated_probs
 
 SEED_ENV_VAR = "STACKPMF_SEED"
 
@@ -531,7 +530,7 @@ def _cmd_qq(args) -> int:
     seed = _resolve_seed(args)
     model = _parse_model(args.model)
     codes = _parse_codes(args.est)
-    support = pmf_truncate(model, TRUTH_TRUNCATION).probs.size
+    support = truncated_probs(model).size
     if args.coord >= support:
         raise _UsageError(f"--coord {args.coord} lies outside the support of {args.model} (length {support})")
     cfg = ExperimentConfig(model=model, reps=args.reps, estimators=codes, n=args.n,
@@ -639,6 +638,9 @@ def main(argv=None) -> int:
         # the parser and the subcommands reject bad flag values as usage
         # errors, so what reaches here is a numeric failure
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:  # no flag alone is known to be at fault
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -348,31 +348,37 @@ def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
     ``(beta_hat, a_n, b_n)`` arrays from :func:`cv_betas`. Every step is
     elementwise or a row reduction, so entry ``[b, a]`` does not depend on
     the other rows. Each fit, and each shape fit behind a stacked one, runs
-    once; the blocks of :func:`grenander_blocks` are found once for the
-    isotonic fit and its leave-one-out pass. A single observation leaves
+    once, into its code's first output slot (an unnamed shape fit into its
+    own buffer); the blocks of :func:`grenander_blocks` are found once for
+    the isotonic fit and its leave-one-out pass. A single observation leaves
     the criterion undefined: the weight is 0 and ``b_n`` is None.
     """
     n = xs[0].n
     counts = xs[0].counts[None] if len(xs) == 1 else np.stack([x.counts for x in xs])
-    base = counts / n
+    out = np.empty((len(xs), len(codes), counts.shape[1]))
+    base = np.divide(counts, n, out=out[:, codes.index("e")] if "e" in codes else None)
     fits, weights, starts = {"e": base}, {}, None
-    for code in codes:
+    for a, code in enumerate(codes):
         if code not in ESTIMATOR_CODES:
             raise ValueError(f"unknown estimator code {code!r}; choose from {ESTIMATOR_CODES}")
         if code in fits:
+            if codes.index(code) < a:  # a duplicate
+                out[:, a] = fits[code]
             continue
         if code == "mm":
             alpha = math.sqrt(n) / (n + math.sqrt(n))
-            fits[code] = alpha * np.full(base.shape[1], 1.0 / base.shape[1]) + (1.0 - alpha) * base
+            fits[code] = np.add(alpha * np.full_like(base[0], 1.0 / base.shape[1]), (1.0 - alpha) * base, out=out[:, a])
             continue
         kind, shape_code = SHAPE_KINDS[code], code[-1]  # sr and sG stack the shape fits r and G
         if shape_code not in fits:
             if kind == GRENANDER:
                 starts = grenander_blocks(counts, n)
                 _, levels, widths = block_means(base, starts)
-                fits[shape_code] = np.repeat(levels, widths).reshape(base.shape)
+                shape = np.repeat(levels, widths).reshape(base.shape)
             else:
-                fits[shape_code] = rearrange_decreasing(base)
+                shape = rearrange_decreasing(base)
+            fits[shape_code] = out[:, codes.index(shape_code)] if shape_code in codes else shape
+            fits[shape_code][...] = shape  # numpy skips the copy onto itself of an unnamed shape fit
         if code != shape_code:
             shape = fits[shape_code]
             if n > 1:
@@ -380,8 +386,9 @@ def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
             else:
                 weights[code] = (np.zeros(len(xs)), np.sum((shape - base) ** 2, axis=1), None)
             beta = weights[code][0][:, None]
-            fits[code] = beta * shape + (1.0 - beta) * base
-    return np.stack([fits[code] for code in codes], axis=1), weights
+            fits[code] = np.multiply(beta, shape, out=out[:, a])
+            fits[code] += (1.0 - beta) * base
+    return out, weights
 
 
 def fit_estimator(code: str, x: FrequencyData) -> np.ndarray:

@@ -10,12 +10,12 @@ its band quantile from ``(seed, "band", i)``. Blocks of replications are
 fitted as ``(B, D)`` stacks by the estimator engine
 (:func:`stackpmf.estimators.fit_stack`), whose rows are bitwise the fits
 of each replication alone, so results are byte-equal for any worker count
-or blocking.
+or blocking. Only a run of more than one worker imports ``multiprocessing``
+and forks. The truth is the sampler's cached truncation.
 """
 
 import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +23,8 @@ import numpy as np
 from . import estimators as est
 from .confidence import band, quantile_q_alpha
 from .estimators import ESTIMATOR_CODES, fit_estimator  # noqa: F401  (perfbench's tracer looks fit_estimator up here)
-from .models import ModelSpec, pmf_truncate, sample
+from .models import ModelSpec, pmf_truncate, sample, truncated_probs  # noqa: F401  (perfbench's tracer looks pmf_truncate up here)
 from .rng import substream_seed
-
-#: Truth vectors are materialized with this tail tolerance.
-TRUTH_TRUNCATION = 1e-12
 
 #: Count cells per fitting round: a ``(B, D)`` stack has at most
 #: ``max(1, STACK_CELLS // D)`` rows, which bounds the working set at any D.
@@ -128,6 +125,7 @@ def _replications(cfg: ExperimentConfig, n: int, reduce, path: tuple = ()) -> np
         return fn(range(cfg.reps))
     size = max(1, cfg.reps // (cfg.workers * 8))
     blocks = [range(start, min(start + size, cfg.reps)) for start in range(0, cfg.reps, size)]
+    import multiprocessing
     with multiprocessing.get_context("fork").Pool(cfg.workers) as pool:
         return np.concatenate(pool.map(fn, blocks, chunksize=1))
 
@@ -161,7 +159,7 @@ def run_loss_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Estimation losses per replication at a single sample size."""
     if cfg.n is None:
         raise ValueError("loss experiments need a single sample size n")
-    truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs
+    truth = truncated_probs(cfg.model)
     rows = _replications(cfg, cfg.n, functools.partial(_losses, truth=truth, norms=cfg.norms))
     return ExperimentResult(config=cfg, per_rep_losses=rows)
 
@@ -170,7 +168,7 @@ def run_risk_curve(cfg: ExperimentConfig) -> ExperimentResult:
     """Scaled risk ``n * E[squared l2 loss]`` over the sample-size grid."""
     if not cfg.n_grid:
         raise ValueError("risk curves need a nonempty n_grid")
-    truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs
+    truth = truncated_probs(cfg.model)
     risks = np.empty((len(cfg.n_grid), len(cfg.estimators)))
     ses = np.empty_like(risks)
     l2_loss = functools.partial(_losses, truth=truth, norms=(2,))
@@ -191,7 +189,7 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentResult:
     """
     if cfg.n is None:
         raise ValueError("coverage experiments need a single sample size n")
-    truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs
+    truth = truncated_probs(cfg.model)
     rows = _replications(cfg, cfg.n, functools.partial(_band_hits, truth=truth, cfg=cfg))
     result = ExperimentResult(config=cfg)
     for a, code in enumerate(cfg.estimators):
@@ -210,7 +208,7 @@ def run_qq_samples(cfg: ExperimentConfig, coord: int) -> ExperimentResult:
 
     if cfg.n is None:
         raise ValueError("QQ sampling needs a single sample size n")
-    truth = pmf_truncate(cfg.model, TRUTH_TRUNCATION).probs
+    truth = truncated_probs(cfg.model)
     if not 0 <= coord < truth.size:
         raise ValueError(f"coordinate {coord} outside the truth support of length {truth.size}")
     deviations = functools.partial(_qq_deviations, coord=coord, p_coord=float(truth[coord]))

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import EmptyInputError, InvalidPmfError, ParameterError
 from .rng import _as_int, substream
 
-#: Tail mass discarded when an infinite support is materialized for sampling.
+#: Tail mass discarded when an infinite support is materialized (see :func:`truncated_probs`).
 SAMPLING_TRUNCATION = 1e-12
 
 #: Longest truncated support a model may have, in points: a probability
@@ -545,14 +545,19 @@ def sample(model: ModelSpec, n: int, seed: int) -> FrequencyData:
 
 @functools.lru_cache(maxsize=64)
 def _sampling_table(model: ModelSpec) -> np.ndarray:
-    """Read-only cumulative sums of ``model`` truncated at ``SAMPLING_TRUNCATION``.
-
-    Built once per distinct model for the life of the process; models are
-    frozen dataclasses, so equal descriptions share one entry.
-    """
-    cum = np.cumsum(pmf_truncate(model, SAMPLING_TRUNCATION).probs)
+    """Read-only cumulative sums of :func:`truncated_probs`."""
+    cum = np.cumsum(truncated_probs(model))
     cum.flags.writeable = False
     return cum
+
+
+@functools.lru_cache(maxsize=64)
+def truncated_probs(model: ModelSpec) -> np.ndarray:
+    """Read-only ``pmf_truncate(model, SAMPLING_TRUNCATION).probs``, for the sampler and as
+    the experiments' truth, built once per distinct model (a frozen dataclass) per process."""
+    probs = pmf_truncate(model, SAMPLING_TRUNCATION).probs
+    probs.flags.writeable = False
+    return probs
 
 
 # ---------------------------------------------------------------------------

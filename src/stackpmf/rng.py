@@ -5,6 +5,8 @@ Every stochastic routine in the package draws from a Philox generator
 spawn keys. A stream is addressed by a root seed plus a path of integers
 and short string labels, so replication i of an experiment always sees the
 same draws no matter how the work is scheduled or how many workers run it.
+Annotations are strings: ``numpy.random`` (and OpenSSL, via ``secrets``) loads with the
+first stream, not on import, so ``estimate`` without ``--band`` never loads it.
 """
 
 import operator
@@ -32,7 +34,7 @@ def _encode_part(part) -> int:
     return value
 
 
-def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+def _seed_sequence(seed: int, path: tuple) -> "np.random.SeedSequence":
     """The ``SeedSequence`` of the stream ``(seed, path)``; ``seed`` must lie in [0, 2**64)."""
     seed = _as_int(seed, "seed")
     if not 0 <= seed < 2**64:
@@ -40,7 +42,7 @@ def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_encode_part(p) for p in path))
 
 
-def substream(seed: int, *path) -> np.random.Generator:
+def substream(seed: int, *path) -> "np.random.Generator":
     """Generator for the stream addressed by ``seed`` and ``path``.
 
     ``path`` parts are nonnegative integers or short ASCII labels.

@@ -624,6 +624,25 @@ class TestBadFlagValuesAreUsageErrors:
         assert run(QQ[:3] + ["--coord", 11] + QQ[5:] + ["--out", tmp_path]) == 0
 
 
+class TestOutOfMemory:
+    """A ``MemoryError`` is a numeric failure (exit 4) with one error line,
+    not a traceback. The sampler is made to raise it: nothing large is
+    allocated."""
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 8.00 TiB for an array with shape (2**40,)"),
+         "error: out of memory: Unable to allocate 8.00 TiB for an array with shape (2**40,)\n"),
+        (MemoryError(), "error: out of memory: an allocation failed\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_exits_4_with_one_line(self, exc, message, tmp_path, monkeypatch, capsys):
+        def sample(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(stackpmf.harness, "sample", sample)
+        assert run(SIMULATE + ["--out", tmp_path]) == cli.EXIT_NUMERIC == 4
+        assert capsys.readouterr().err == message
+
+
 def _fraction(top: float):
     """Strings ``a/b`` with ``b <= 20`` and ``0 < a / b <= top``, for ``top >= 1/2``."""
     return st.integers(2, 20).flatmap(lambda b: st.integers(1, int(top * b)).map(lambda a: f"{a}/{b}"))

@@ -70,6 +70,7 @@ class TestFitStack:
     def test_rows_bitwise_equal_to_standalone_estimators(self, xs, codes):
         fits, weights = est.fit_stack(codes, xs)
         assert fits.shape == (len(xs), len(codes), xs[0].counts.size)
+        assert fits.flags.c_contiguous
         assert sorted(weights) == sorted({"sr", "sG"} & set(codes))
         for b, (x, row) in enumerate(zip(xs, fits)):
             views = {
@@ -124,6 +125,28 @@ class TestFitStack:
         with pytest.raises(ValueError):
             fit_estimator("zz", FrequencyData(np.array([1, 2])))
 
+    def test_output_is_the_only_copy_of_the_fits(self, monkeypatch):
+        # once the leave-one-out pass is done, the fit holds its output and
+        # one (B, D) temporary at most: no fit is copied into a second output
+        x = FrequencyData(np.arange(1, 50_002))
+        row = x.counts.size * 8
+        cv_betas = est.cv_betas
+
+        def then_reset_peak(*args):
+            weights = cv_betas(*args)
+            tracemalloc.reset_peak()
+            return weights
+
+        monkeypatch.setattr(est, "cv_betas", then_reset_peak)
+        tracemalloc.start()
+        try:
+            fits, _ = est.fit_stack(("e", "G", "sG"), [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fits.nbytes == 3 * row
+        assert peak < fits.nbytes + row + 2**16
+
 
 class TestBlocks:
     """Rows do not depend on how replications are cut into blocks and rounds."""
@@ -140,7 +163,7 @@ class TestBlocks:
     def test_any_partition_gives_the_same_rows(self, name, n, seed, codes, labels, cells):
         cfg = ExperimentConfig(model=M[name], reps=len(labels), estimators=tuple(codes), n=n,
                                alpha=0.3, band_mc_reps=100, seed=seed)
-        truth = pmf_truncate(cfg.model, harness.TRUTH_TRUNCATION).probs
+        truth = pmf_truncate(cfg.model, 1e-12).probs
         reduces = {
             "loss": ((), functools.partial(harness._losses, truth=truth, norms=est.NORMS)),
             "risk": ((1,), functools.partial(harness._losses, truth=truth, norms=(2,))),

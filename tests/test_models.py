@@ -30,14 +30,17 @@ from stackpmf import (
     sample,
     support_size,
 )
+from stackpmf import cli, models
 from stackpmf.harness import ExperimentConfig, run_loss_experiment
 from stackpmf.models import (
     MAX_COUNT,
     MAX_SUPPORT,
+    SAMPLING_TRUNCATION,
     _log_factorial,
     _sampling_table,
     _tail_mass,
     check_support,
+    truncated_probs,
 )
 
 ALL_BUILTIN = tuple(builtin_models().items())
@@ -313,6 +316,27 @@ class TestSamplingTableCache:
         assert Geometric(Fraction(1, 4)).theta == 0.25 and type(Geometric(Fraction(1, 4)).theta) is float
         assert type(Poisson(2).lam) is float
         assert type(NegativeBinomial(3, Fraction(7, 10)).theta) is float
+
+    def test_one_truncation_per_model_and_run(self, monkeypatch, tmp_path):
+        # qq's support check, its truth vector and the sampler's table all
+        # read the one cached truncation
+        truncated_probs.cache_clear()
+        _sampling_table.cache_clear()
+        calls = []
+
+        def counted(model, epsilon):
+            calls.append(epsilon)
+            return pmf_truncate(model, epsilon)
+
+        monkeypatch.setattr(models, "pmf_truncate", counted)
+        argv = ["qq", "--model", "M7", "--coord", "2", "--n", "40", "--reps", "3", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert calls == [SAMPLING_TRUNCATION]
+        probs = truncated_probs(builtin_models()["M7"])
+        assert not probs.flags.writeable
+        assert probs.tobytes() == pmf_truncate(builtin_models()["M7"], 1e-12).probs.tobytes()
+        # the public truncation stays uncached and writable
+        assert pmf_truncate(builtin_models()["M7"], 1e-12).probs.flags.writeable
 
 
 class TestContainers:

@@ -9,8 +9,14 @@ rejecting ``pois:1e12`` loads no scipy either. ``qq`` loads
 :mod:`stackpmf.models`, and ``scipy.optimize`` only by
 ``shape.isotonic_decreasing`` on float input: the estimators fit counts
 with their own integer PAVA. ``numpy.ma`` is loaded lazily by some numpy
-functions (``np.unique``) and by scipy. Each check runs in a fresh
-interpreter, because the test process itself has all of them loaded.
+functions (``np.unique``) and by scipy.
+
+Importing stackpmf and fitting a counts file without a band load neither
+``numpy.random`` (nor OpenSSL's ``_hashlib``, which it pulls in through
+``secrets``) nor ``multiprocessing``: the first random stream loads
+``numpy.random``, and only a run with more than one worker loads
+``multiprocessing``. Each check runs in a fresh interpreter, because the
+test process itself has all of them loaded.
 """
 
 import json
@@ -27,7 +33,8 @@ SCRIPT = """
 import json, sys
 from stackpmf import cli, isotonic_decreasing, ParameterError, parse_model
 
-WATCHED = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma")
+WATCHED = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma", "numpy.random", "_hashlib",
+           "multiprocessing")
 
 def loaded():
     return [name for name in WATCHED if name in sys.modules]
@@ -57,6 +64,8 @@ isotonic_decreasing([1.0, 3.0, 2.0])
 report["isotonic_decreasing"] = loaded()
 code = cli.main(["simulate", "--model", "nbin:3,0.5", "--n", "40", "--reps", "2"] + common)
 report["nbin loss"] = [code] + loaded()
+code = cli.main(["simulate", "--model", "M1", "--n", "40", "--reps", "2", "--workers", "2"] + common)
+report["M1 loss, 2 workers"] = [code] + loaded()
 print(json.dumps(report))
 """
 
@@ -72,10 +81,13 @@ def test_scipy_stats_loads_only_for_negative_binomial_models(tmp_path):
         "import": [],
         "pois:1e12": [],
         "estimate sG": [0],
-        "band input": [0],
-        "M1 coverage": [0],
-        "M7 loss": [0],
-        "M7 qq": [0, "scipy", "scipy.special", "numpy.ma"],
-        "isotonic_decreasing": ["scipy", "scipy.special", "scipy.optimize", "numpy.ma"],
-        "nbin loss": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma"],
+        "band input": [0, "numpy.random", "_hashlib"],
+        "M1 coverage": [0, "numpy.random", "_hashlib"],
+        "M7 loss": [0, "numpy.random", "_hashlib"],
+        "M7 qq": [0, "scipy", "scipy.special", "numpy.ma", "numpy.random", "_hashlib"],
+        "isotonic_decreasing": ["scipy", "scipy.special", "scipy.optimize", "numpy.ma", "numpy.random", "_hashlib"],
+        "nbin loss": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma", "numpy.random",
+                      "_hashlib"],
+        "M1 loss, 2 workers": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma",
+                               "numpy.random", "_hashlib", "multiprocessing"],
     }

@@ -336,7 +336,7 @@ def _write_json(path: str, payload) -> None:
 
 
 def _write_table(args, name: str, header: list[str], rows: list[list], comments: list[str] = ()) -> str:
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         path = os.path.join(args.out, f"{name}.json")
         _write_json(path, {"comments": list(comments), "columns": header, "rows": rows})
     else:
@@ -557,13 +557,13 @@ def _cmd_qq(args) -> int:
 # Parser and entry point
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, table: bool = True) -> None:
     parser.add_argument("--seed", type=_seed, default=None,
                         help=f"random seed in [0, 2**64) (fallback: ${SEED_ENV_VAR}, then 0)")
     parser.add_argument("--workers", type=_int_in(1), default=1, help="worker processes for replications")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table output format")
-    parser.add_argument("--svg", action="store_true", help="also write a minimal SVG chart")
+    if table:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also compute a global confidence band at this level")
     p.add_argument("--mc", type=_int_in(MIN_QUANTILE_DRAWS, MAX_QUANTILE_DRAWS), default=100_000,
                    help="Monte-Carlo draws for the band quantile")
-    _add_common(p)
+    _add_common(p, table=False)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="loss, risk or coverage experiments")
@@ -595,6 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandmc", type=_int_in(MIN_QUANTILE_DRAWS, MAX_QUANTILE_DRAWS), default=100_000,
                    help="band quantile draws for coverage mode")
     _add_common(p)
+    p.add_argument("--svg", action="store_true", help="also write a minimal SVG chart")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("band", help="global confidence band for a counts file or saved estimate")

@@ -16,11 +16,11 @@ Every estimate comes from one engine, :func:`fit_stack`, which fits a
 :func:`empirical`, :func:`rearrangement`, :func:`grenander`,
 :func:`minimax`, :func:`stacked`, :func:`cv_beta` and
 :func:`fit_estimator` are its one-row views. The isotonic blocks of a
-stack come from one exact integer pool-adjacent-violators pass over all
-its rows, :func:`grenander_blocks`; the Grenander fit takes its levels as
-block means of ``counts / n`` (``shape.block_means``), and the
-leave-one-out pass reuses the blocks as the vertices of the least concave
-majorant.
+stack come from the package's one pool-adjacent-violators pass,
+``shape.grenander_blocks``, exact on integer counts and run over all the
+rows at once; the Grenander fit takes its levels as block means of
+``counts / n`` (``shape.block_means``), and the leave-one-out pass reuses
+the blocks as the vertices of the least concave majorant.
 
 The leave-one-out vectors, one full refit per observed support point,
 come from :func:`loo_stacks` for a whole ``(B, D)`` stack of count vectors
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InsufficientSampleError
 from .models import FrequencyData, Pmf
-from .shape import block_means, isotonic_decreasing, rearrange_decreasing  # noqa: F401  (perfbench's tracer looks isotonic_decreasing up here)
+from .shape import block_means, grenander_blocks, isotonic_decreasing, rearrange_decreasing  # noqa: F401  (perfbench's tracer looks isotonic_decreasing up here)
 
 REARRANGEMENT = "rearrangement"
 GRENANDER = "grenander"
@@ -60,10 +60,6 @@ SHAPE_KINDS = {"r": REARRANGEMENT, "G": GRENANDER, "sr": REARRANGEMENT, "sG": GR
 
 #: The l_k norms :func:`lk_distance` supports.
 NORMS = (1, 2, math.inf)
-
-#: Blocks per count cell that the rounds of :func:`grenander_blocks` may
-#: visit before the rows still pooling take their vertices from the hull.
-POOL_WORK_PER_CELL = 4
 
 #: Below this, the squared distance between shape and base is treated as zero
 #: and the mixture weight defaults to 0 (the estimate is unchanged either way).
@@ -130,74 +126,6 @@ def _loo_rearrangement(counts: np.ndarray, n: int) -> np.ndarray:
     desc_next[:, :-1] = desc[:, 1:]
     lowered = (desc >= counts) & (counts > desc_next)
     return np.where(counts > 0, desc - lowered, 0) / (n - 1)
-
-
-def _push_hull(hull: list[int], cum: list[int], i: int) -> None:
-    """Append ``P_i = (i, C_i)`` to the upper hull ``hull``, keeping its turns strictly concave."""
-    while len(hull) >= 2:
-        a, b = hull[-1], hull[-2]
-        if (cum[i] - cum[a]) * (a - b) < (cum[a] - cum[b]) * (i - a):
-            break
-        hull.pop()
-    hull.append(i)
-
-
-def _hull_vertices(cum: list[int]) -> list[int]:
-    """Vertices of the upper hull of the points ``(i, cum[i])``, turns strictly concave."""
-    vertices: list[int] = []
-    for i in range(len(cum)):
-        _push_hull(vertices, cum, i)
-    return vertices
-
-
-def grenander_blocks(counts: np.ndarray, n: int) -> np.ndarray:
-    """Starts of the maximal constant blocks of the isotonic fit of every
-    row of a ``(B, D)`` count stack whose rows all total ``n``, as indices
-    into ``counts.ravel()``; every row start is one. In row b the starts
-    minus ``b D``, with D appended, are the vertices V of the least concave
-    majorant of the cumulative counts, its turns strictly concave.
-
-    Pool-adjacent-violators on all rows at once: each round pools every
-    maximal run of neighbouring blocks of a row whose means do not fall,
-    tested exactly on their integer sums S and widths W as ``S_k W_(k+1)
-    <= S_(k+1) W_k``. Two such neighbours always share a level of the fit
-    (a fit block's mean is at most that of its last part and at least that
-    of its first), so when nothing is left to pool the blocks are the
-    fit's. A row drops
-    out of the rounds once it has nothing to pool. The products stay below
-    ``(D + 1) n``, so they are exact int64 while that is at most 2**53.
-    Past that bound, and for the rows still pooling once the rounds have
-    visited ``POOL_WORK_PER_CELL`` blocks per count cell (a cascade that
-    pools one block per round), the hull on Python ints gives V.
-    """
-    rows, d = counts.shape
-    starts, hulled = [], range(rows)
-    if (d + 1) * n <= 2**53:
-        flat = counts.ravel().astype(np.int64, copy=False)
-        pool = flat[:-1] <= flat[1:]  # the first round, on blocks of one point
-        pool[d - 1 :: d] = False
-        start = np.flatnonzero(np.append(True, ~pool))
-        sums, widths = np.add.reduceat(flat, start), np.diff(start, append=flat.size)
-        budget = (POOL_WORK_PER_CELL - 1) * flat.size
-        while True:
-            row = start // d
-            pool = (sums[:-1] * widths[1:] <= sums[1:] * widths[:-1]) & (row[1:] == row[:-1])
-            live = np.zeros(rows, dtype=bool)
-            live[row[1:][pool]] = True
-            live = live[row]
-            starts.append(start[~live])
-            if budget <= 0 or not pool.any():
-                break
-            budget -= start.size
-            heads = np.flatnonzero(np.append(True, ~pool))
-            live = live[heads]
-            start = start[heads][live]
-            sums = np.add.reduceat(sums, heads)[live]
-            widths = np.add.reduceat(widths, heads)[live]
-        hulled = sorted(set((start[live] // d).tolist()))  # np.unique would load numpy.ma
-    for b in hulled:
-        starts.append(b * d + np.array(_hull_vertices([0] + np.cumsum(counts[b]).tolist())[:-1]))
-    return np.sort(np.concatenate(starts), kind="stable")  # merges the sorted runs
 
 
 def _loo_grenander_stack(counts: np.ndarray, n: int, starts: np.ndarray) -> np.ndarray:
@@ -299,7 +227,7 @@ def loo_stacks(counts: np.ndarray, n: int, kind: str,
     if kind == REARRANGEMENT:
         shape_loo = _loo_rearrangement(counts, n)
     else:
-        shape_loo = _loo_grenander_stack(counts, n, grenander_blocks(counts, n) if starts is None else starts)
+        shape_loo = _loo_grenander_stack(counts, n, grenander_blocks(counts) if starts is None else starts)
     return np.maximum(counts - 1, 0) / (n - 1), shape_loo
 
 
@@ -372,7 +300,7 @@ def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
         kind, shape_code = SHAPE_KINDS[code], code[-1]  # sr and sG stack the shape fits r and G
         if shape_code not in fits:
             if kind == GRENANDER:
-                starts = grenander_blocks(counts, n)
+                starts = grenander_blocks(counts)
                 _, levels, widths = block_means(base, starts)
                 shape = np.repeat(levels, widths).reshape(base.shape)
             else:

@@ -1,26 +1,26 @@
 """Decreasing-shape vector transforms.
 
-Two primitives used by every constrained estimator in the package, and
-the block means they share with the estimators' isotonic fit:
-
-* :func:`isotonic_decreasing` computes the least-squares projection of a
-  float vector onto the cone of nonincreasing vectors with SciPy's
-  pool-adjacent-violators algorithm (PAVA), returning both the fitted
-  vector and its partition into constant blocks. ``scipy.optimize`` is
-  imported on its first call: the estimators fit count vectors with their
-  own exact integer PAVA (``estimators.grenander_blocks``), so no fit
-  loads it.
+* :func:`grenander_blocks`, the package's one pool-adjacent-violators
+  pass, finds the blocks of the nonincreasing least-squares fit of every
+  row of a ``(B, D)`` stack at once: of counts for the estimators'
+  Grenander fit and its leave-one-out pass, and of floats for
+  :func:`isotonic_decreasing`, which projects one vector and returns its
+  fit and its partition into constant blocks.
+* :func:`block_means` gives the levels of such a fit from its block starts.
 * :func:`rearrange_decreasing` sorts a vector, or each row of a stack,
   into nonincreasing order.
-* :func:`block_means` gives the levels of a nonincreasing fit of each row
-  of a stack from the starts of its blocks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInputError
+
+#: Blocks per cell that the rounds of :func:`grenander_blocks` may visit
+#: before the rows still pooling take their vertices from the hull.
+POOL_WORK_PER_CELL = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,14 +64,81 @@ def isotonic_decreasing(v) -> tuple[np.ndarray, BlockPartition]:
         raise EmptyInputError("cannot project an empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("entries must be finite")
-    from scipy.optimize import isotonic_regression
-
-    # SciPy's PAVA fixes the partition; block_means merges the equal-level
-    # neighbours it leaves apart
-    starts, levels, widths = block_means(v[None], isotonic_regression(v, increasing=False).blocks[:-1])
+    starts, levels, widths = block_means(v[None], grenander_blocks(v[None]))
     fitted = np.repeat(levels, widths)
     boundaries = np.append(starts[1:], v.size) - 1
     return fitted, BlockPartition(boundaries=boundaries, levels=levels)
+
+
+def _hull_vertices(cum: list) -> list[int]:
+    """Vertices of the upper hull of the points ``(i, cum[i])``, turns strictly concave."""
+    hull: list[int] = []
+    for i, c in enumerate(cum):
+        while len(hull) >= 2:
+            a, b = hull[-1], hull[-2]
+            if (c - cum[a]) * (a - b) < (cum[a] - cum[b]) * (i - a):
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
+
+
+def grenander_blocks(v: np.ndarray) -> np.ndarray:
+    """Starts of the maximal constant blocks of the nonincreasing
+    least-squares fit of every row of the ``(B, D)`` stack ``v``, as
+    indices into ``v.ravel()``; every row start is one. In row b the starts
+    minus ``b D``, with D appended, are the vertices V of the least concave
+    majorant of the row's cumulative sums, its turns strictly concave.
+
+    Pool-adjacent-violators on all rows at once: each round pools every
+    maximal run of neighbouring blocks of a row whose means do not fall,
+    tested on their sums S and widths W as ``S_k W_(k+1) <= S_(k+1) W_k``.
+    Two such neighbours always share a level of the fit (a fit block's mean
+    is at most that of its last part and at least that of its first), so
+    when nothing is left to pool the blocks are the fit's. A row drops out
+    of the rounds once it has nothing to pool, and the rows still pooling
+    once the rounds have visited ``POOL_WORK_PER_CELL`` blocks per cell (a
+    cascade that pools one block per round) take V from the hull.
+
+    On integers the products stay below ``(D + 1) T``, T the largest row
+    total, so they are exact int64 while that is at most 2**53; past that
+    bound the hull on Python ints gives V. On floats they stay below
+    ``D**2 max|v|``, and a stack where that could overflow is first scaled
+    by a power of two.
+    """
+    rows, d = v.shape
+    starts, hulled = [], range(rows)
+    if v.dtype.kind == "f":
+        shift = 1023 - math.frexp(float(np.max(np.abs(v))))[1] - (d * d).bit_length()
+        v = np.ldexp(v, shift) if shift < 0 else v
+    else:
+        v = v.astype(np.int64, copy=False)
+    if v.dtype.kind == "f" or (d + 1) * int(v.sum(axis=1).max()) <= 2**53:
+        flat = v.ravel()
+        pool = flat[:-1] <= flat[1:]  # the first round, on blocks of one point
+        pool[d - 1 :: d] = False
+        start = np.flatnonzero(np.append(True, ~pool))
+        sums, widths = np.add.reduceat(flat, start), np.diff(start, append=flat.size)
+        budget = (POOL_WORK_PER_CELL - 1) * flat.size
+        while True:
+            row = start // d
+            pool = (sums[:-1] * widths[1:] <= sums[1:] * widths[:-1]) & (row[1:] == row[:-1])
+            live = np.zeros(rows, dtype=bool)
+            live[row[1:][pool]] = True
+            live = live[row]
+            starts.append(start[~live])
+            if budget <= 0 or not pool.any():
+                break
+            budget -= start.size
+            heads = np.flatnonzero(np.append(True, ~pool))
+            live = live[heads]
+            start = start[heads][live]
+            sums = np.add.reduceat(sums, heads)[live]
+            widths = np.add.reduceat(widths, heads)[live]
+        hulled = sorted(set((start[live] // d).tolist()))  # np.unique would load numpy.ma
+    for b in hulled:
+        starts.append(b * d + np.array(_hull_vertices([0] + np.cumsum(v[b]).tolist())[:-1]))
+    return np.sort(np.concatenate(starts), kind="stable")  # merges the sorted runs
 
 
 def block_means(v: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

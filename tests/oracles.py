@@ -27,6 +27,9 @@ fitted every estimate as a stack.
 :func:`reference_poisson_truncation` truncates a Poisson by searching on
 ``scipy.special.pdtrc`` and evaluates it with ``scipy.stats.poisson``, as
 the library did before its Poisson pmf and truncation dropped scipy.
+:func:`scipy_isotonic_decreasing` is SciPy's pool-adjacent-violators fit
+of a float vector, as ``isotonic_decreasing`` computed it before the
+package's own pass took float input.
 :func:`reference_sup_norm` forms each row block of limit draws as a fresh
 array from a whole chunk of normals, with the centring sum written out in
 its summation order, against the library's sampler that streams the
@@ -183,6 +186,14 @@ def brute_force_isotonic_decreasing(v: np.ndarray) -> np.ndarray:
             best_sse = sse
             best = fitted
     return best
+
+
+def scipy_isotonic_decreasing(v: np.ndarray) -> np.ndarray:
+    """The nonincreasing least-squares fit of the float vector ``v`` by
+    ``scipy.optimize.isotonic_regression``."""
+    from scipy.optimize import isotonic_regression
+
+    return isotonic_regression(v, increasing=False).x
 
 
 def maximum_upper_sets(v: np.ndarray) -> np.ndarray:

@@ -620,6 +620,19 @@ class TestBadFlagValuesAreUsageErrors:
         assert peak < 2**20
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["estimate", "--input", "{counts}", "--kind", "sG", "--format", "json"], id="estimate-format"),
+        pytest.param(["estimate", "--input", "{counts}", "--kind", "sG", "--svg"], id="estimate-svg"),
+        pytest.param(["band", "--input", "{counts}", "--alpha", 0.05, "--svg"], id="band-svg"),
+        pytest.param(QQ + ["--svg"], id="qq-svg"),
+    ])
+    def test_flag_the_command_would_ignore_is_usage_error(self, argv, tmp_path, capsys):
+        counts = write_counts(tmp_path, "3 1 2\n")
+        argv = [counts if a == "{counts}" else a for a in argv]
+        assert run(argv + ["--out", tmp_path / "out"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_last_coordinate_of_the_support_is_accepted(self, tmp_path):
         assert run(QQ[:3] + ["--coord", 11] + QQ[5:] + ["--out", tmp_path]) == 0
 

@@ -38,12 +38,13 @@ from stackpmf import (
     stacked,
 )
 from stackpmf import estimators as est
+from stackpmf import shape
 from stackpmf.estimators import NORMS, loo_stacks
 from stackpmf.models import MAX_COUNT, Geometric, TriangularDecreasing, builtin_models
 from stackpmf.shape import block_means
 
 #: The hull on Python ints, kept before any test counts its calls.
-HULL_VERTICES = est._hull_vertices
+HULL_VERTICES = shape._hull_vertices
 
 #: Nonincreasing truths: M1-M4, tri-dec:s and geom:theta.
 DECREASING_TRUTHS = st.one_of(
@@ -355,7 +356,7 @@ class TestLooStacks:
         # run out of work long before the 120 they would need; only that row
         # takes the hull
         built = []
-        monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
+        monkeypatch.setattr(shape, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
         self.check_rows(np.array([CASCADE, CASCADE[::-1], np.sort(CASCADE)]))
         assert built == [CASCADE.size + 1]
 
@@ -370,8 +371,8 @@ class TestLooStacks:
         else:
             row = np.append(np.arange(80, 0, -1), 500)
         built = []
-        monkeypatch.setattr(est, "POOL_WORK_PER_CELL", 1)
-        monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
+        monkeypatch.setattr(shape, "POOL_WORK_PER_CELL", 1)
+        monkeypatch.setattr(shape, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
         self.check_rows(np.array([row, np.sort(row)[::-1]]))
         assert built == [row.size + 1]
 
@@ -469,7 +470,7 @@ class TestGrenanderBlocks:
     @staticmethod
     def check_blocks(stack):
         n, d = int(stack[0].sum()), stack.shape[1]
-        starts = est.grenander_blocks(stack, n)
+        starts = est.grenander_blocks(stack)
         _, levels, widths = block_means(stack / n, starts)
         fit = np.repeat(levels, widths).reshape(stack.shape)
         for b, row in enumerate(stack):
@@ -492,7 +493,7 @@ class TestGrenanderBlocks:
     def test_int64_rounds_run_up_to_the_exact_float_guard(self, d, n, hull_rows, monkeypatch):
         assert (d + 1) * n - 2**53 == (hull_rows > 0)
         built = []
-        monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
+        monkeypatch.setattr(shape, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
         for even in (False, True):
             self.check_blocks(_stack_totalling(17, 2, d, n, even))
         assert built == [d + 1] * 2 * hull_rows
@@ -501,7 +502,7 @@ class TestGrenanderBlocks:
         # pooling 2000 .. 1 into the last count takes 2001 rounds
         row = np.append(np.arange(2000, 0, -1), 10**7)
         built = []
-        monkeypatch.setattr(est, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
+        monkeypatch.setattr(shape, "_hull_vertices", lambda cum: built.append(len(cum)) or HULL_VERTICES(cum))
         self.check_blocks(np.array([row]))
         assert built == [row.size + 1]
 

@@ -1,13 +1,14 @@
 """Tests for the isotonic projection and the decreasing rearrangement."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_force_isotonic_decreasing, counts_vectors, maximum_upper_sets
-from stackpmf import EmptyInputError, isotonic_decreasing, rearrange_decreasing
+from oracles import brute_force_isotonic_decreasing, counts_vectors, maximum_upper_sets, scipy_isotonic_decreasing
+from stackpmf import EmptyInputError, isotonic_decreasing, rearrange_decreasing, shape
 
 
 class TestIsotonicDecreasing:
@@ -125,6 +126,41 @@ class TestIsotonicDecreasing:
         isotonic_decreasing(large)
         t_large = time.perf_counter() - t0
         assert t_large < max(t_small, 1e-3) * 1500
+
+
+class TestFloatPoolRounds:
+    """The pool rounds on float input: each fit is SciPy's within ``1e-12 max|v|``."""
+
+    @staticmethod
+    def check(v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted, blocks = isotonic_decreasing(v)
+        tol = 1e-12 * np.max(np.abs(v))
+        np.testing.assert_allclose(fitted, scipy_isotonic_decreasing(v), rtol=0, atol=tol)
+        return blocks
+
+    def test_cascade_falls_back_to_the_hull_once(self, monkeypatch):
+        # pooling 2000 .. 1 into the last entry takes 2001 rounds
+        v = np.append(np.arange(2000, 0, -1), 1e7) / 1e8
+        hull, built = shape._hull_vertices, []
+        monkeypatch.setattr(shape, "_hull_vertices", lambda cum: built.append(len(cum)) or hull(cum))
+        self.check(v)
+        assert built == [v.size + 1]
+
+    @pytest.mark.parametrize("v", [
+        pytest.param(1e300 * np.random.default_rng(1010).normal(size=200_001), id="noise"),
+        # two rising runs pool in the second round, where the first run's
+        # sum times the second's width is about 1.5e310 unscaled
+        pytest.param(1e300 * np.append(np.linspace(1, 2, 100_000), np.linspace(1.9, 4, 100_001)), id="two-runs"),
+    ])
+    def test_huge_entries_do_not_overflow(self, v):
+        # the rounds' cross products of sums and widths reach D**2 max|v|
+        self.check(v)
+
+    def test_tiny_entries_keep_their_blocks(self):
+        # scaling every input down to max|v| <= 1 would flush the two tiny levels together
+        assert len(self.check(np.array([1e300, 2e-300, 1e-300]))) == 3
 
 
 class TestRearrangeDecreasing:

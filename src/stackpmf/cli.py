@@ -22,11 +22,13 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._floatrepr import repr_join
 from ._svg import boxplot_svg, linechart_svg
 from .confidence import band as make_band
 from .confidence import MAX_QUANTILE_DRAWS, MIN_QUANTILE_DRAWS, _as_theta, quantile_q_alpha
 from .estimators import ESTIMATOR_CODES, SHAPE_KINDS, fit_estimator, stacked
 from .harness import (
+    MAX_REPS,
     ExperimentConfig,
     run_coverage,
     run_loss_experiment,
@@ -296,9 +298,11 @@ def _write_json(path: str, payload) -> None:
     That dump writes a skeleton with each nonempty 1-D float64 array of
     finite values replaced by a marker, and each such array is streamed in
     at its marker, ``JSON_CHUNK`` values per write, one ``float.__repr__``
-    per line, which is how json writes a finite float. The bytes are the
-    same, and a long estimate is never held as one list or one string.
-    Every other array goes through ``tolist()``.
+    per line, which is how json writes a finite float. The floats are
+    rendered by :func:`repr_join`, a vectorized equivalent of
+    ``float.__repr__``. The bytes are the same, and a long estimate is
+    never held as one list or one string. Every other array goes through
+    ``tolist()``.
     """
     arrays = []
 
@@ -327,7 +331,7 @@ def _write_json(path: str, payload) -> None:
             sep, values = f",\n  {pad}", arrays[int(mark[1])]
             fh.write(f"{text[end : mark.start()]}[\n  {pad}")
             for at in range(0, values.size, JSON_CHUNK):
-                items = sep.join(map(float.__repr__, values[at : at + JSON_CHUNK].tolist()))
+                items = repr_join(values[at : at + JSON_CHUNK], sep)
                 fh.write(f"{sep}{items}" if at else items)
             fh.write(f"\n{pad}]")
             end = mark.end()
@@ -586,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model string (M1..M7 or e.g. geom:0.25)")
     p.add_argument("--n", type=_int_in(1), default=None, help="sample size")
     p.add_argument("--ngrid", default=None, help="comma-separated sample sizes (risk mode)")
-    p.add_argument("--reps", type=_int_in(1), required=True, help="Monte-Carlo replications")
+    p.add_argument("--reps", type=_int_in(1, MAX_REPS), required=True, help="Monte-Carlo replications")
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
     p.add_argument("--norm", default="1,2,inf", help="comma-separated norms from 1,2,inf")
     p.add_argument("--risk", action="store_true", help="scaled-risk curve over --ngrid")
@@ -613,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model string")
     p.add_argument("--coord", type=_int_in(0), required=True, help="coordinate under study")
     p.add_argument("--n", type=_int_in(1), required=True, help="sample size")
-    p.add_argument("--reps", type=_int_in(1), required=True, help="Monte-Carlo replications")
+    p.add_argument("--reps", type=_int_in(1, MAX_REPS), required=True, help="Monte-Carlo replications")
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
     _add_common(p)
     p.set_defaults(func=_cmd_qq)

@@ -30,6 +30,11 @@ from .rng import substream_seed
 #: ``max(1, STACK_CELLS // D)`` rows, which bounds the working set at any D.
 STACK_CELLS = 2**16
 
+#: Most replications an experiment accepts: its loss array holds reps x
+#: estimators x norms doubles, 8 MiB per estimator and norm at the cap and
+#: 144 MiB for all six estimators in three norms.
+MAX_REPS = 2**20
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -53,8 +58,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"need at least one replication, got {self.reps}")
+        if not 1 <= self.reps <= MAX_REPS:
+            raise ValueError(f"need 1 to {MAX_REPS} replications, got {self.reps}")
         for code in self.estimators:
             if code not in ESTIMATOR_CODES:
                 raise ValueError(f"unknown estimator code {code!r}")

@@ -376,11 +376,13 @@ def _tail_mass(model: ModelSpec, length: int) -> float:
     raise TypeError(f"not a model: {model!r}")
 
 
-def _poisson_upper_tail(lam: float, length: int):
-    """``(tail, margin)``: the Poisson(lam) pmf summed over ``k >= length >
-    lam``, and a relative margin that holds both it and ``pdtrc`` within
-    ``tail * (1 +- margin)``; ``None`` when the sum has not converged in
-    ``_TAIL_BLOCKS`` blocks.
+def _poisson_upper_tail(lam: float, length: int, epsilon: float):
+    """``(tail, lo, hi)`` for the Poisson(lam) pmf summed over ``k >= length
+    > lam``, as :func:`_tail_bounds` gives it: the sum, and bounds that hold
+    both it and ``pdtrc`` within a relative margin of it; ``(None, 0, 1)``
+    when the sum has not converged in ``_TAIL_BLOCKS`` blocks, and ``(None,
+    lo, 1)`` with ``lo > epsilon`` once its first block alone puts it above
+    ``epsilon``.
 
     The terms fall by ``lam / (k + 1) < 1``; the sum stops once the
     geometric bound on the rest is below one ulp of it. Its error, and
@@ -388,10 +390,14 @@ def _poisson_upper_tail(lam: float, length: int):
     magnitude ``S = length |log lam| + log(length!) + lam`` of its parts:
     ``margin = 1e-10 + 16 eps (S + terms)``. ``pdtrc`` sums this series for
     at most 2000 terms, so the share of the sum past its first block is
-    added to the margin.
+    added to the margin. The lower bound is then ``head - margin tail`` for
+    ``head`` the first block's sum, so it exceeds ``epsilon`` for any tail
+    (below 1) and any number of terms once ``head`` less twice the largest
+    margin does: only then is the rest of the sum skipped.
     """
     log_fact = float(_log_factorial(np.array([length]))[0])
     log_lam = math.log(lam)
+    scale = length * abs(log_lam) + log_fact + lam
     term = math.exp(length * log_lam - log_fact - lam)  # p_k at k = length, not yet summed
     total, head, k = 0.0, None, length
     for _ in range(_TAIL_BLOCKS):
@@ -400,35 +406,37 @@ def _poisson_upper_tail(lam: float, length: int):
         term, k = float(run[-1]), k + _TAIL_BLOCK
         if head is None:
             head = total
+            floor = head - 2 * (_TAIL_MARGIN + 16 * _EPS * (scale + _TAIL_BLOCKS * _TAIL_BLOCK))
+            if floor > epsilon:
+                return None, floor, 1.0
         if term <= (1.0 - lam / (k + 1)) * _EPS * total:  # the rest is at most term / (1 - lam / (k + 1))
-            scale = length * abs(log_lam) + log_fact + lam + (k - length)
             rest = (total - head) / total if total else 0.0
-            return total, _TAIL_MARGIN + 16 * _EPS * scale + rest
-    return None
+            margin = _TAIL_MARGIN + 16 * _EPS * (scale + (k - length)) + rest
+            return total, total * (1.0 - margin), total * (1.0 + margin) + _TAIL_FLOOR
+    return None, 0.0, 1.0
 
 
-def _tail_bounds(model: ModelSpec, length: int):
+def _tail_bounds(model: ModelSpec, length: int, epsilon: float):
     """``(tail, lo, hi)`` with ``lo <= _tail_mass(model, length) <= hi``,
     without scipy for a Poisson; ``tail`` is the estimate, or ``None`` where
     only the bounds are known.
 
     A Poisson at ``length <= lam`` has tail at least 1/2: its median is at
     least ``lam - ln 2``, so every integer ``length <= lam`` lies at or below
-    it. Above the mean the tail is :func:`_poisson_upper_tail`. A mixture
-    adds its components' bounds with its weights, in ``_tail_mass``'s order,
-    and rounding is monotone, so the bounds hold for the mixture too. Every
-    other model returns its ``_tail_mass`` three times.
+    it. Above the mean the bounds are :func:`_poisson_upper_tail`'s, which
+    may stop at a lower bound above ``epsilon``. A mixture adds its
+    components' bounds with its weights, in ``_tail_mass``'s order, and
+    rounding is monotone, so the bounds hold for the mixture too; a
+    component of weight w stops early only above ``epsilon / w``, where the
+    mixture's lower bound is above ``epsilon`` whatever the others give.
+    Every other model returns its ``_tail_mass`` three times.
     """
     if isinstance(model, Poisson) and length > 0:
         if length <= model.lam:
             return None, 0.5, 1.0
-        upper = _poisson_upper_tail(model.lam, length)
-        if upper is None:
-            return None, 0.0, 1.0
-        tail, margin = upper
-        return tail, tail * (1.0 - margin), tail * (1.0 + margin) + _TAIL_FLOOR
+        return _poisson_upper_tail(model.lam, length, epsilon)
     if isinstance(model, Mixture):
-        parts = [(w, _tail_bounds(comp, length)) for w, comp in model.components]
+        parts = [(w, _tail_bounds(comp, length, epsilon / w)) for w, comp in model.components]
         tails = [b[0] for _, b in parts]
         tail = None if None in tails else float(sum(w * b[0] for w, b in parts))
         return tail, sum(w * b[1] for w, b in parts), sum(w * b[2] for w, b in parts)
@@ -441,7 +449,7 @@ def _tail_within(model: ModelSpec, length: int, epsilon: float):
     epsilon``, else ``None``. The bounds of :func:`_tail_bounds` decide;
     ``_tail_mass`` decides, and gives the tail, only when ``epsilon`` lies
     between them or the estimate is unknown."""
-    tail, lo, hi = _tail_bounds(model, length)
+    tail, lo, hi = _tail_bounds(model, length, epsilon)
     if lo > epsilon:
         return None
     if tail is None or hi > epsilon:

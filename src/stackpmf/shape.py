@@ -53,7 +53,9 @@ def isotonic_decreasing(v) -> tuple[np.ndarray, BlockPartition]:
     fitted : ndarray of shape (D,)
         The unique minimizer of ``sum((v - f)**2)`` over nonincreasing ``f``.
         Constant at the block mean on each block; preserves ``sum(v)`` and
-        stays within ``[min(v), max(v)]``.
+        stays within ``[min(v), max(v)]``. Where a block's sum would pass the
+        float maximum, every level is taken from ``v`` scaled by the power
+        of two :func:`grenander_blocks` uses.
     blocks : BlockPartition
         The maximal constant regions of the fit.
     """
@@ -64,7 +66,13 @@ def isotonic_decreasing(v) -> tuple[np.ndarray, BlockPartition]:
         raise EmptyInputError("cannot project an empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("entries must be finite")
-    starts, levels, widths = block_means(v[None], grenander_blocks(v[None]))
+    blocks = grenander_blocks(v[None])
+    with np.errstate(over="ignore"):
+        starts, levels, widths = block_means(v[None], blocks)
+    if not np.isfinite(levels).all():  # a block sum passed the float maximum
+        shift = _overflow_shift(v[None])
+        starts, levels, widths = block_means(np.ldexp(v, shift)[None], blocks)
+        levels = np.ldexp(levels, -shift)  # a float mean of values <= m rounds to at most m
     fitted = np.repeat(levels, widths)
     boundaries = np.append(starts[1:], v.size) - 1
     return fitted, BlockPartition(boundaries=boundaries, levels=levels)
@@ -81,6 +89,14 @@ def _hull_vertices(cum: list) -> list[int]:
             hull.pop()
         hull.append(i)
     return hull
+
+
+def _overflow_shift(v: np.ndarray) -> int:
+    """The power of two, at most 0, that scales the float ``(B, D)`` stack
+    ``v`` so that ``D**2 max|v|``, which bounds its block sums and their
+    cross products with block widths, stays below the float maximum."""
+    d = v.shape[1]
+    return min(0, 1023 - math.frexp(float(np.max(np.abs(v))))[1] - (d * d).bit_length())
 
 
 def grenander_blocks(v: np.ndarray) -> np.ndarray:
@@ -109,8 +125,8 @@ def grenander_blocks(v: np.ndarray) -> np.ndarray:
     rows, d = v.shape
     starts, hulled = [], range(rows)
     if v.dtype.kind == "f":
-        shift = 1023 - math.frexp(float(np.max(np.abs(v))))[1] - (d * d).bit_length()
-        v = np.ldexp(v, shift) if shift < 0 else v
+        shift = _overflow_shift(v)
+        v = np.ldexp(v, shift) if shift else v
     else:
         v = v.astype(np.int64, copy=False)
     if v.dtype.kind == "f" or (d + 1) * int(v.sum(axis=1).max()) <= 2**53:

@@ -27,6 +27,11 @@ fitted every estimate as a stack.
 :func:`reference_poisson_truncation` truncates a Poisson by searching on
 ``scipy.special.pdtrc`` and evaluates it with ``scipy.stats.poisson``, as
 the library did before its Poisson pmf and truncation dropped scipy.
+:func:`full_sum_poisson_upper_tail` sums a Poisson tail to convergence
+whatever the truncation tolerance, as truncation did before it stopped
+once a tail's first block put it above the tolerance.
+:func:`repr_join` joins ``float.__repr__`` of each value, as the JSON
+writer did before it rendered its float arrays vectorized.
 :func:`scipy_isotonic_decreasing` is SciPy's pool-adjacent-violators fit
 of a float vector, as ``isotonic_decreasing`` computed it before the
 package's own pass took float input.
@@ -60,6 +65,7 @@ from stackpmf import (
 from stackpmf.cli import CountsParseError
 from stackpmf.estimators import A_N_TOL
 from stackpmf.errors import EmptyInputError
+from stackpmf import models
 from stackpmf.models import MAX_COUNT, SAMPLING_TRUNCATION
 from stackpmf.rng import substream, substream_seed
 
@@ -459,3 +465,30 @@ def reference_poisson_truncation(lam: float, epsilon: float) -> np.ndarray:
         else:
             lo = mid + 1
     return poisson.pmf(np.arange(hi), lam)
+
+
+def full_sum_poisson_upper_tail(lam: float, length: int, epsilon: float):
+    """``models._poisson_upper_tail`` without its early stop: the tail of
+    Poisson(lam) from ``length > lam`` is summed until it converges, and
+    ``epsilon`` is ignored."""
+    log_fact = float(models._log_factorial(np.array([length]))[0])
+    log_lam = math.log(lam)
+    term = math.exp(length * log_lam - log_fact - lam)
+    total, head, k = 0.0, None, length
+    for _ in range(models._TAIL_BLOCKS):
+        run = term * np.cumprod(lam / np.arange(k + 1, k + models._TAIL_BLOCK + 1))
+        total += term + float(np.sum(run[:-1]))
+        term, k = float(run[-1]), k + models._TAIL_BLOCK
+        if head is None:
+            head = total
+        if term <= (1.0 - lam / (k + 1)) * models._EPS * total:
+            scale = length * abs(log_lam) + log_fact + lam + (k - length)
+            rest = (total - head) / total if total else 0.0
+            margin = models._TAIL_MARGIN + 16 * models._EPS * scale + rest
+            return total, total * (1.0 - margin), total * (1.0 + margin) + models._TAIL_FLOOR
+    return None, 0.0, 1.0
+
+
+def repr_join(values: np.ndarray, sep: str) -> str:
+    """How ``json`` writes a finite float, once a value, joined by ``sep``."""
+    return sep.join(map(float.__repr__, values.tolist()))

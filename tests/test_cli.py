@@ -19,6 +19,7 @@ from oracles import reference_read_counts
 from stackpmf import cli
 from stackpmf.cli import CountsParseError, build_parser, main
 from stackpmf.confidence import MAX_QUANTILE_DRAWS, MIN_QUANTILE_DRAWS
+from stackpmf.harness import MAX_REPS
 from stackpmf.models import MAX_COUNT, MAX_SUPPORT
 
 
@@ -617,6 +618,20 @@ class TestBadFlagValuesAreUsageErrors:
             tracemalloc.stop()
         assert code == 2
         assert f"[{MIN_QUANTILE_DRAWS}, {MAX_QUANTILE_DRAWS}]" in capsys.readouterr().err
+        assert peak < 2**20
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [SIMULATE[:-2], SIMULATE[:-2] + ["--coverage"], QQ[:-2]],
+                             ids=["simulate", "coverage", "qq"])
+    def test_reps_past_the_cap_exit_before_allocating(self, argv, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code = run(argv + ["--reps", MAX_REPS + 1, "--out", tmp_path / "out"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"[1, {MAX_REPS}]" in capsys.readouterr().err
         assert peak < 2**20
         assert not (tmp_path / "out").exists()
 

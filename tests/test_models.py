@@ -10,7 +10,12 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_frequency_total, reference_poisson_truncation, reference_sample
+from oracles import (
+    full_sum_poisson_upper_tail,
+    reference_frequency_total,
+    reference_poisson_truncation,
+    reference_sample,
+)
 from stackpmf import (
     FrequencyData,
     Geometric,
@@ -180,6 +185,25 @@ class TestScipyFreePoisson:
             assert got.probs.size == want.size, lam
             assert got.probs.tobytes() == want.tobytes(), lam
             assert got.tail_mass <= eps
+
+    @pytest.mark.parametrize("model", ["M7", "pois:5e5", "pois:3e6"])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6])
+    def test_early_stop_of_the_tail_sum_keeps_every_bit(self, model, eps, monkeypatch):
+        model = parse_model(model)
+        got = pmf_truncate(model, eps)
+        monkeypatch.setattr(models, "_poisson_upper_tail", full_sum_poisson_upper_tail)
+        want = pmf_truncate(model, eps)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert _bits([got.tail_mass]) == _bits([want.tail_mass])
+
+    def test_a_tail_sum_stops_early_only_above_epsilon(self):
+        # about 0.3 sd above the mean: a tail near 0.39, 0.2 of it in the first block
+        lam, length = 3e6, 3_000_500
+        tail, lo, hi = full_sum_poisson_upper_tail(lam, length, 0.0)
+        assert tail is not None and 0.19 < lo < 0.2
+        assert models._poisson_upper_tail(lam, length, 0.2) == (tail, lo, hi)
+        early = models._poisson_upper_tail(lam, length, 0.1)
+        assert early[0] is None and 0.1 < early[1] <= lo and early[2] == 1.0
 
     @pytest.mark.parametrize("model", [Poisson(2.0), Poisson(15.0), Poisson(1234.5), builtin_models()["M7"]])
     def test_a_tail_equal_to_epsilon_keeps_its_length(self, model):

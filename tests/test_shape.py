@@ -158,6 +158,23 @@ class TestFloatPoolRounds:
         # the rounds' cross products of sums and widths reach D**2 max|v|
         self.check(v)
 
+    def test_block_sums_past_the_float_maximum_give_finite_levels(self):
+        # one block whose sum is about 3e308 * 200_001 unscaled
+        v = np.linspace(1e303, 2e303, 200_001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted, blocks = isotonic_decreasing(v)
+        assert len(blocks) == 1
+        np.testing.assert_allclose(fitted, np.mean(v / 4) * 4, rtol=1e-12)
+
+    def test_levels_from_scaled_input_keep_exact_blocks(self):
+        v = np.append(np.full(10, 1.5e308), np.full(10, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fitted, blocks = isotonic_decreasing(v)
+        assert fitted.tobytes() == v.tobytes()
+        assert len(blocks) == 2
+
     def test_tiny_entries_keep_their_blocks(self):
         # scaling every input down to max|v| <= 1 would flush the two tiny levels together
         assert len(self.check(np.array([1e300, 2e-300, 1e-300]))) == 3

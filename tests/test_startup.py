@@ -12,6 +12,11 @@ pool-adjacent-violators pass, the one the estimators fit counts with, so
 it loads no watched module. ``numpy.ma`` is loaded lazily by some numpy
 functions (``np.unique``) and by scipy.
 
+Importing stackpmf and its CLI builds none of the tables of the float
+formatter that writes ``estimate.json``, and the formatter loads no module
+beyond itself; an ``estimate`` run builds them. So their build is part of
+a command's run, not of its startup.
+
 Importing stackpmf and fitting a counts file without a band load neither
 ``numpy.random`` (nor OpenSSL's ``_hashlib``, which it pulls in through
 ``secrets``) nor ``multiprocessing``: the first random stream loads
@@ -32,7 +37,16 @@ SRC = str(Path(stackpmf.__file__).resolve().parent.parent)
 
 SCRIPT = """
 import json, sys
+import stackpmf
+before = set(sys.modules)
+from stackpmf import _floatrepr
+floatrepr_modules = sorted(set(sys.modules) - before)
 from stackpmf import cli, isotonic_decreasing, ParameterError, parse_model
+
+TABLES = (_floatrepr._scales, _floatrepr._digit_groups, _floatrepr._powers_of_ten, _floatrepr._templates)
+
+def tables():
+    return [table.__name__ for table in TABLES if table.cache_info().currsize]
 
 WATCHED = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma", "numpy.random", "_hashlib",
            "multiprocessing")
@@ -45,7 +59,7 @@ common = ["--seed", "3", "--out", out]
 counts = out + "/counts.txt"
 with open(counts, "w") as fh:
     fh.write("\\n".join(str(7 - j % 7) for j in range(300)) + "\\n")
-report = {"import": loaded()}
+report = {"import": loaded(), "floatrepr modules": floatrepr_modules, "tables at import": tables()}
 isotonic_decreasing([1.0, 3.0, 2.0])
 report["isotonic_decreasing"] = loaded()
 try:
@@ -63,6 +77,8 @@ runs = {
 for name, argv in runs.items():
     code = cli.main(argv + common)
     report[name] = [code] + loaded()
+    if name == "estimate sG":
+        report["tables after estimate"] = tables()
 code = cli.main(["simulate", "--model", "nbin:3,0.5", "--n", "40", "--reps", "2"] + common)
 report["nbin loss"] = [code] + loaded()
 code = cli.main(["simulate", "--model", "M1", "--n", "40", "--reps", "2", "--workers", "2"] + common)
@@ -80,6 +96,9 @@ def test_scipy_stats_loads_only_for_negative_binomial_models(tmp_path):
     # [exit code,] the watched modules loaded so far
     assert report == {
         "import": [],
+        "floatrepr modules": ["stackpmf._floatrepr"],
+        "tables at import": [],
+        "tables after estimate": ["_scales", "_digit_groups", "_powers_of_ten", "_templates"],
         "isotonic_decreasing": [],
         "pois:1e12": [],
         "estimate sG": [0],

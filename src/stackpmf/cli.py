@@ -265,15 +265,26 @@ def _write_csv(path: str, header: list[str], rows: list[list], comments: list[st
         writer.writerows(rows)
 
 
+#: Floats :func:`_write_json` and :func:`_write_loss_csv` render into one write.
+FLOAT_CHUNK = 4096
+
+
 def _write_loss_csv(path: str, header: list[str], codes, norm_names, losses: np.ndarray) -> None:
     """The rows ``rep, code, norm, loss`` of the ``(reps, codes, norms)``
     array ``losses`` as :func:`_write_csv` writes them: csv leaves these
-    ints and names unquoted and writes floats with ``float.__repr__``."""
+    ints and names unquoted and writes floats with ``float.__repr__``,
+    which :func:`repr_join` renders about ``FLOAT_CHUNK`` losses per write."""
     tails = [f",{code},{norm}," for code in codes for norm in norm_names]
+    flat = losses.reshape(len(losses), -1)
+    step = max(1, FLOAT_CHUNK // len(tails))
     with _out_file(path) as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join([f"{rep}{tail}{loss!r}\n" for rep, row in enumerate(losses.reshape(len(losses), -1).tolist())
-                          for tail, loss in zip(tails, row)]))
+        for start in range(0, len(flat), step):
+            block = flat[start : start + step].ravel()
+            finite = np.isfinite(block).all()
+            reprs = iter(repr_join(block, "\n").split("\n") if finite else map(repr, block.tolist()))
+            rows = range(start, min(start + step, len(flat)))
+            fh.write("".join([f"{rep}{tail}{loss}\n" for rep in rows for tail, loss in zip(tails, reprs)]))
 
 
 def _make_out_dir(path: str) -> None:
@@ -287,9 +298,6 @@ def _make_out_dir(path: str) -> None:
 #: ``"\0k"``. Every array is checked to land at exactly one match.
 _FLOAT_ARRAY_MARK = re.compile(r'"\\u0000(\d+)"')
 
-#: Floats :func:`_write_json` joins into one write.
-JSON_CHUNK = 4096
-
 
 def _write_json(path: str, payload) -> None:
     """``payload`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it
@@ -297,7 +305,7 @@ def _write_json(path: str, payload) -> None:
 
     That dump writes a skeleton with each nonempty 1-D float64 array of
     finite values replaced by a marker, and each such array is streamed in
-    at its marker, ``JSON_CHUNK`` values per write, one ``float.__repr__``
+    at its marker, ``FLOAT_CHUNK`` values per write, one ``float.__repr__``
     per line, which is how json writes a finite float. The floats are
     rendered by :func:`repr_join`, a vectorized equivalent of
     ``float.__repr__``. The bytes are the same, and a long estimate is
@@ -330,8 +338,8 @@ def _write_json(path: str, payload) -> None:
             pad = line[: len(line) - len(line.lstrip(" "))]
             sep, values = f",\n  {pad}", arrays[int(mark[1])]
             fh.write(f"{text[end : mark.start()]}[\n  {pad}")
-            for at in range(0, values.size, JSON_CHUNK):
-                items = repr_join(values[at : at + JSON_CHUNK], sep)
+            for at in range(0, values.size, FLOAT_CHUNK):
+                items = repr_join(values[at : at + FLOAT_CHUNK], sep)
                 fh.write(f"{sep}{items}" if at else items)
             fh.write(f"\n{pad}]")
             end = mark.end()

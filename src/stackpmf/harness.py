@@ -6,7 +6,11 @@ grid, empirical coverage of the global confidence bands, and samples for
 normal QQ diagnostics of a single coordinate.
 
 Replication i samples from the stream ``(seed, "rep", ..., i)`` and draws
-its band quantile from ``(seed, "band", i)``. Blocks of replications are
+its band quantile from ``(seed, "band", i)``. A block's streams are keyed
+by one vectorized pass of numpy's ``SeedSequence`` derivation and drawn
+through one re-keyed Philox generator (:func:`stackpmf.rng.keyed_streams`),
+bitwise the streams numpy's own ``SeedSequence`` gives one at a time,
+which still makes every single stream. Blocks of replications are
 fitted as ``(B, D)`` stacks by the estimator engine
 (:func:`stackpmf.estimators.fit_stack`), whose rows are bitwise the fits
 of each replication alone, so results are byte-equal for any worker count
@@ -24,7 +28,7 @@ from . import estimators as est
 from .confidence import band, quantile_q_alpha
 from .estimators import ESTIMATOR_CODES, fit_estimator  # noqa: F401  (perfbench's tracer looks fit_estimator up here)
 from .models import ModelSpec, pmf_truncate, sample, truncated_probs  # noqa: F401  (perfbench's tracer looks pmf_truncate up here)
-from .rng import substream_seed
+from .rng import child_seeds, keyed_streams
 
 #: Count cells per fitting round: a ``(B, D)`` stack has at most
 #: ``max(1, STACK_CELLS // D)`` rows, which bounds the working set at any D.
@@ -103,8 +107,8 @@ def _groups(cfg: ExperimentConfig, n: int, path: tuple, block):
     Yields ``(positions, indices, data)`` per length D in a round; a round
     ends before the sample that would take it past ``STACK_CELLS`` cells."""
     groups, cells = {}, 0
-    for k, i in enumerate(block):
-        x = sample(cfg.model, n, substream_seed(cfg.seed, "rep", *path, i))
+    for k, (i, rng) in enumerate(zip(block, keyed_streams(cfg.seed, ("rep", *path), block))):
+        x = sample(cfg.model, n, rng)
         if cells + x.counts.size > STACK_CELLS:
             yield from (zip(*group) for group in groups.values())
             groups, cells = {}, 0
@@ -143,8 +147,8 @@ def _band_hits(fits, n, indices, *, truth, cfg):
     padded = np.zeros(fits.shape[:2] + (max(fits.shape[2], truth.size),))
     padded[:, :, : fits.shape[2]] = fits
     hits = np.empty(fits.shape[:2], dtype=bool)
-    for b, i in enumerate(indices):
-        q_hats = quantile_q_alpha(fits[b], cfg.alpha, cfg.band_mc_reps, substream_seed(cfg.seed, "band", i))
+    for b, seed in enumerate(child_seeds(cfg.seed, ("band",), indices).tolist()):
+        q_hats = quantile_q_alpha(fits[b], cfg.alpha, cfg.band_mc_reps, seed)
         for a, q_hat in enumerate(q_hats):
             cb = band(padded[b, a], n, q_hat)
             hits[b, a] = np.all(cb.lower[: truth.size] <= truth) and np.all(truth <= cb.upper[: truth.size])

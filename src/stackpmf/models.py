@@ -44,6 +44,9 @@ SAMPLING_TRUNCATION = 1e-12
 #: vector is built.
 MAX_SUPPORT = 2**22
 
+#: Uniforms :func:`sample` draws and counts at a time (512 KiB of doubles).
+SAMPLE_CHUNK = 2**16
+
 #: Largest total count of frequency data: the total must fit in an int64.
 MAX_COUNT = np.iinfo(np.int64).max
 
@@ -529,25 +532,36 @@ def pmf_truncate(model: ModelSpec, epsilon: float) -> Pmf:
 # Sampling
 
 
-def sample(model: ModelSpec, n: int, seed: int) -> FrequencyData:
+def sample(model: ModelSpec, n: int, seed: "int | np.random.Generator") -> FrequencyData:
     """Draw ``n`` i.i.d. values from ``model`` and return their counts.
 
     Inversion sampling on the cumulative sums of the truncated probability
     vector; a uniform draw landing in the discarded tail (probability at
     most ``SAMPLING_TRUNCATION``) maps to the last retained point. The
+    uniforms are drawn and counted ``SAMPLE_CHUNK`` at a time, which draws
+    the same values as one call, so memory does not grow with ``n``. The
     output has length ``max drawn value + 1`` and is a bit-identical
-    function of ``(model, n, seed)``. ``n`` must be an integer: floats and
-    bools raise ``ValueError`` rather than being truncated.
+    function of ``(model, n, seed)``. ``seed`` is an integer, whose stream
+    is ``substream(seed)``, or a ``numpy.random.Generator`` to draw from.
+    ``n`` must be an integer: floats and bools raise ``ValueError`` rather
+    than being truncated.
     """
     n = _as_int(n, "sample size")
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     cum = _sampling_table(model)
-    rng = substream(seed)
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, cum.size - 1)
-    counts = np.bincount(idx)
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
+
+    def counted(size):
+        idx = np.searchsorted(cum, rng.random(size), side="right")
+        return np.bincount(np.minimum(idx, cum.size - 1, out=idx))
+
+    counts = counted(min(n, SAMPLE_CHUNK))
+    for start in range(SAMPLE_CHUNK, n, SAMPLE_CHUNK):
+        part = counted(min(SAMPLE_CHUNK, n - start))
+        if part.size > counts.size:  # the longer vector takes the shorter's counts
+            part, counts = counts, part
+        counts[: part.size] += part
     return FrequencyData(counts)
 
 

@@ -11,7 +11,8 @@ isotonic fit in exact rational arithmetic, and
 vector at a time. :func:`exact_block_starts` gives the blocks of the exact
 PAV fit, from which :func:`shape_transform` builds the isotonic fit.
 :func:`reference_sample` rebuilds the sampling table on every call, as the
-library's sampler did before it cached one table per model.
+library's sampler did before it cached one table per model, and draws its
+uniforms in one call, as the sampler did before it drew them in chunks.
 :func:`reference_coverage`
 estimates one sup-norm quantile per center, each from its own normals, as
 coverage replications did before they shared one set of normals across
@@ -383,7 +384,8 @@ def random_frequency_data(rng: np.random.Generator, max_len: int = 50, max_n: in
 
 
 def reference_sample(model, n: int, seed: int) -> FrequencyData:
-    """Inversion sampling from a freshly truncated table, no caching."""
+    """Inversion sampling from a freshly truncated table, no caching, with
+    all ``n`` uniforms drawn in one ``Generator.random`` call."""
     pmf = pmf_truncate(model, SAMPLING_TRUNCATION)
     cum = np.cumsum(pmf.probs)
     u = substream(seed).random(int(n))

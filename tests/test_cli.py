@@ -278,7 +278,7 @@ class TestWriters:
         "values",
         [
             np.linspace(0.1, 0.9, size) for size in
-            (1, cli.JSON_CHUNK - 1, cli.JSON_CHUNK, cli.JSON_CHUNK + 1, 2 * cli.JSON_CHUNK + 1)
+            (1, cli.FLOAT_CHUNK - 1, cli.FLOAT_CHUNK, cli.FLOAT_CHUNK + 1, 2 * cli.FLOAT_CHUNK + 1)
         ] + [
             np.array([0.5, math.nan]),
             np.array([-math.inf, 0.25]),

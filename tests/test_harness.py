@@ -29,7 +29,7 @@ from stackpmf import (
     run_risk_curve,
 )
 from stackpmf import estimators as est
-from stackpmf import harness
+from stackpmf import harness, rng
 from stackpmf.estimators import fit_estimator
 
 M = builtin_models()
@@ -202,6 +202,24 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert res.per_rep_losses.shape == (27, len(codes), len(est.NORMS))
         assert peak < bound
+
+
+    def test_stream_keys_take_the_same_working_set_at_any_reps(self):
+        # A pass keys at most 4096 indices: its index, pool, seed and key
+        # words take under 128 bytes an index, so the derivation stays below
+        # 128 * 4096 bytes plus 64 KiB of fixed cost at any reps, where
+        # keying all 2**16 indices at once would hold 1 MiB of keys alone.
+        bound = 128 * 4096 + 2**16
+        peaks = []
+        for reps in (4096, 2**16):
+            tracemalloc.start()
+            try:
+                for _ in rng.keyed_streams(11, ("rep",), range(reps)):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < bound, peaks
 
 
 class TestLossExperiment:

@@ -37,6 +37,7 @@ from stackpmf import (
 )
 from stackpmf import cli, models
 from stackpmf.harness import ExperimentConfig, run_loss_experiment
+from stackpmf.rng import substream
 from stackpmf.models import (
     MAX_COUNT,
     MAX_SUPPORT,
@@ -289,6 +290,24 @@ class TestSample:
         freq[: x.counts.size] = x.counts / n
         tol = 5 * math.sqrt(float(np.max(truth * (1 - truth))) / n)
         assert np.max(np.abs(freq - truth)) <= tol
+
+    @pytest.mark.parametrize("name,model", [("M7", builtin_models()["M7"]), ("geom:0.25", Geometric(0.25))])
+    def test_chunked_draws_equal_one_call(self, name, model):
+        # three whole chunks and a short one against the oracle's one
+        # rng.random(n); seeds 0 and 1 reach past the first chunk's support
+        # in a later chunk, seeds 2 to 5 do not
+        n = 3 * models.SAMPLE_CHUNK + 5
+        grew = []
+        for seed in range(6):
+            want = reference_sample(model, n, seed)
+            np.testing.assert_array_equal(sample(model, n, seed).counts, want.counts)
+            grew.append(want.counts.size > reference_sample(model, models.SAMPLE_CHUNK, seed).counts.size)
+        assert any(grew) and not all(grew)
+
+    def test_a_generator_draws_as_its_seed_does(self):
+        model = builtin_models()["M2"]
+        for n in (1, 300, models.SAMPLE_CHUNK + 1):
+            np.testing.assert_array_equal(sample(model, n, substream(41)).counts, sample(model, n, 41).counts)
 
     def test_support_length_is_largest_value_plus_one(self):
         x = sample(builtin_models()["M4"], 200, seed=3)

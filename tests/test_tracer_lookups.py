@@ -3,7 +3,8 @@
 The tracer records a missing name without failing, so a renamed or deleted
 function would silently zero a per-layer metric; this keeps the lookups in
 the main test suite. The sampler is also run under counting wrappers like
-the tracer's, so its draw and chunk counts keep their meaning.
+the tracer's, so its draw and chunk counts keep their meaning, and a loss
+run under the tracer itself, so its per-replication sample count does.
 """
 
 import importlib
@@ -14,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from stackpmf import confidence
+from stackpmf import cli, confidence, rng
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -67,3 +68,24 @@ def test_sampler_wrapped_as_the_tracer_wraps_it(monkeypatch, stack_rows, dim, re
     chunk = confidence._chunk_draws(dim)
     assert counts == {"draws": stack_rows * reps, "substreams": math.ceil(reps / chunk)}
     np.testing.assert_array_equal(draws, expected)
+
+
+def test_loss_run_traced_samples_once_per_replication(tmp_path, monkeypatch):
+    # models.sample.calls counts the calls of harness.sample, and
+    # rng.substream.models.calls those of models.substream: replication
+    # streams are keyed per block, so there is one sample per replication
+    # and no substream; sub-blocks of 8 keys take the run through five passes
+    monkeypatch.setattr(rng, "KEY_BLOCK", 8)
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    argv = ["simulate", "--model", "M7", "--n", "50", "--est", "e,sG", "--reps", "37", "--seed", "3",
+            "--workers", "1", "--out", str(tmp_path)]
+    tracer.install()
+    try:
+        assert tracer.call(tracer_module.ROOT, cli.main, argv) == 0
+    finally:
+        assert tracer.uninstall()
+    assert tracer.missing == []
+    metrics = tracer.metrics(37)
+    assert metrics["models.sample.calls"] == 37
+    assert metrics["rng.substream.models.calls"] == 0

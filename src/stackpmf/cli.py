@@ -224,8 +224,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from None
     if not values:
         raise _UsageError("expected at least one integer")
-    if min(values) < 1:
-        raise _UsageError(f"expected positive integers, got {text!r}")
+    if not all(1 <= v <= MAX_COUNT for v in values):
+        raise _UsageError(f"expected integers in [1, {MAX_COUNT}], got {text!r}")
     return values
 
 
@@ -596,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="loss, risk or coverage experiments")
     p.add_argument("--model", required=True, help="model string (M1..M7 or e.g. geom:0.25)")
-    p.add_argument("--n", type=_int_in(1), default=None, help="sample size")
+    p.add_argument("--n", type=_int_in(1, MAX_COUNT), default=None, help="sample size")
     p.add_argument("--ngrid", default=None, help="comma-separated sample sizes (risk mode)")
     p.add_argument("--reps", type=_int_in(1, MAX_REPS), required=True, help="Monte-Carlo replications")
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
@@ -624,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qq", help="normal QQ samples of one coordinate")
     p.add_argument("--model", required=True, help="model string")
     p.add_argument("--coord", type=_int_in(0), required=True, help="coordinate under study")
-    p.add_argument("--n", type=_int_in(1), required=True, help="sample size")
+    p.add_argument("--n", type=_int_in(1, MAX_COUNT), required=True, help="sample size")
     p.add_argument("--reps", type=_int_in(1, MAX_REPS), required=True, help="Monte-Carlo replications")
     p.add_argument("--est", default="e,sG", help="comma-separated estimator codes")
     _add_common(p)

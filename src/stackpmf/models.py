@@ -16,12 +16,11 @@ Conventions fixed here:
 The Poisson pmf is ``exp(j * log(lam) - log(j!) - lam)`` clipped to
 [0, 1], the formula of ``scipy.stats.poisson`` bit for bit, with
 ``log(j!)`` from a numpy port of the cephes ``lgam`` that
-``scipy.special.gammaln`` runs. Its tail, ``pdtrc(length - 1, lam)`` from
-``scipy.special``, is the reference for truncation, but truncation decides
-"tail > epsilon" from a direct sum of the pmf and asks ``pdtrc`` only when
-that sum cannot tell (see :func:`pmf_truncate`). So evaluating, truncating
-and sampling a Poisson loads no scipy module. The negative binomial still
-uses ``scipy.stats.nbinom``, imported only when one is evaluated.
+``scipy.special.gammaln`` runs. Its tail, which truncation compares with
+the tolerance, is a sum of that pmf to one ulp (see :func:`_poisson_tail`),
+so evaluating, truncating and sampling a Poisson loads no scipy module.
+The negative binomial still uses ``scipy.stats.nbinom``, imported only
+when one is evaluated.
 """
 
 import functools
@@ -65,16 +64,8 @@ _LGAM_A = (
 _LOG_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
 _LOG_BLOCK = 2**16
 
-#: Base relative margin of the scipy-free Poisson tail (see :func:`pmf_truncate`).
-_TAIL_MARGIN = 1e-10
-
-#: Absolute slack of that tail, for sums that underflow.
-_TAIL_FLOOR = 1e-300
-
-#: The tail sum runs in blocks of ``_TAIL_BLOCK`` terms, at most ``_TAIL_BLOCKS``
-#: of them; ``pdtrc`` sums the same series for at most 2000 terms.
+#: The Poisson tail series is summed ``_TAIL_BLOCK`` terms at a time.
 _TAIL_BLOCK = 1024
-_TAIL_BLOCKS = 64
 
 _EPS = float(np.finfo(float).eps)
 
@@ -344,11 +335,8 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
 
 
 def _tail_mass(model: ModelSpec, length: int) -> float:
-    """Probability of values ``>= length`` under ``model``: the reference
-    tail. A Poisson's is ``pdtrc(length - 1, lam)`` and loads
-    ``scipy.special``; truncation calls it only through
-    :func:`_tail_within`, when the scipy-free sum cannot decide.
-    """
+    """Probability of values ``>= length`` under ``model``; a Poisson's is
+    :func:`_poisson_tail`."""
     if isinstance(model, UniformRange):
         return max(model.s + 1 - length, 0) / (model.s + 1)
     if isinstance(model, Geometric):
@@ -369,95 +357,41 @@ def _tail_mass(model: ModelSpec, length: int) -> float:
 
         return float(nbinom.sf(length - 1, model.r, 1.0 - model.theta))
     if isinstance(model, Poisson):
-        if length <= 0:
-            return 1.0
-        from scipy.special import pdtrc
-
-        return float(np.clip(pdtrc(length - 1, model.lam), 0.0, 1.0))
+        return _poisson_tail(model.lam, length)
     if isinstance(model, Mixture):
         return float(sum(w * _tail_mass(comp, length) for w, comp in model.components))
     raise TypeError(f"not a model: {model!r}")
 
 
-def _poisson_upper_tail(lam: float, length: int, epsilon: float):
-    """``(tail, lo, hi)`` for the Poisson(lam) pmf summed over ``k >= length
-    > lam``, as :func:`_tail_bounds` gives it: the sum, and bounds that hold
-    both it and ``pdtrc`` within a relative margin of it; ``(None, 0, 1)``
-    when the sum has not converged in ``_TAIL_BLOCKS`` blocks, and ``(None,
-    lo, 1)`` with ``lo > epsilon`` once its first block alone puts it above
-    ``epsilon``.
+def _poisson_tail(lam: float, length: int) -> float:
+    """Poisson(lam) probability of values ``>= length``, from one series of
+    its pmf that starts at the series' largest term.
 
-    The terms fall by ``lam / (k + 1) < 1``; the sum stops once the
-    geometric bound on the rest is below one ulp of it. Its error, and
-    ``pdtrc``'s, are those of the pmf's exponent, which grow with the
-    magnitude ``S = length |log lam| + log(length!) + lam`` of its parts:
-    ``margin = 1e-10 + 16 eps (S + terms)``. ``pdtrc`` sums this series for
-    at most 2000 terms, so the share of the sum past its first block is
-    added to the margin. The lower bound is then ``head - margin tail`` for
-    ``head`` the first block's sum, so it exceeds ``epsilon`` for any tail
-    (below 1) and any number of terms once ``head`` less twice the largest
-    margin does: only then is the rest of the sum skipped.
+    Above the mean (``length > lam``) the series is the tail itself, summed
+    upward from ``p_length``; the terms fall by ``lam / (k + 1)``. At or
+    below it the series is ``p_k`` for ``k < length``, summed downward from
+    ``p_{length-1}`` with the terms falling by ``k / lam``, and the tail is
+    its complement, at least about 1/2. Either sum runs ``_TAIL_BLOCK``
+    terms at a time and stops once the geometric bound on the rest is below
+    one ulp of it.
     """
-    log_fact = float(_log_factorial(np.array([length]))[0])
-    log_lam = math.log(lam)
-    scale = length * abs(log_lam) + log_fact + lam
-    term = math.exp(length * log_lam - log_fact - lam)  # p_k at k = length, not yet summed
-    total, head, k = 0.0, None, length
-    for _ in range(_TAIL_BLOCKS):
-        run = term * np.cumprod(lam / np.arange(k + 1, k + _TAIL_BLOCK + 1))
+    if length <= 0:
+        return 1.0
+    up = length > lam
+    k, step = (length, _TAIL_BLOCK) if up else (length - 1, -_TAIL_BLOCK)
+    log_fact = float(_log_factorial(np.array([k]))[0])
+    term = math.exp(k * math.log(lam) - log_fact - lam)  # p_k, not yet summed
+    total = 0.0
+    while True:
+        if up:
+            run = term * np.cumprod(lam / np.arange(k + 1, k + _TAIL_BLOCK + 1))
+        else:  # a last factor 0 ends the series at p_0
+            run = term * np.cumprod(np.arange(k, max(k - _TAIL_BLOCK, -1), -1) / lam)
         total += term + float(np.sum(run[:-1]))
-        term, k = float(run[-1]), k + _TAIL_BLOCK
-        if head is None:
-            head = total
-            floor = head - 2 * (_TAIL_MARGIN + 16 * _EPS * (scale + _TAIL_BLOCKS * _TAIL_BLOCK))
-            if floor > epsilon:
-                return None, floor, 1.0
-        if term <= (1.0 - lam / (k + 1)) * _EPS * total:  # the rest is at most term / (1 - lam / (k + 1))
-            rest = (total - head) / total if total else 0.0
-            margin = _TAIL_MARGIN + 16 * _EPS * (scale + (k - length)) + rest
-            return total, total * (1.0 - margin), total * (1.0 + margin) + _TAIL_FLOOR
-    return None, 0.0, 1.0
-
-
-def _tail_bounds(model: ModelSpec, length: int, epsilon: float):
-    """``(tail, lo, hi)`` with ``lo <= _tail_mass(model, length) <= hi``,
-    without scipy for a Poisson; ``tail`` is the estimate, or ``None`` where
-    only the bounds are known.
-
-    A Poisson at ``length <= lam`` has tail at least 1/2: its median is at
-    least ``lam - ln 2``, so every integer ``length <= lam`` lies at or below
-    it. Above the mean the bounds are :func:`_poisson_upper_tail`'s, which
-    may stop at a lower bound above ``epsilon``. A mixture adds its
-    components' bounds with its weights, in ``_tail_mass``'s order, and
-    rounding is monotone, so the bounds hold for the mixture too; a
-    component of weight w stops early only above ``epsilon / w``, where the
-    mixture's lower bound is above ``epsilon`` whatever the others give.
-    Every other model returns its ``_tail_mass`` three times.
-    """
-    if isinstance(model, Poisson) and length > 0:
-        if length <= model.lam:
-            return None, 0.5, 1.0
-        return _poisson_upper_tail(model.lam, length, epsilon)
-    if isinstance(model, Mixture):
-        parts = [(w, _tail_bounds(comp, length, epsilon / w)) for w, comp in model.components]
-        tails = [b[0] for _, b in parts]
-        tail = None if None in tails else float(sum(w * b[0] for w, b in parts))
-        return tail, sum(w * b[1] for w, b in parts), sum(w * b[2] for w, b in parts)
-    tail = _tail_mass(model, length)
-    return tail, tail, tail
-
-
-def _tail_within(model: ModelSpec, length: int, epsilon: float):
-    """The tail mass at ``length`` if ``_tail_mass(model, length) <=
-    epsilon``, else ``None``. The bounds of :func:`_tail_bounds` decide;
-    ``_tail_mass`` decides, and gives the tail, only when ``epsilon`` lies
-    between them or the estimate is unknown."""
-    tail, lo, hi = _tail_bounds(model, length, epsilon)
-    if lo > epsilon:
-        return None
-    if tail is None or hi > epsilon:
-        tail = _tail_mass(model, length)
-    return tail if tail <= epsilon else None
+        term, k = float(run[-1]), k + step
+        ratio = lam / (k + 1) if up else k / lam  # bounds every later step
+        if term <= (1.0 - ratio) * _EPS * total:  # the rest is at most term / (1 - ratio)
+            return total if up else 1.0 - total
 
 
 def support_size(model: ModelSpec):
@@ -475,16 +409,13 @@ def support_size(model: ModelSpec):
 def check_support(model: ModelSpec, epsilon: float) -> None:
     """Raise :class:`ParameterError` when ``model`` truncated at tail mass
     ``epsilon`` keeps more than ``MAX_SUPPORT`` points, from the support
-    size or one tail decision, without building a vector.
-
-    The decision is ``_tail_mass(model, MAX_SUPPORT) > epsilon``, taken as
-    :func:`pmf_truncate` takes its own, so a Poisson with ``lam >=
-    MAX_SUPPORT`` is rejected at once, without scipy, for ``epsilon < 1/2``.
+    size or the one decision ``_tail_mass(model, MAX_SUPPORT) > epsilon``,
+    without building a vector.
     """
     finite = support_size(model)
     if finite is not None and finite > MAX_SUPPORT:
         raise ParameterError(f"support of {finite} points exceeds the cap MAX_SUPPORT = {MAX_SUPPORT}")
-    if finite is None and _tail_within(model, MAX_SUPPORT, epsilon) is None:
+    if finite is None and _tail_mass(model, MAX_SUPPORT) > epsilon:
         raise ParameterError(
             f"truncation at tail mass {epsilon} keeps more than the cap MAX_SUPPORT = {MAX_SUPPORT} points"
         )
@@ -495,18 +426,9 @@ def pmf_truncate(model: ModelSpec, epsilon: float) -> Pmf:
 
     Finite-support models are returned exactly, with zero tail mass. A
     vector longer than ``MAX_SUPPORT`` is a :class:`ParameterError`.
-
-    The length is the one that searching on the reference tail
-    ``_tail_mass`` (``pdtrc`` for a Poisson) gives, but each "tail >
-    epsilon" is decided without scipy where it can be. A Poisson tail at a
-    length ``<= lam`` is at least 1/2. Above the mean the pmf is summed
-    upward, and the sum and ``pdtrc`` both lie within a relative margin
-    ``1e-10 + 16 eps S`` of it, where ``S`` is the magnitude of the pmf's
-    exponent at that length plus the number of terms; the share of the sum
-    past its first 1024 terms is added, because ``pdtrc`` stops its series
-    at 2000. Only a decision whose sum lies within that margin of
-    ``epsilon`` (M7's nearest is 43 % away from 1e-12) calls ``pdtrc``,
-    which then also gives ``tail_mass``; otherwise ``tail_mass`` is the sum.
+    Otherwise the length is found by doubling and then bisection on
+    ``_tail_mass(model, length) <= epsilon``, and ``tail_mass`` is that
+    tail at the length found.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"truncation epsilon must lie in (0, 1), got {epsilon!r}")
@@ -516,12 +438,12 @@ def pmf_truncate(model: ModelSpec, epsilon: float) -> Pmf:
         return Pmf(pmf_values(model, finite), tail_mass=0.0)
 
     hi = 1
-    while (tail := _tail_within(model, hi, epsilon)) is None:
+    while (tail := _tail_mass(model, hi)) > epsilon:
         hi *= 2
     lo = max(1, hi // 2)
     while lo < hi:
         mid = (lo + hi) // 2
-        if (mid_tail := _tail_within(model, mid, epsilon)) is not None:
+        if (mid_tail := _tail_mass(model, mid)) <= epsilon:
             hi, tail = mid, mid_tail
         else:
             lo = mid + 1
@@ -547,8 +469,8 @@ def sample(model: ModelSpec, n: int, seed: "int | np.random.Generator") -> Frequ
     than being truncated.
     """
     n = _as_int(n, "sample size")
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
+    if not 1 <= n <= MAX_COUNT:
+        raise ValueError(f"sample size must lie in [1, {MAX_COUNT}], got {n}")
     cum = _sampling_table(model)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
 

@@ -28,9 +28,8 @@ fitted every estimate as a stack.
 :func:`reference_poisson_truncation` truncates a Poisson by searching on
 ``scipy.special.pdtrc`` and evaluates it with ``scipy.stats.poisson``, as
 the library did before its Poisson pmf and truncation dropped scipy.
-:func:`full_sum_poisson_upper_tail` sums a Poisson tail to convergence
-whatever the truncation tolerance, as truncation did before it stopped
-once a tail's first block put it above the tolerance.
+:func:`exact_poisson_tail` sums a Poisson tail in 50-digit decimal
+arithmetic, against the library's float sum of the same series.
 :func:`repr_join` joins ``float.__repr__`` of each value, as the JSON
 writer did before it rendered its float arrays vectorized.
 :func:`scipy_isotonic_decreasing` is SciPy's pool-adjacent-violators fit
@@ -42,7 +41,9 @@ its summation order, against the library's sampler that streams the
 normals block by block into reused buffers.
 """
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -66,7 +67,6 @@ from stackpmf import (
 from stackpmf.cli import CountsParseError
 from stackpmf.estimators import A_N_TOL
 from stackpmf.errors import EmptyInputError
-from stackpmf import models
 from stackpmf.models import MAX_COUNT, SAMPLING_TRUNCATION
 from stackpmf.rng import substream, substream_seed
 
@@ -469,26 +469,58 @@ def reference_poisson_truncation(lam: float, epsilon: float) -> np.ndarray:
     return poisson.pmf(np.arange(hi), lam)
 
 
-def full_sum_poisson_upper_tail(lam: float, length: int, epsilon: float):
-    """``models._poisson_upper_tail`` without its early stop: the tail of
-    Poisson(lam) from ``length > lam`` is summed until it converges, and
-    ``epsilon`` is ignored."""
-    log_fact = float(models._log_factorial(np.array([length]))[0])
-    log_lam = math.log(lam)
-    term = math.exp(length * log_lam - log_fact - lam)
-    total, head, k = 0.0, None, length
-    for _ in range(models._TAIL_BLOCKS):
-        run = term * np.cumprod(lam / np.arange(k + 1, k + models._TAIL_BLOCK + 1))
-        total += term + float(np.sum(run[:-1]))
-        term, k = float(run[-1]), k + models._TAIL_BLOCK
-        if head is None:
-            head = total
-        if term <= (1.0 - lam / (k + 1)) * models._EPS * total:
-            scale = length * abs(log_lam) + log_fact + lam + (k - length)
-            rest = (total - head) / total if total else 0.0
-            margin = models._TAIL_MARGIN + 16 * models._EPS * scale + rest
-            return total, total * (1.0 - margin), total * (1.0 + margin) + models._TAIL_FLOOR
-    return None, 0.0, 1.0
+def _decimal_pi() -> Decimal:
+    """pi to the current decimal precision (the ``decimal`` module's recipe)."""
+    decimal.getcontext().prec += 2
+    last, t, s, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+    while s != last:
+        last = s
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        s += t
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _decimal_log_factorial(k: int) -> Decimal:
+    """``log(k!)`` to the current decimal precision: the log of the exact
+    integer below 1000, and Stirling's series through ``x**-9`` for ``x = k + 1``
+    from there, whose next term is under 1e-35."""
+    if k < 1000:
+        return Decimal(math.factorial(k)).ln()
+    x = Decimal(k + 1)
+    series = sum(Decimal(1) / (c * x ** (2 * m + 1)) for m, c in enumerate((12, -360, 1260, -1680, 1188)))
+    return (x - Decimal("0.5")) * x.ln() - x + (2 * _decimal_pi()).ln() / 2 + series
+
+
+def exact_poisson_tail(lam: float, length: int) -> float:
+    """Probability of values ``>= length`` under Poisson(lam), with the
+    binary value of ``lam`` taken exactly, in 50-digit decimal arithmetic,
+    rounded once to a float. Above the mean it is the upward sum from
+    ``p_length``; otherwise one minus the downward sum of ``p_k`` for
+    ``k < length``. Each sum runs term by term until a geometric bound on
+    its rest is below 1e-45 of it."""
+    if length <= 0:
+        return 1.0
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = 50, decimal.MIN_EMIN, decimal.MAX_EMAX
+        rate, tiny = Decimal(lam), Decimal("1e-45")
+        up = length > lam
+        k = length if up else length - 1
+        term = (k * rate.ln() - _decimal_log_factorial(k) - rate).exp()
+        total = Decimal(0)
+        while term:
+            total += term
+            if up:
+                k += 1
+                term, ratio = term * rate / k, rate / (k + 1)
+            else:
+                term, k = term * k / rate, k - 1
+                ratio = max(k, 0) / rate
+            if term <= (1 - ratio) * tiny * total:
+                break
+        return float(total if up else 1 - total)
 
 
 def repr_join(values: np.ndarray, sep: str) -> str:

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -636,6 +638,20 @@ class TestBadFlagValuesAreUsageErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--model", "M1", "--reps", 1, "--est", "e", "--n"], id="simulate"),
+        pytest.param(["simulate", "--model", "M1", "--reps", 1, "--est", "e", "--coverage", "--n"], id="coverage"),
+        pytest.param(["qq", "--model", "M1", "--coord", 0, "--reps", 1, "--est", "e", "--n"], id="qq"),
+        pytest.param(["simulate", "--model", "M1", "--reps", 1, "--est", "e", "--risk", "--ngrid"], id="risk"),
+    ])
+    @pytest.mark.parametrize("size", [MAX_COUNT + 1, 10**20])
+    def test_sample_size_past_the_int64_total_exits_2(self, argv, size, tmp_path, capsys):
+        # the sampler would loop for ages; no such total is valid frequency data
+        value = f"5,{size}" if argv[-1] == "--ngrid" else size
+        assert run(argv + [value, "--out", tmp_path / "out"]) == 2
+        assert f"[1, {MAX_COUNT}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
         pytest.param(["estimate", "--input", "{counts}", "--kind", "sG", "--format", "json"], id="estimate-format"),
         pytest.param(["estimate", "--input", "{counts}", "--kind", "sG", "--svg"], id="estimate-svg"),
         pytest.param(["band", "--input", "{counts}", "--alpha", 0.05, "--svg"], id="band-svg"),
@@ -782,3 +798,123 @@ class TestModelStrings:
     def test_valid_strings_parse(self, text):
         model = stackpmf.parse_model(text)
         assert math.isclose(float(np.sum(stackpmf.pmf_truncate(model, 1e-12).probs)), 1.0, abs_tol=1e-9)
+
+
+def _values(valid, edge=(), bad=()):
+    """``(valid, edge, bad)`` values of one flag: edge values sit at or just
+    past a bound, bad ones are malformed. Valid sizes stay small."""
+    return tuple(map(str, valid)), tuple(map(str, edge)), tuple(map(str, bad))
+
+
+_SEED = _values([0, 7, 2**64 - 1], [2**64, -1], ["x", "1.5", ""])
+_WORKERS = _values([1], [0], ["-1", "two"])
+_FORMAT = _values(["csv", "json"], [], ["xml", ""])
+_MODEL = _values(["M1", "M7", "geom:0.3", "pois:2", "uniform:3", "mix:1/2*M1+1/2*pois:4"],
+                 ["uniform:0", "pois:9007199254740992", "uniform:4194304"],
+                 ["M8", "pois:0", "geom:1", "", "mix:1/2*M1"])
+_EST = _values(["e", "e,sG", "sr,G,mm,r"], [",".join(stackpmf.ESTIMATOR_CODES)], ["", "zz", "e,,", ","])
+_LEVEL = _values(["0.05", "0.5"], ["0", "1", "1e-300"], ["nan", "inf", "x", "-0.1"])
+_DRAWS = _values([MIN_QUANTILE_DRAWS, 200], [MIN_QUANTILE_DRAWS - 1, MAX_QUANTILE_DRAWS + 1], ["x", "1e3", ""])
+_N = _values([1, 2, 30], [0, MAX_COUNT + 1], ["x", "-3", "2.5"])
+_REPS = _values([1, 3], [0, MAX_REPS + 1], ["x", ""])
+_SWITCH = None  # a flag without a value
+
+#: Each subcommand's flags and whether each is required; ``{counts}``,
+#: ``{bad}``, ``{theta}`` and ``{badtheta}`` name files made for each run.
+_COMMANDS = {
+    "estimate": {
+        "--input": (True, _values(["{counts}"], ["{empty}"], ["{bad}", "{missing}"])),
+        "--kind": (True, _values(stackpmf.ESTIMATOR_CODES, [], ["zz", ""])),
+        "--band": (False, _LEVEL),
+        "--mc": (False, _DRAWS),
+        "--seed": (False, _SEED),
+        "--workers": (False, _WORKERS),
+    },
+    "simulate": {
+        "--model": (True, _MODEL),
+        "--n": (True, _N),
+        "--ngrid": (False, _values(["5,10", "1"], ["0,5", f"5,{MAX_COUNT + 1}"], ["", "a", "5,,6", "-3"])),
+        "--reps": (True, _REPS),
+        "--est": (False, _EST),
+        "--norm": (False, _values(["1", "1,2,inf"], [], ["3", "", "inf,x"])),
+        "--risk": (False, _SWITCH),
+        "--coverage": (False, _SWITCH),
+        "--alpha": (False, _LEVEL),
+        "--bandmc": (False, _DRAWS),
+        "--seed": (False, _SEED),
+        "--workers": (False, _WORKERS),
+        "--format": (False, _FORMAT),
+        "--svg": (False, _SWITCH),
+    },
+    "band": {
+        "--input": (False, _values(["{counts}"], ["{empty}"], ["{bad}", "{missing}"])),
+        "--theta": (False, _values(["{theta}"], [], ["{badtheta}", "{missing}"])),
+        "--kind": (False, _values(stackpmf.ESTIMATOR_CODES, [], ["zz"])),
+        "--alpha": (True, _LEVEL),
+        "--mc": (False, _DRAWS),
+        "--seed": (False, _SEED),
+        "--workers": (False, _WORKERS),
+        "--format": (False, _FORMAT),
+    },
+    "qq": {
+        "--model": (True, _MODEL),
+        "--coord": (True, _values([0, 1], [3, 12], ["-1", "x"])),
+        "--n": (True, _N),
+        "--reps": (True, _REPS),
+        "--est": (False, _EST),
+        "--seed": (False, _SEED),
+        "--workers": (False, _WORKERS),
+        "--format": (False, _FORMAT),
+    },
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one subcommand: each required flag is present 9 times in 10
+    and each optional one 1 time in 3, each value usually valid, otherwise at an
+    edge or malformed; now and then a flag of another subcommand or an
+    unknown one is appended."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag, (required, values) in _COMMANDS[command].items():
+        present = draw(st.integers(0, 9)) > 0 if required else draw(st.integers(0, 2)) == 0
+        if not present:
+            continue
+        argv.append(flag)
+        if values is not _SWITCH:
+            valid, edge, bad = values
+            pool = draw(st.sampled_from([valid] * 8 + [edge or valid, bad or valid]))
+            argv.append(draw(st.sampled_from(pool)))
+    if not draw(st.integers(0, 7)):
+        argv += draw(st.sampled_from([["--svg"], ["--theta", "{theta}"], ["--bogus"], ["--coord", "0"]]))
+    return argv
+
+
+class TestArgvContract:
+    """Any argv of valid, edge and malformed flag values exits 0, 2, 3 or 4
+    without a traceback, and a usage error (exit 2) creates no ``--out``."""
+
+    @settings(max_examples=55, derandomize=True, deadline=None)
+    @given(argv=_argvs())
+    @example(argv=["band", "--input", "{bad}", "--alpha", "0.05", "--mc", "100"])
+    @example(argv=["estimate", "--input", "{counts}", "--kind", "sG", "--band", "0.05", "--mc", "100"])
+    @example(argv=["simulate", "--model", "M7", "--n", "30", "--reps", "3", "--coverage", "--bandmc", "100"])
+    @example(argv=["band", "--theta", "{theta}", "--alpha", "0.05", "--mc", "100", "--format", "json"])
+    @example(argv=["qq", "--model", "M1", "--coord", "1", "--n", "30", "--reps", "3"])
+    def test_exit_codes_and_out(self, argv, tmp_path_factory):
+        where = tmp_path_factory.mktemp("argv")
+        files = {"counts": "7 5 6 2 3 0 1 1\n", "empty": "0 0\n", "bad": "1 x 2\n",
+                 "theta": '{"estimate": [0.5, 0.3, 0.2], "n": 10}', "badtheta": '{"estimate": [true], "n": 1}'}
+        for name, text in files.items():
+            (where / name).write_text(text)
+        names = {name: str(where / name) for name in [*files, "missing"]}
+        out = where / "out"
+        argv = [a.format(**names) if a.startswith("{") else a for a in argv] + ["--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists(), argv

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    full_sum_poisson_upper_tail,
+    exact_poisson_tail,
     reference_frequency_total,
     reference_poisson_truncation,
     reference_sample,
@@ -128,8 +128,9 @@ def _bits(values) -> np.ndarray:
 
 
 class TestPoissonMatchesScipyStats:
-    """The Poisson pmf and tail are computed from ``scipy.special`` and must
-    equal ``scipy.stats.poisson`` bit for bit, so data files keep their bytes."""
+    """The Poisson pmf must equal ``scipy.stats.poisson`` bit for bit, so data
+    files keep their bytes; its tail must lie within a stated relative bound
+    of the exact tail."""
 
     # tiny, moderate and huge rates, up to the cap 2**53, at lengths -2..3000
     @settings(max_examples=400, derandomize=True, deadline=None)
@@ -146,6 +147,8 @@ class TestPoissonMatchesScipyStats:
     @example(3.0, -1)
     @example(15.0, 0)
     @example(2.0**53, 3000)
+    @example(3000.0, 2999)
+    @example(3000.0, 3000)
     def test_pmf_and_tail_are_bitwise_scipy_stats(self, lam, length):
         model = Poisson(lam)
         j = np.arange(max(length, 0))
@@ -154,14 +157,32 @@ class TestPoissonMatchesScipyStats:
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(_bits(got), _bits(want))
         tail = _tail_mass(model, length)
-        assert type(tail) is float
-        assert _bits(tail) == _bits(float(scipy.stats.poisson.sf(length - 1, lam)))
+        assert type(tail) is float and 0.0 <= tail <= 1.0
+        exact = exact_poisson_tail(lam, length)
+        assert abs(tail - exact) <= _tail_bound(lam, length, exact)
+
+
+def _tail_bound(lam: float, length: int, exact: float) -> float:
+    """Error bound of the float Poisson tail at ``length``, fixed before it
+    was first checked: each term carries the rounding of the pmf's exponent,
+    whose parts have magnitude ``S = k |log lam| + log(k!) + lam`` at the
+    series' first index ``k``, and each of at most 4096 further terms adds
+    one multiplication and one addition; 16 eps per unit of ``S + 4096``
+    covers both, relative to a tail (or, below the mean, to the complement
+    of a sum of at most about 1/2), plus 1e-300 for sums that are subnormal.
+    ``exact`` is the exact tail."""
+    if length <= 0:
+        return 0.0
+    k = length if length > lam else length - 1
+    scale = k * abs(math.log(lam)) + math.lgamma(k + 1) + lam
+    return 16 * np.finfo(float).eps * (scale + 4096) * exact + 1e-300
 
 
 class TestScipyFreePoisson:
     """The Poisson pmf takes ``log(j!)`` from a port of cephes ``lgam`` and
-    truncation decides its tails by a direct sum, asking ``pdtrc`` only near
-    ``epsilon``; both must give scipy's bytes and lengths."""
+    truncation decides its tails by a direct sum of it; both must give
+    scipy's bytes, and the lengths of a ``pdtrc`` search wherever ``pdtrc``
+    sums its whole series."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.integers(0, MAX_SUPPORT - 1))
@@ -187,28 +208,19 @@ class TestScipyFreePoisson:
             assert got.probs.tobytes() == want.tobytes(), lam
             assert got.tail_mass <= eps
 
-    @pytest.mark.parametrize("model", ["M7", "pois:5e5", "pois:3e6"])
-    @pytest.mark.parametrize("eps", [1e-12, 1e-6])
-    def test_early_stop_of_the_tail_sum_keeps_every_bit(self, model, eps, monkeypatch):
-        model = parse_model(model)
-        got = pmf_truncate(model, eps)
-        monkeypatch.setattr(models, "_poisson_upper_tail", full_sum_poisson_upper_tail)
-        want = pmf_truncate(model, eps)
-        assert got.probs.tobytes() == want.probs.tobytes()
-        assert _bits([got.tail_mass]) == _bits([want.tail_mass])
-
-    def test_a_tail_sum_stops_early_only_above_epsilon(self):
-        # about 0.3 sd above the mean: a tail near 0.39, 0.2 of it in the first block
-        lam, length = 3e6, 3_000_500
-        tail, lo, hi = full_sum_poisson_upper_tail(lam, length, 0.0)
-        assert tail is not None and 0.19 < lo < 0.2
-        assert models._poisson_upper_tail(lam, length, 0.2) == (tail, lo, hi)
-        early = models._poisson_upper_tail(lam, length, 0.1)
-        assert early[0] is None and 0.1 < early[1] <= lo and early[2] == 1.0
+    def test_a_tail_just_above_epsilon_is_not_kept(self):
+        # the exact tail at 3 008 237 points is 1.00077e-6; pdtrc, which cuts its
+        # series at 2000 terms, puts it below 1e-6
+        got = pmf_truncate(Poisson(3e6), 1e-6)
+        assert got.probs.size == 3_008_238
+        exact = exact_poisson_tail(3e6, 3_008_238)
+        assert exact_poisson_tail(3e6, 3_008_237) > 1e-6 >= exact
+        assert got.tail_mass <= 1e-6
+        assert abs(got.tail_mass - exact) <= _tail_bound(3e6, 3_008_238, exact)
 
     @pytest.mark.parametrize("model", [Poisson(2.0), Poisson(15.0), Poisson(1234.5), builtin_models()["M7"]])
     def test_a_tail_equal_to_epsilon_keeps_its_length(self, model):
-        # tail(L) == eps exactly: only the fallback to pdtrc can call this tie
+        # tail(L) == eps exactly: the decision "tail <= eps" keeps L
         length = pmf_truncate(model, 1e-12).probs.size
         eps = _tail_mass(model, length)
         got = pmf_truncate(model, eps)
@@ -263,6 +275,12 @@ class TestSample:
     def test_non_integer_sample_size_rejected(self, n):
         with pytest.raises(ValueError, match="sample size"):
             sample(builtin_models()["M1"], n, seed=3)
+
+    def test_sample_size_past_the_int64_total_raises_before_drawing(self):
+        rng = substream(3)
+        with pytest.raises(ValueError, match=f"sample size must lie in \\[1, {MAX_COUNT}\\]"):
+            sample(builtin_models()["M1"], MAX_COUNT + 1, seed=rng)
+        np.testing.assert_array_equal(rng.random(3), substream(3).random(3))
 
     def test_numpy_integer_sample_size_accepted(self):
         x = sample(builtin_models()["M1"], np.int64(5), seed=3)

@@ -1,10 +1,10 @@
 """Importing stackpmf, running Poisson and uniform models, and fitting and
 banding a counts file load no scipy module and not ``numpy.ma``.
 
-The Poisson pmf and its truncation are scipy-free (``pdtrc`` is asked
-only for a tail too close to the truncation tolerance to call), so
-rejecting ``pois:1e12`` loads no scipy either. ``qq`` loads
-``scipy.special`` for its normal quantiles, and nothing more of scipy.
+The Poisson pmf and its truncation are scipy-free, so rejecting
+``pois:1e12`` and running ``pois:3e6``, a rate far past M7's, load no
+scipy either. ``qq`` loads ``scipy.special`` for its normal quantiles, and
+nothing more of scipy.
 ``scipy.stats`` is imported only by the negative-binomial branches of
 :mod:`stackpmf.models`, and ``scipy.optimize`` only as part of it:
 ``isotonic_decreasing`` projects a float vector with the package's own
@@ -72,6 +72,7 @@ runs = {
     "band input": ["band", "--input", counts, "--kind", "sG", "--alpha", "0.1", "--mc", "200"],
     "M1 coverage": ["simulate", "--model", "M1", "--n", "40", "--reps", "3", "--coverage", "--bandmc", "200"],
     "M7 loss": ["simulate", "--model", "M7", "--n", "40", "--reps", "3", "--est", "e,r,G,mm,sr,sG"],
+    "pois:3e6 loss": ["simulate", "--model", "pois:3e6", "--n", "40", "--reps", "1", "--est", "e"],
     "M7 qq": ["qq", "--model", "M7", "--coord", "2", "--n", "40", "--reps", "5"],
 }
 for name, argv in runs.items():
@@ -105,6 +106,7 @@ def test_scipy_stats_loads_only_for_negative_binomial_models(tmp_path):
         "band input": [0, "numpy.random", "_hashlib"],
         "M1 coverage": [0, "numpy.random", "_hashlib"],
         "M7 loss": [0, "numpy.random", "_hashlib"],
+        "pois:3e6 loss": [0, "numpy.random", "_hashlib"],
         "M7 qq": [0, "scipy", "scipy.special", "numpy.ma", "numpy.random", "_hashlib"],
         "nbin loss": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma", "numpy.random",
                       "_hashlib"],

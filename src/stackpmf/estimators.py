@@ -268,22 +268,21 @@ def cv_betas(counts: np.ndarray, n: int, kind: str, base: np.ndarray, shape: np.
     return beta, a_n, b_n
 
 
-def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
-    """Fits of the estimators named by ``codes`` to each data set in ``xs``.
+def fit_stack(codes, counts: np.ndarray, n: int) -> tuple[np.ndarray, dict]:
+    """Fits of the estimators named by ``codes`` to each row of ``counts``.
 
-    ``xs`` share one length D and one total n. Returns the ``(len(xs),
-    len(codes), D)`` fits and, for each stacked code among ``codes``, its
-    ``(beta_hat, a_n, b_n)`` arrays from :func:`cv_betas`. Every step is
-    elementwise or a row reduction, so entry ``[b, a]`` does not depend on
-    the other rows. Each fit, and each shape fit behind a stacked one, runs
-    once, into its code's first output slot (an unnamed shape fit into its
-    own buffer); the blocks of :func:`grenander_blocks` are found once for
-    the isotonic fit and its leave-one-out pass. A single observation leaves
-    the criterion undefined: the weight is 0 and ``b_n`` is None.
+    ``counts`` is a ``(B, D)`` int64 stack whose rows all total ``n``.
+    Returns the ``(B, len(codes), D)`` fits and, for each stacked code
+    among ``codes``, its ``(beta_hat, a_n, b_n)`` arrays from
+    :func:`cv_betas`. Every step is elementwise or a row reduction, so
+    entry ``[b, a]`` does not depend on the other rows. Each fit, and each
+    shape fit behind a stacked one, runs once, into its code's first output
+    slot (an unnamed shape fit into its own buffer); the blocks of
+    :func:`grenander_blocks` are found once for the isotonic fit and its
+    leave-one-out pass. A single observation leaves the criterion
+    undefined: the weight is 0 and ``b_n`` is None.
     """
-    n = xs[0].n
-    counts = xs[0].counts[None] if len(xs) == 1 else np.stack([x.counts for x in xs])
-    out = np.empty((len(xs), len(codes), counts.shape[1]))
+    out = np.empty((counts.shape[0], len(codes), counts.shape[1]))
     base = np.divide(counts, n, out=out[:, codes.index("e")] if "e" in codes else None)
     fits, weights, starts = {"e": base}, {}, None
     for a, code in enumerate(codes):
@@ -312,7 +311,7 @@ def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
             if n > 1:
                 weights[code] = cv_betas(counts, n, kind, base, shape, starts)
             else:
-                weights[code] = (np.zeros(len(xs)), np.sum((shape - base) ** 2, axis=1), None)
+                weights[code] = (np.zeros(counts.shape[0]), np.sum((shape - base) ** 2, axis=1), None)
             beta = weights[code][0][:, None]
             fits[code] = np.multiply(beta, shape, out=out[:, a])
             fits[code] += (1.0 - beta) * base
@@ -321,7 +320,7 @@ def fit_stack(codes, xs) -> tuple[np.ndarray, dict]:
 
 def fit_estimator(code: str, x: FrequencyData) -> np.ndarray:
     """Probability vector of the estimator named by ``code`` on data ``x``."""
-    return fit_stack((code,), [x])[0][0, 0]
+    return fit_stack((code,), x.counts[None], x.n)[0][0, 0]
 
 
 def empirical(x: FrequencyData) -> Pmf:
@@ -354,7 +353,7 @@ def stacked(x: FrequencyData, kind: str) -> StackedFit:
     diagnostics note instead of raising.
     """
     code = "sG" if _check_kind(kind) == GRENANDER else "sr"
-    fits, weights = fit_stack(("e", code[-1], code), [x])
+    fits, weights = fit_stack(("e", code[-1], code), x.counts[None], x.n)
     beta, a_n, b_n = weights[code]
     base, shape, estimate = fits[0]
     diagnostics = {}

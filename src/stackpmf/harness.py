@@ -10,8 +10,11 @@ its band quantile from ``(seed, "band", i)``. A block's streams are keyed
 by one vectorized pass of numpy's ``SeedSequence`` derivation and drawn
 through one re-keyed Philox generator (:func:`stackpmf.rng.keyed_streams`),
 bitwise the streams numpy's own ``SeedSequence`` gives one at a time,
-which still makes every single stream. Blocks of replications are
-fitted as ``(B, D)`` stacks by the estimator engine
+which still makes every single stream. A block runs in rounds of
+``STACK_CELLS // L`` replications, L the length of the model's sampling
+table: a round is sampled as one ``(B, L)`` count matrix
+(:func:`stackpmf.models.sample_stack`), and its rows of one length D are
+fitted as one ``(B, D)`` stack by the estimator engine
 (:func:`stackpmf.estimators.fit_stack`), whose rows are bitwise the fits
 of each replication alone, so results are byte-equal for any worker count
 or blocking. Only a run of more than one worker imports ``multiprocessing``
@@ -27,11 +30,12 @@ import numpy as np
 from . import estimators as est
 from .confidence import band, quantile_q_alpha
 from .estimators import ESTIMATOR_CODES, fit_estimator  # noqa: F401  (perfbench's tracer looks fit_estimator up here)
-from .models import ModelSpec, pmf_truncate, sample, truncated_probs  # noqa: F401  (perfbench's tracer looks pmf_truncate up here)
+from .models import ModelSpec, pmf_truncate, sample, sample_stack, truncated_probs  # noqa: F401  (perfbench's tracer looks pmf_truncate and sample up here)
 from .rng import child_seeds, keyed_streams
 
-#: Count cells per fitting round: a ``(B, D)`` stack has at most
-#: ``max(1, STACK_CELLS // D)`` rows, which bounds the working set at any D.
+#: Count cells per round: a round samples ``max(1, STACK_CELLS // L)``
+#: replications into one ``(B, L)`` count matrix, L the sampling table's
+#: length, which bounds the working set at any L.
 STACK_CELLS = 2**16
 
 #: Most replications an experiment accepts: its loss array holds reps x
@@ -102,28 +106,31 @@ class ExperimentResult:
 # The replication engine (top level, so its partials pickle for worker pools)
 
 
-def _groups(cfg: ExperimentConfig, n: int, path: tuple, block):
-    """Replication i of ``block`` samples ``n`` values from ``(seed, "rep", *path, i)``.
-    Yields ``(positions, indices, data)`` per length D in a round; a round
-    ends before the sample that would take it past ``STACK_CELLS`` cells."""
-    groups, cells = {}, 0
-    for k, (i, rng) in enumerate(zip(block, keyed_streams(cfg.seed, ("rep", *path), block))):
-        x = sample(cfg.model, n, rng)
-        if cells + x.counts.size > STACK_CELLS:
-            yield from (zip(*group) for group in groups.values())
-            groups, cells = {}, 0
-        groups.setdefault(x.counts.size, []).append((k, i, x))
-        cells += x.counts.size
-    yield from (zip(*group) for group in groups.values())
-
-
 def _fit_block(cfg: ExperimentConfig, n: int, path: tuple, reduce, block) -> np.ndarray:
-    """Rows ``reduce(fits, n, indices)`` of the replications in ``block``, in its order."""
-    rows = [None] * len(block)
-    for positions, indices, xs in _groups(cfg, n, path, block):
-        for k, row in zip(positions, reduce(est.fit_stack(cfg.estimators, xs)[0], n, indices)):
-            rows[k] = row
-    return np.stack(rows)
+    """Rows ``reduce(fits, n, indices)`` of the replications in ``block``, in its order.
+
+    Replication i of ``block`` samples ``n`` values from ``(seed, "rep",
+    *path, i)``. A round of ``max(1, STACK_CELLS // L)`` replications, L
+    the sampling table's length, is sampled as one ``(B, L)`` count matrix
+    (:func:`stackpmf.models.sample_stack`). Each row's length D, its largest
+    value plus one, comes from one reverse ``argmax``; the rows of one D are
+    fitted as the stack ``counts[rows, :D]``.
+    """
+    width = truncated_probs(cfg.model).size
+    size = max(1, STACK_CELLS // width)
+    indices = np.asarray(block)
+    streams = keyed_streams(cfg.seed, ("rep", *path), block)
+    out = None
+    for at in range(0, len(block), size):
+        counts = sample_stack(cfg.model, n, streams, min(size, len(block) - at))
+        lengths = width - np.argmax(counts[:, ::-1] > 0, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+            part = reduce(est.fit_stack(cfg.estimators, counts[rows, : lengths[rows[0]]], n)[0], n, indices[at + rows])
+            if out is None:
+                out = np.empty((len(block),) + part.shape[1:], part.dtype)
+            out[at + rows] = part
+    return out
 
 
 def _replications(cfg: ExperimentConfig, n: int, reduce, path: tuple = ()) -> np.ndarray:

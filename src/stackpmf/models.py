@@ -21,6 +21,12 @@ the tolerance, is a sum of that pmf to one ulp (see :func:`_poisson_tail`),
 so evaluating, truncating and sampling a Poisson loads no scipy module.
 The negative binomial still uses ``scipy.stats.nbinom``, imported only
 when one is evaluated.
+
+Sampling inverts the cached cumulative table of the truncation through a
+guide table (Chen and Asau's indexed search) built once beside it.
+:func:`sample_stack` draws a round of samples, one generator per row, into
+one ``(B, L)`` count matrix, ``SAMPLE_CHUNK`` uniforms and one ``bincount``
+at a time; :func:`sample` is its one-row case.
 """
 
 import functools
@@ -43,7 +49,8 @@ SAMPLING_TRUNCATION = 1e-12
 #: vector is built.
 MAX_SUPPORT = 2**22
 
-#: Uniforms :func:`sample` draws and counts at a time (512 KiB of doubles).
+#: Uniforms :func:`sample_stack` draws and counts at a time (512 KiB of
+#: doubles), and the most buckets a guide table has.
 SAMPLE_CHUNK = 2**16
 
 #: Largest total count of frequency data: the total must fit in an int64.
@@ -314,24 +321,42 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
     A port of cephes ``lgam`` at the integer ``x = k + 1``: below 13 the log
     of the product ``(x - 1)(x - 2)...2``; from 13 Stirling's
     ``(x - 0.5) log x - x + log sqrt(2 pi)`` plus ``polevl(1/x**2, A, 4) / x``,
-    a three-term correction from 1000, and none past 1e8. The logs are
-    libm's (``math.log``): numpy's differ from them in the last bit. Runs in
-    blocks of ``_LOG_BLOCK`` values, so the Python floats the logs pass
-    through stay few.
+    a three-term correction from 1000, and none past 1e8
+    (:func:`_stirling`). The logs are libm's (``math.log``): numpy's differ
+    from them in the last bit. Runs in blocks of ``_LOG_BLOCK`` values, so
+    the Python floats the logs pass through stay few.
     """
     out = np.empty(k.shape)
     for at in range(0, k.size, _LOG_BLOCK):
         part = k[at : at + _LOG_BLOCK]
         x = (part + 1).astype(float)
-        q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, x.size) - x + _LS2PI
-        p = 1.0 / (x * x)
-        series = np.full_like(p, _LGAM_A[0])
-        for a in _LGAM_A[1:]:
-            series = series * p + a
-        three_term = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-        q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, three_term, series) / x)
+        q, series, three_term = _stirling(x, np.fromiter(map(math.log, x.tolist()), float, x.size))
+        q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, three_term, series))
         out[at : at + _LOG_BLOCK] = np.where(x < 13.0, _LOG_FACTORIAL_SMALL[np.minimum(part, 11)], q)
     return out
+
+
+def _log_factorial_one(k: int) -> float:
+    """:func:`_log_factorial` of the one integer ``k >= 0``, bitwise, in float
+    arithmetic: the same IEEE operations without an array."""
+    if k < 12:
+        return float(_LOG_FACTORIAL_SMALL[k])
+    x = float(k + 1)
+    q, series, three_term = _stirling(x, math.log(x))
+    return q if x > 1e8 else q + (three_term if x >= 1000.0 else series)
+
+
+def _stirling(x, log_x):
+    """Stirling's ``q`` of cephes ``lgam`` at ``x`` and its two corrections,
+    ``polevl(1 / x**2, A, 4) / x`` and the three-term one, for floats or
+    float arrays ``x`` with their logs ``log_x``."""
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    three_term = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    return q, series / x, three_term / x
 
 
 def _tail_mass(model: ModelSpec, length: int) -> float:
@@ -379,8 +404,7 @@ def _poisson_tail(lam: float, length: int) -> float:
         return 1.0
     up = length > lam
     k, step = (length, _TAIL_BLOCK) if up else (length - 1, -_TAIL_BLOCK)
-    log_fact = float(_log_factorial(np.array([k]))[0])
-    term = math.exp(k * math.log(lam) - log_fact - lam)  # p_k, not yet summed
+    term = math.exp(k * math.log(lam) - _log_factorial_one(k) - lam)  # p_k, not yet summed
     total = 0.0
     while True:
         if up:
@@ -457,34 +481,101 @@ def pmf_truncate(model: ModelSpec, epsilon: float) -> Pmf:
 def sample(model: ModelSpec, n: int, seed: "int | np.random.Generator") -> FrequencyData:
     """Draw ``n`` i.i.d. values from ``model`` and return their counts.
 
+    The one-row case of :func:`sample_stack`, with the trailing zeros of
+    the row trimmed: the output has length ``max drawn value + 1`` and is a
+    bit-identical function of ``(model, n, seed)``. ``seed`` is an integer,
+    whose stream is ``substream(seed)``, or a ``numpy.random.Generator`` to
+    draw from. ``n`` must be an integer: floats and bools raise
+    ``ValueError`` rather than being truncated.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
+    counts = sample_stack(model, n, iter((rng,)), 1)[0]
+    return FrequencyData(counts[: np.flatnonzero(counts)[-1] + 1])
+
+
+def sample_stack(model: ModelSpec, n: int, streams, rows: int) -> np.ndarray:
+    """The ``(rows, L)`` int64 counts of ``rows`` samples of ``n`` values
+    from ``model``, row r drawn from the r-th generator taken from the
+    iterator ``streams``; ``L`` is the length of the sampling table.
+
     Inversion sampling on the cumulative sums of the truncated probability
     vector; a uniform draw landing in the discarded tail (probability at
     most ``SAMPLING_TRUNCATION``) maps to the last retained point. The
-    uniforms are drawn and counted ``SAMPLE_CHUNK`` at a time, which draws
-    the same values as one call, so memory does not grow with ``n``. The
-    output has length ``max drawn value + 1`` and is a bit-identical
-    function of ``(model, n, seed)``. ``seed`` is an integer, whose stream
-    is ``substream(seed)``, or a ``numpy.random.Generator`` to draw from.
-    ``n`` must be an integer: floats and bools raise ``ValueError`` rather
-    than being truncated.
+    rows' uniforms fill one buffer of at most ``SAMPLE_CHUNK`` doubles in
+    order: a fill can hold several rows, and a row longer than a fill
+    continues in the next one, which draws the same values as one call, so
+    memory does not grow with ``n``. Each fill is inverted through the
+    model's guide table (:func:`_guide_search`) and counted by one
+    ``bincount`` of ``row * L + index``. A generator is taken from
+    ``streams`` only when its row starts and is done with when the next one
+    is taken.
     """
     n = _as_int(n, "sample size")
     if not 1 <= n <= MAX_COUNT:
         raise ValueError(f"sample size must lie in [1, {MAX_COUNT}], got {n}")
-    cum = _sampling_table(model)
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
+    guide = _guide_table(model)
+    width = guide[0].size
+    counts = np.zeros((rows, width), dtype=np.int64)
+    flat = counts.reshape(-1)
+    total = rows * n
+    u = np.empty(min(total, SAMPLE_CHUNK))
+    left = 0  # draws still due from the current row's generator
+    for start in range(0, total, SAMPLE_CHUNK):
+        size, at, lengths = min(SAMPLE_CHUNK, total - start), 0, []
+        while at < size:
+            if not left:
+                rng, left = next(streams), n
+            take = min(left, size - at)
+            rng.random(out=u[at : at + take])
+            lengths.append(take)
+            at, left = at + take, left - take
+        idx = _guide_search(guide, u[:size])
+        np.minimum(idx, width - 1, out=idx)
+        idx += np.repeat(np.arange(len(lengths)) * width, lengths)
+        first = start // n * width
+        flat[first : first + len(lengths) * width] += np.bincount(idx, minlength=len(lengths) * width)
+    return counts
 
-    def counted(size):
-        idx = np.searchsorted(cum, rng.random(size), side="right")
-        return np.bincount(np.minimum(idx, cum.size - 1, out=idx))
 
-    counts = counted(min(n, SAMPLE_CHUNK))
-    for start in range(SAMPLE_CHUNK, n, SAMPLE_CHUNK):
-        part = counted(min(SAMPLE_CHUNK, n - start))
-        if part.size > counts.size:  # the longer vector takes the shorter's counts
-            part, counts = counts, part
-        counts[: part.size] += part
-    return FrequencyData(counts)
+def _guide(cum: np.ndarray, cap: int = SAMPLE_CHUNK) -> tuple:
+    """Guide table ``(cum, m, start, first)`` of the nondecreasing table ``cum``
+    (Chen and Asau's indexed search; Devroye 1986, III.2.4).
+
+    ``m`` is the smallest power of two at or above ``4 * cum.size``, at
+    most ``cap``. Bucket k covers ``[k / m, (k + 1) / m)`` and ``start[k]``
+    is ``#{cum <= k / m}``, the least index a uniform in it can map to; for
+    a bucket holding one table point or none, ``first[k] = cum[start[k]]``
+    (``inf`` past the end) decides between ``start[k]`` and ``start[k] +
+    1``. A bucket holding several points has ``start[k] = -2``, which sends
+    its uniforms to ``searchsorted``.
+    """
+    m = min(cap, 1 << (4 * cum.size - 1).bit_length())
+    edges = np.searchsorted(cum, np.arange(m + 1) / m, side="right")
+    start = edges[:-1].copy()
+    first = np.append(cum, np.inf)[start]
+    start[np.diff(edges) > 1] = -2
+    for table in (start, first):
+        table.flags.writeable = False
+    return cum, m, start, first
+
+
+def _guide_search(guide: tuple, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, side="right")`` bitwise, for uniforms ``0 <= u < 1``,
+    through the guide table ``guide`` of :func:`_guide`.
+
+    With m a power of two, ``u * m`` is exact, so ``k = floor(u * m)``
+    puts ``k / m <= u < (k + 1) / m`` and the answer in ``[start[k],
+    start[k + 1]]``: one compare with ``first[k]`` when the bucket holds at
+    most one point, one ``searchsorted`` over the rest.
+    """
+    cum, m, start, first = guide
+    k = np.multiply(u, m, out=np.empty(u.size, np.intp), casting="unsafe")  # cast in the ufunc: one pass
+    idx = start[k]
+    idx += first[k] <= u
+    hard = np.flatnonzero(idx < 0)
+    if hard.size:
+        idx[hard] = np.searchsorted(cum, u[hard], side="right")
+    return idx
 
 
 @functools.lru_cache(maxsize=64)
@@ -493,6 +584,12 @@ def _sampling_table(model: ModelSpec) -> np.ndarray:
     cum = np.cumsum(truncated_probs(model))
     cum.flags.writeable = False
     return cum
+
+
+@functools.lru_cache(maxsize=64)
+def _guide_table(model: ModelSpec) -> tuple:
+    """The guide table (:func:`_guide`) of :func:`_sampling_table`."""
+    return _guide(_sampling_table(model))
 
 
 @functools.lru_cache(maxsize=64)

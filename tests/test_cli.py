@@ -679,10 +679,10 @@ class TestOutOfMemory:
         (MemoryError(), "error: out of memory: an allocation failed\n"),
     ], ids=["numpy-message", "bare"])
     def test_exits_4_with_one_line(self, exc, message, tmp_path, monkeypatch, capsys):
-        def sample(*args, **kwargs):
+        def sample_stack(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(stackpmf.harness, "sample", sample)
+        monkeypatch.setattr(stackpmf.harness, "sample_stack", sample_stack)
         assert run(SIMULATE + ["--out", tmp_path]) == cli.EXIT_NUMERIC == 4
         assert capsys.readouterr().err == message
 
@@ -893,7 +893,9 @@ def _argvs(draw):
 
 class TestArgvContract:
     """Any argv of valid, edge and malformed flag values exits 0, 2, 3 or 4
-    without a traceback, and a usage error (exit 2) creates no ``--out``."""
+    without a traceback, a usage error (exit 2) creates no ``--out``, and
+    rerunning the manifest's argv of a successful run reproduces its data
+    files byte for byte."""
 
     @settings(max_examples=55, derandomize=True, deadline=None)
     @given(argv=_argvs())
@@ -918,3 +920,14 @@ class TestArgvContract:
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert not out.exists(), argv
+        if code == 0:
+            # the manifest's argv, sent to another directory, rewrites every data file byte for byte
+            (manifest,) = out.glob("*.manifest.json")
+            manifest = json.loads(manifest.read_text())
+            again = where / "again"
+            rerun = [str(again) if a == str(out) else a for a in manifest["argv"]]
+            with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+                assert main(rerun) == 0, rerun
+            assert manifest["artifacts"], rerun
+            for name in manifest["artifacts"]:
+                assert (again / name).read_bytes() == (out / name).read_bytes(), (rerun, name)

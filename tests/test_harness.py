@@ -68,7 +68,7 @@ class TestFitStack:
     @example([FrequencyData(np.array([0, 0, 1]))] * 2, ["sG", "e", "sG", "sr"])
     @example([FrequencyData(np.array([2, 2, 2, 2]))], list(ESTIMATOR_CODES))
     def test_rows_bitwise_equal_to_standalone_estimators(self, xs, codes):
-        fits, weights = est.fit_stack(codes, xs)
+        fits, weights = est.fit_stack(codes, np.stack([x.counts for x in xs]), xs[0].n)
         assert fits.shape == (len(xs), len(codes), xs[0].counts.size)
         assert fits.flags.c_contiguous
         assert sorted(weights) == sorted({"sr", "sG"} & set(codes))
@@ -110,15 +110,15 @@ class TestFitStack:
 
         for name in ("grenander_blocks", "isotonic_decreasing", "loo_stacks", "loo_vectors_fast"):
             monkeypatch.setattr(est, name, counting(name, getattr(est, name)))
-        xs = [FrequencyData(np.array(c)) for c in ([1, 3, 0, 2, 5], [5, 3, 0, 2, 1], [2, 2, 2, 4, 1])]
-        est.fit_stack(ESTIMATOR_CODES + ESTIMATOR_CODES, xs)
+        counts = np.array([[1, 3, 0, 2, 5], [5, 3, 0, 2, 1], [2, 2, 2, 4, 1]])
+        est.fit_stack(ESTIMATOR_CODES + ESTIMATOR_CODES, counts, 11)
         # one isotonic partition and one leave-one-out pass per stack and
         # kind, none per row
         assert sorted(calls) == ["grenander_blocks"] + ["loo_stacks"] * 2
         # on a rising and a falling ramp the leave-one-out pass reuses the partition
         calls.clear()
         ramp = np.arange(1, 66)
-        est.fit_stack(("sG", "G"), [FrequencyData(ramp), FrequencyData(ramp[::-1].copy())])
+        est.fit_stack(("sG", "G"), np.stack([ramp, ramp[::-1]]), int(ramp.sum()))
         assert sorted(calls) == ["grenander_blocks", "loo_stacks"]
 
     def test_unknown_code(self):
@@ -140,7 +140,7 @@ class TestFitStack:
         monkeypatch.setattr(est, "cv_betas", then_reset_peak)
         tracemalloc.start()
         try:
-            fits, _ = est.fit_stack(("e", "G", "sG"), [x])
+            fits, _ = est.fit_stack(("e", "G", "sG"), x.counts[None], x.n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -37,12 +37,17 @@ from stackpmf import (
 )
 from stackpmf import cli, models
 from stackpmf.harness import ExperimentConfig, run_loss_experiment
-from stackpmf.rng import substream
+from stackpmf.rng import keyed_streams, substream, substream_seed
 from stackpmf.models import (
     MAX_COUNT,
     MAX_SUPPORT,
     SAMPLING_TRUNCATION,
+    SAMPLE_CHUNK,
+    _guide,
+    _guide_search,
+    _guide_table,
     _log_factorial,
+    _log_factorial_one,
     _sampling_table,
     _tail_mass,
     check_support,
@@ -199,6 +204,11 @@ class TestScipyFreePoisson:
         k = np.arange(2**16)
         np.testing.assert_array_equal(_bits(_log_factorial(k)), _bits(scipy.special.gammaln(k + 1)))
 
+    @pytest.mark.parametrize("k", [0, 11, 12, 13, 999, 1000, 10**8 - 1, 10**8, 10**8 + 1])
+    def test_log_factorial_of_one_value_is_bitwise_the_array_path(self, k):
+        # the tail series takes log(k!) of its first index without an array
+        assert _bits(_log_factorial_one(k)) == _bits(_log_factorial(np.array([k]))[0])
+
     @pytest.mark.parametrize("eps", [1e-12, 1e-10])
     def test_truncation_matches_a_pdtrc_search(self, eps):
         for lam in np.geomspace(0.01, 1e5, 701):
@@ -331,6 +341,97 @@ class TestSample:
         x = sample(builtin_models()["M4"], 200, seed=3)
         assert x.counts[-1] > 0
         assert x.t_n == len(x) - 1
+
+
+@st.composite
+def _guide_cases(draw):
+    """A nondecreasing table ``cum`` with zero-probability entries, a tail
+    within 1e-12 of 1 and a last value that may differ from 1, a guide cap
+    small enough to put several points in one bucket, and uniforms at and
+    just below the table's values and the bucket edges."""
+    head = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=40))
+    tail = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-16, 1e-13)), max_size=12))
+    if not sum(head):
+        head[-1] = 1.0
+    scale = draw(st.sampled_from([1.0, 1.0 - 2**-50, 1.0 + 2**-52, 1.0 - 1e-12, 0.75]))
+    probs = np.concatenate([np.array(head) / sum(head) * (scale - sum(tail)), tail])
+    cum = np.cumsum(probs)
+    guide = _guide(cum, cap=2 ** draw(st.integers(0, 10)))
+    m = guide[1]
+    points = np.concatenate([
+        cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+        np.arange(m) / m, np.nextafter(np.arange(1, m + 1) / m, -np.inf),
+        [0.0, 1.0 - 2**-53], draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20)),
+    ])
+    return cum, guide, points[(points >= 0.0) & (points < 1.0)]
+
+
+class TestGuideTable:
+    """The guide table maps every uniform to ``np.searchsorted(cum, u, "right")``."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_guide_cases())
+    def test_bitwise_searchsorted(self, case):
+        cum, guide, u = case
+        want = np.searchsorted(cum, u, side="right")
+        got = _guide_search(guide, u)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_buckets_with_several_points_are_searched(self):
+        # a cap of 2 puts M7's 50 points into two buckets of many points each
+        cum = _sampling_table(builtin_models()["M7"])
+        guide = _guide(cum, cap=2)
+        assert guide[1] == 2 and np.all(guide[2] < 0)
+        u = substream(4).random(10_000)
+        np.testing.assert_array_equal(_guide_search(guide, u), np.searchsorted(cum, u, side="right"))
+
+    def test_model_tables_are_cached_and_read_only(self):
+        model = builtin_models()["M7"]
+        guide = _guide_table(model)
+        assert guide is _guide_table(builtin_models()["M7"]) and guide[0] is _sampling_table(model)
+        assert guide[1] == 256 and not guide[2].flags.writeable and not guide[3].flags.writeable
+
+
+class TestSampleStack:
+    """Each row of a stacked sample is the one-call reference sample of its stream."""
+
+    @pytest.mark.parametrize("n, rows", [
+        (1, 7), (300, 240), (SAMPLE_CHUNK - 1, 3), (SAMPLE_CHUNK, 2), (SAMPLE_CHUNK + 1, 3), (3 * SAMPLE_CHUNK + 7, 2),
+    ])
+    @pytest.mark.parametrize("name, model", [("M7", builtin_models()["M7"]), ("pois:1e5", Poisson(1e5))])
+    def test_rows_equal_the_reference(self, name, model, n, rows):
+        # 240 rows of 300 and 3 of 2**16 - 1 or more straddle the 2**16 fills
+        seeds = [17 + 1000 * r for r in range(rows)]
+        counts = models.sample_stack(model, n, (substream(seed) for seed in seeds), rows)
+        width = _sampling_table(model).size
+        assert counts.shape == (rows, width) and counts.dtype == np.int64
+        np.testing.assert_array_equal(counts.sum(axis=1), n)
+        for seed, row in zip(seeds, counts):
+            want = reference_sample(model, n, seed).counts
+            np.testing.assert_array_equal(row[: want.size], want)
+            assert not row[want.size :].any()
+
+    def test_pois_1e5_runs_the_fallback(self):
+        # the head of pois:1e5 (about 97 000 points below 1 / 2**16) and its
+        # tail share buckets, so some uniforms are searched
+        cum, m, start, _ = _guide_table(Poisson(1e5))
+        u = substream(17).random(3 * SAMPLE_CHUNK + 7)
+        assert m == SAMPLE_CHUNK and 0 < np.count_nonzero(start[(u * m).astype(np.intp)] < 0) < u.size // 100
+
+    def test_keyed_streams_are_taken_one_per_row(self):
+        # one re-keyed generator serves every row, also across a fill boundary
+        model = builtin_models()["M2"]
+        counts = models.sample_stack(model, 30_000, keyed_streams(5, ("rep",), range(4)), 4)
+        for i, row in enumerate(counts):
+            want = sample(model, 30_000, substream_seed(5, "rep", i)).counts
+            np.testing.assert_array_equal(row[: want.size], want)
+
+    def test_sample_size_is_validated_before_drawing(self):
+        rng = substream(3)
+        with pytest.raises(ValueError, match="sample size"):
+            models.sample_stack(builtin_models()["M1"], 0, iter([rng]), 1)
+        np.testing.assert_array_equal(rng.random(3), substream(3).random(3))
 
 
 class TestSamplingTableCache:

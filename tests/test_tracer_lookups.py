@@ -4,7 +4,8 @@ The tracer records a missing name without failing, so a renamed or deleted
 function would silently zero a per-layer metric; this keeps the lookups in
 the main test suite. The sampler is also run under counting wrappers like
 the tracer's, so its draw and chunk counts keep their meaning, and a loss
-run under the tracer itself, so its per-replication sample count does.
+run under the tracer itself, whose every replication stream is drawn
+exactly n uniforms.
 """
 
 import importlib
@@ -15,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from stackpmf import cli, confidence, rng
+from stackpmf import cli, confidence, harness, rng
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -71,11 +72,28 @@ def test_sampler_wrapped_as_the_tracer_wraps_it(monkeypatch, stack_rows, dim, re
 
 
 def test_loss_run_traced_samples_once_per_replication(tmp_path, monkeypatch):
-    # models.sample.calls counts the calls of harness.sample, and
-    # rng.substream.models.calls those of models.substream: replication
-    # streams are keyed per block, so there is one sample per replication
-    # and no substream; sub-blocks of 8 keys take the run through five passes
+    # the harness samples each round as one count matrix, so the tracer's
+    # models.sample.calls reads 0 on a simulate run; instead each of the 37
+    # keyed streams must be drawn exactly n uniforms, and rng.substream.models.calls,
+    # the calls of models.substream, stays 0: replication streams are keyed
+    # per block, and sub-blocks of 8 keys take the run through five passes
     monkeypatch.setattr(rng, "KEY_BLOCK", 8)
+    draws = []
+
+    class Counted:
+        def __init__(self, generator):
+            self.generator = generator
+            draws.append(0)
+
+        def random(self, *args, **kwargs):
+            values = self.generator.random(*args, **kwargs)
+            draws[-1] += np.size(values)
+            return values
+
+    def counted_streams(*args):
+        return (Counted(generator) for generator in rng.keyed_streams(*args))
+
+    monkeypatch.setattr(harness, "keyed_streams", counted_streams)
     tracer_module = _load_tracer()
     tracer = tracer_module.Tracer()
     argv = ["simulate", "--model", "M7", "--n", "50", "--est", "e,sG", "--reps", "37", "--seed", "3",
@@ -86,6 +104,5 @@ def test_loss_run_traced_samples_once_per_replication(tmp_path, monkeypatch):
     finally:
         assert tracer.uninstall()
     assert tracer.missing == []
-    metrics = tracer.metrics(37)
-    assert metrics["models.sample.calls"] == 37
-    assert metrics["rng.substream.models.calls"] == 0
+    assert draws == [50] * 37
+    assert tracer.metrics(37)["rng.substream.models.calls"] == 0

@@ -21,6 +21,16 @@ plug-in roots and the draws it returns, whatever the chunk size. ``S`` is
 numpy's sum of the products ``sqrt(theta_k) * Z_k`` it has already formed,
 not a BLAS dot product, so the draws do not depend on the BLAS library or
 its thread count.
+
+A coverage check needs only whether the band around a fit covers the truth,
+not the quantile itself. The band's limits are monotone in ``q``, so the
+band covers exactly when ``q`` reaches a threshold ``t``
+(:func:`band_thresholds`), and ``q_hat >= t`` exactly when fewer than k of
+the draws fall short of ``t``. :func:`quantile_reaches` therefore stops
+drawing once each row's answer is settled: after ``reps - k + 1`` draws
+reach ``t`` (a hit) or k fall short (a miss, which still draws at least k,
+all but ``alpha * reps`` of the draws). The draws it reads are a prefix of
+the full run's, so the answer is the full quantile's.
 """
 
 import math
@@ -37,6 +47,9 @@ _CHUNK_TARGET = 1 << 21
 
 #: Target number of entries in one row block of draws.
 _BLOCK_TARGET = 1 << 17
+
+#: Bit pattern of +inf as an int64; nonnegative doubles order as their bit patterns.
+_INF_BITS = int(np.array(np.inf).view(np.int64))
 
 #: Fewest Monte-Carlo draws a quantile estimate accepts.
 MIN_QUANTILE_DRAWS = 100
@@ -148,6 +161,16 @@ def sample_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
     return out if np.ndim(theta) == 2 else out[0]
 
 
+def _order_statistic(alpha: float, reps: int) -> int:
+    """Rank k of the quantile among ``reps`` draws: the smallest whose
+    empirical distribution function reaches ``1 - alpha``."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not MIN_QUANTILE_DRAWS <= reps <= MAX_QUANTILE_DRAWS:
+        raise ValueError(f"a quantile needs {MIN_QUANTILE_DRAWS} to {MAX_QUANTILE_DRAWS} draws, got reps={reps}")
+    return min(max(int(math.ceil((1.0 - alpha) * reps)), 1), reps)
+
+
 def quantile_q_alpha(theta, alpha: float, reps: int, seed: int):
     """Monte-Carlo estimate of the upper alpha-quantile of the sup norm.
 
@@ -156,14 +179,83 @@ def quantile_q_alpha(theta, alpha: float, reps: int, seed: int):
     ``seed``. A vector gives a ``float``; a ``(c, D)`` stack gives one
     quantile per row, each equal to that row's own quantile.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not MIN_QUANTILE_DRAWS <= reps <= MAX_QUANTILE_DRAWS:
-        raise ValueError(f"a quantile needs {MIN_QUANTILE_DRAWS} to {MAX_QUANTILE_DRAWS} draws, got reps={reps}")
+    k = _order_statistic(alpha, reps)
     draws = sample_sup_norm(theta, reps, seed)
-    k = min(max(int(math.ceil((1.0 - alpha) * reps)), 1), reps)
     q = np.partition(draws, k - 1, axis=-1)[..., k - 1]
     return float(q) if q.ndim == 0 else q.copy()  # a view would keep all the draws alive
+
+
+def quantile_reaches(theta, alpha: float, reps: int, seed: int, thresholds):
+    """``quantile_q_alpha(theta, alpha, reps, seed) >= thresholds``, drawing
+    only until each row's answer is settled.
+
+    The quantile is the k-th smallest draw, so it reaches ``t`` exactly when
+    fewer than k draws fall short of ``t``. A row is settled once k of its
+    draws fall short (no) or ``reps - k + 1`` reach ``t`` (yes); the draws
+    are read block by block from :func:`iter_limit_process`, and no block is
+    drawn once every row is settled. A miss therefore still draws at least
+    k of the ``reps`` draws. A ``(c, D)`` stack takes one threshold per row
+    and gives one bool per row; a vector gives a ``bool``.
+    """
+    k = _order_statistic(alpha, reps)
+    stack = _as_theta(theta)
+    t = np.broadcast_to(np.asarray(thresholds, dtype=float), stack.shape[:1]).tolist()
+    short = [0] * len(t)
+    reach = [0] * len(t)
+
+    def settled(row):
+        return short[row] >= k or reach[row] > reps - k
+
+    open_rows = len(t)
+    blocks = iter_limit_process(stack, reps, seed)
+    for i, y in enumerate(blocks):
+        row = i % len(t)
+        if settled(row):
+            continue
+        # a NaN threshold is never reached, as in ``q_hat >= t``
+        reached = int(np.count_nonzero(np.abs(y, out=y).max(axis=1) >= t[row]))
+        reach[row] += reached
+        short[row] += y.shape[0] - reached
+        open_rows -= settled(row)
+        if not open_rows:
+            break
+    blocks.close()
+    answers = np.array(short) < k
+    return answers if np.ndim(theta) == 2 else bool(answers[0])
+
+
+def _limits(center, q, n):
+    """Band limits ``max(c - q / sqrt(n), 0)`` and ``c + q / sqrt(n)``; each
+    is a chain of monotone IEEE operations in ``q``."""
+    half = q / math.sqrt(n)
+    return np.maximum(center - half, 0.0), center + half
+
+
+def band_thresholds(centers, n: int, truth) -> np.ndarray:
+    """Smallest float64 ``q >= 0`` whose band around each center covers ``truth``.
+
+    ``centers`` is a ``(..., D)`` array and the result has its leading shape.
+    An index past D has a zero center and one past the truth's length is not
+    checked, as in a coverage replication. The limits are monotone in ``q``,
+    so ``band(c, n, q)`` covers the truth exactly when ``q >= t``. ``t`` is
+    found by bisection on the int64 bit patterns of ``[0, +inf]``, which
+    order as the doubles they encode: at most 63 steps for the whole array.
+    It is finite, because the band at the largest finite ``q`` covers any
+    finite truth.
+    """
+    truth = np.asarray(truth, dtype=float)
+    c = np.zeros(centers.shape[:-1] + truth.shape)
+    width = min(centers.shape[-1], truth.size)
+    c[..., :width] = centers[..., :width]
+    lo = np.zeros(c.shape[:-1], dtype=np.int64)
+    hi = np.full(c.shape[:-1], _INF_BITS, dtype=np.int64)
+    while np.any(lo < hi):  # the band at hi covers; every q below lo misses
+        mid = lo + (hi - lo) // 2
+        lower, upper = _limits(c, mid.view(float)[..., None], n)
+        covers = np.all((lower <= truth) & (truth <= upper), axis=-1)
+        hi = np.where(covers, mid, hi)
+        lo = np.where(covers, lo, mid + 1)
+    return hi.view(float)
 
 
 def band(center, n: int, q_hat: float, alpha=None, mc_reps=None, seed=None) -> ConfidenceBand:
@@ -180,10 +272,10 @@ def band(center, n: int, q_hat: float, alpha=None, mc_reps=None, seed=None) -> C
     c = center.probs if isinstance(center, Pmf) else np.ascontiguousarray(center, dtype=float)
     if not np.all(np.isfinite(c)):
         raise InvalidPmfError("center entries must be finite")
-    half = q_hat / math.sqrt(n)
+    lower, upper = _limits(c, q_hat, n)
     return ConfidenceBand(
-        lower=np.maximum(c - half, 0.0),
-        upper=c + half,
+        lower=lower,
+        upper=upper,
         q_hat=float(q_hat),
         alpha=alpha,
         mc_reps=mc_reps,

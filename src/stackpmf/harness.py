@@ -6,7 +6,11 @@ grid, empirical coverage of the global confidence bands, and samples for
 normal QQ diagnostics of a single coordinate.
 
 Replication i samples from the stream ``(seed, "rep", ..., i)`` and draws
-its band quantile from ``(seed, "band", i)``. A block's streams are keyed
+its band quantile from ``(seed, "band", i)``. Coverage needs only whether
+each band covers the truth, so it draws the quantile's sup norms only until
+that answer is settled (:func:`stackpmf.confidence.quantile_reaches`), the
+answer the full quantile gives; a miss still draws at least
+``ceil((1 - alpha) * band_mc_reps)`` of them. A block's streams are keyed
 by one vectorized pass of numpy's ``SeedSequence`` derivation and drawn
 through one re-keyed Philox generator (:func:`stackpmf.rng.keyed_streams`),
 bitwise the streams numpy's own ``SeedSequence`` gives one at a time,
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators as est
-from .confidence import band, quantile_q_alpha
+from .confidence import band, band_thresholds, quantile_q_alpha, quantile_reaches  # noqa: F401  (perfbench's tracer looks band and quantile_q_alpha up here)
 from .estimators import ESTIMATOR_CODES, fit_estimator  # noqa: F401  (perfbench's tracer looks fit_estimator up here)
 from .models import ModelSpec, pmf_truncate, sample, sample_stack, truncated_probs  # noqa: F401  (perfbench's tracer looks pmf_truncate and sample up here)
 from .rng import child_seeds, keyed_streams
@@ -151,15 +155,11 @@ def _losses(fits, n, indices, *, truth, norms):
 
 
 def _band_hits(fits, n, indices, *, truth, cfg):
-    padded = np.zeros(fits.shape[:2] + (max(fits.shape[2], truth.size),))
-    padded[:, :, : fits.shape[2]] = fits
-    hits = np.empty(fits.shape[:2], dtype=bool)
-    for b, seed in enumerate(child_seeds(cfg.seed, ("band",), indices).tolist()):
-        q_hats = quantile_q_alpha(fits[b], cfg.alpha, cfg.band_mc_reps, seed)
-        for a, q_hat in enumerate(q_hats):
-            cb = band(padded[b, a], n, q_hat)
-            hits[b, a] = np.all(cb.lower[: truth.size] <= truth) and np.all(truth <= cb.upper[: truth.size])
-    return hits
+    thresholds = band_thresholds(fits, n, truth)
+    seeds = child_seeds(cfg.seed, ("band",), indices).tolist()
+    return np.array([
+        quantile_reaches(fits[b], cfg.alpha, cfg.band_mc_reps, seed, thresholds[b]) for b, seed in enumerate(seeds)
+    ])
 
 
 def _qq_deviations(fits, n, indices, *, coord, p_coord):
@@ -201,7 +201,14 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentResult:
     Each replication re-estimates the sup-norm quantile from its own fitted
     vector (the empirical estimator plugs in itself). Containment is checked
     on every index of the truncated truth; indices past the observed range
-    carry the band ``[0, q_hat / sqrt(n)]`` around a zero center.
+    carry the band ``[0, q_hat / sqrt(n)]`` around a zero center. The band
+    covers exactly when ``q_hat`` reaches the smallest covering quantile
+    (:func:`stackpmf.confidence.band_thresholds`, computed once per round),
+    so a replication draws only until that comparison is settled and builds
+    no band: a hit can stop after ``bandmc - k + 1`` draws, with
+    ``k = ceil((1 - alpha) * bandmc)``, while a miss still draws at least k,
+    nearly all of ``--bandmc`` at the usual alpha. The hits are those of the
+    full-quantile bands.
     """
     if cfg.n is None:
         raise ValueError("coverage experiments need a single sample size n")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from oracles import reference_sup_norm
+from stackpmf import confidence
 from stackpmf import (
     InvalidPmfError,
     TriangularDecreasing,
@@ -24,7 +25,7 @@ from stackpmf import (
     quantile_q_alpha,
     sample_sup_norm,
 )
-from stackpmf.confidence import MAX_QUANTILE_DRAWS
+from stackpmf.confidence import MAX_QUANTILE_DRAWS, band_thresholds, quantile_reaches
 
 
 class TestSampler:
@@ -257,6 +258,119 @@ class TestQuantile:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestQuantileReaches:
+    """Deciding ``q_hat >= t`` from a prefix of the draws gives the full
+    quantile's answer."""
+
+    @staticmethod
+    def check_against_the_full_quantile(stack, reps, alpha, seed, randoms):
+        q = quantile_q_alpha(stack, alpha, reps, seed)
+        candidates = {
+            "q_hat": q,
+            "below": np.nextafter(q, -np.inf),
+            "above": np.nextafter(q, np.inf),
+            "zero": np.zeros_like(q),
+            "random": np.array(randoms[: len(q)]),
+        }
+        for name, t in candidates.items():
+            np.testing.assert_array_equal(quantile_reaches(stack, alpha, reps, seed, t), q >= t, err_msg=name)
+        # rows that settle at different draws, each decided as on its own
+        mixed = np.array([candidates[name][i] for i, name in enumerate(("below", "q_hat", "random")[: len(q)])])
+        decided = quantile_reaches(stack, alpha, reps, seed, mixed)
+        np.testing.assert_array_equal(decided, q >= mixed)
+        for row, t, d in zip(stack, mixed, decided):
+            assert quantile_reaches(row, alpha, reps, seed, t) is bool(d)
+
+    # 1e-9 makes k = reps and 0.9999 makes k = 1 for every reps drawn here;
+    # D <= 40 puts all the draws in one block
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        pmf_stacks,
+        st.integers(100, 3000),
+        st.sampled_from((1e-9, 0.05, 0.5, 0.9999)),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+    )
+    def test_equals_the_full_quantile_decision(self, stack, reps, alpha, seed, randoms):
+        self.check_against_the_full_quantile(stack, reps, alpha, seed, randoms)
+
+    # blocks of 65 to 436 draws, so rows settle part way through the draws
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(
+        wide_pmf_stacks,
+        st.integers(100, 3000),
+        st.sampled_from((1e-9, 0.05, 0.5, 0.9999)),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.0, 0.2), min_size=3, max_size=3),
+    )
+    def test_equals_the_full_quantile_decision_across_blocks(self, stack, reps, alpha, seed, randoms):
+        self.check_against_the_full_quantile(stack, reps, alpha, seed, randoms)
+
+    def test_stops_once_every_row_is_settled(self, monkeypatch):
+        # with t = 0 every draw reaches t, so a row is settled after
+        # reps - k + 1 draws: one block of 8192 draws instead of 13 chunks
+        opened = []
+        real = confidence.substream
+
+        def counted(*args):
+            opened.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(confidence, "substream", counted)
+        theta = pmf_truncate(builtin_models()["M1"], 1e-12).probs
+        assert quantile_reaches(np.array([theta, theta]), 0.05, 100_000, 3, [0.0, 0.0]).tolist() == [True, True]
+        assert len(opened) == 1
+
+    def test_vector_gives_a_bool(self):
+        assert quantile_reaches(np.array([0.5, 0.5]), 0.05, 100, 1, 0.0) is True
+        assert quantile_reaches(np.array([0.5, 0.5]), 0.05, 100, 1, math.inf) is False
+
+    def test_rejects_what_the_quantile_rejects(self):
+        with pytest.raises(ValueError, match="alpha"):
+            quantile_reaches(np.array([0.5, 0.5]), 1.5, 1000, 1, 0.1)
+        with pytest.raises(ValueError, match="draws"):
+            quantile_reaches(np.array([0.5, 0.5]), 0.05, 10, 1, 0.1)
+        with pytest.raises(InvalidPmfError):
+            quantile_reaches(np.array([[0.5, 0.5], [0.5, 0.2]]), 0.05, 1000, 1, [0.1, 0.1])
+
+
+class TestBandThresholds:
+    """``band(c, n, q)`` covers the truth exactly when ``q`` reaches the threshold."""
+
+    @staticmethod
+    def covers(center, n, q, truth):
+        padded = np.zeros(max(center.size, truth.size))
+        padded[: center.size] = center
+        cb = band(padded, n, q)
+        return bool(np.all(cb.lower[: truth.size] <= truth) and np.all(truth <= cb.upper[: truth.size]))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(pmf_stacks, pmf_stacks, st.integers(1, 10**7))
+    def test_threshold_is_the_first_covering_quantile(self, centers, truths, n):
+        truth = truths[0]
+        thresholds = band_thresholds(centers, n, truth)
+        assert thresholds.shape == (len(centers),)
+        for center, t in zip(centers, thresholds):
+            assert math.isfinite(t) and t >= 0.0
+            assert self.covers(center, n, t, truth)
+            assert self.covers(center, n, np.nextafter(t, np.inf), truth)
+            if t > 0.0:
+                assert not self.covers(center, n, np.nextafter(t, -np.inf), truth)
+
+    def test_center_on_the_truth_needs_no_width(self):
+        truth = pmf_truncate(builtin_models()["M1"], 1e-12).probs
+        assert band_thresholds(truth[None, :], 1000, truth).tolist() == [0.0]
+
+    def test_leading_axes_are_independent(self):
+        rng = np.random.default_rng(4)
+        truth = rng.dirichlet(np.ones(9))
+        centers = rng.dirichlet(np.ones(7), size=(5, 3))
+        stacked = band_thresholds(centers, 300, truth)
+        assert stacked.shape == (5, 3)
+        for index in np.ndindex(5, 3):
+            assert stacked[index] == band_thresholds(centers[index], 300, truth)
 
 
 class TestBand:

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo experiment drivers."""
 
 import functools
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -29,7 +30,7 @@ from stackpmf import (
     run_risk_curve,
 )
 from stackpmf import estimators as est
-from stackpmf import harness, rng
+from stackpmf import cli, confidence, harness, rng
 from stackpmf.estimators import fit_estimator
 
 M = builtin_models()
@@ -289,14 +290,17 @@ class TestCoverage:
         assert res.coverage["e"] <= 0.2
 
     def test_shared_normals_give_the_standalone_bands(self, monkeypatch):
-        original_band = harness.band
-        built = []
+        # each replication decides its stack of fits in one call; every row's
+        # decision must be that row's decision made alone, and the hits those
+        # of full-quantile bands built one center at a time
+        original = harness.quantile_reaches
+        calls = []
 
-        def recording_band(*args):
-            built.append(original_band(*args))
-            return built[-1]
+        def recording(theta, alpha, reps, seed, thresholds):
+            calls.append((theta, alpha, reps, seed, thresholds, original(theta, alpha, reps, seed, thresholds)))
+            return calls[-1][-1]
 
-        monkeypatch.setattr(harness, "band", recording_band)
+        monkeypatch.setattr(harness, "quantile_reaches", recording)
         truth = pmf_truncate(M["M2"], 1e-12).probs
         hits = []
         for alpha in (0.05, 0.5):
@@ -304,12 +308,34 @@ class TestCoverage:
                                    alpha=alpha, band_mc_reps=1000, seed=10)
             band_hits = functools.partial(harness._band_hits, truth=truth, cfg=cfg)
             for i in range(cfg.reps):
-                built.clear()
+                calls.clear()
                 hits.append(harness._fit_block(cfg, cfg.n, (), band_hits, [i])[0])
                 ref_hits, ref_q_hats = reference_coverage(cfg, truth, i)
                 np.testing.assert_array_equal(hits[-1], ref_hits)
-                assert [b.q_hat for b in built] == ref_q_hats
+                [(theta, _, reps, seed, thresholds, decided)] = calls
+                np.testing.assert_array_equal(decided, np.array(ref_q_hats) >= thresholds)
+                for row, t, d in zip(theta, thresholds, decided):
+                    assert original(row, alpha, reps, seed, t) == d
         assert 0 < np.mean(hits) < 1
+
+    def test_coverage_workload_stops_drawing_early(self, tmp_path, monkeypatch):
+        # the coverage-M1 benchmark run: the full quantile opens 13 sup-norm
+        # chunks for each of the 40 replications; deciding each band's hit
+        # opens fewer, and the output keeps the bytes perfbench/refs.json
+        # records for this seed
+        opened = []
+
+        def counted_substream(*args):
+            opened.append(args)
+            return rng.substream(*args)
+
+        monkeypatch.setattr(confidence, "substream", counted_substream)
+        argv = ["simulate", "--coverage", "--model", "M1", "--n", "1000", "--est", "e,sG", "--alpha", "0.05",
+                "--bandmc", "100000", "--reps", "40", "--seed", "1", "--workers", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert len(opened) < 40 * 13
+        digest = hashlib.sha256((tmp_path / "coverage.csv").read_bytes()).hexdigest()
+        assert digest == "e605393e32761b828bdadd2ef34068de179b53cf8118d34bfb27da9c58b8aba5"
 
     def test_deterministic_across_workers(self):
         base = dict(model=M["M1"], reps=12, estimators=("e",), n=200, band_mc_reps=2000, seed=9)

@@ -16,7 +16,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -294,56 +293,49 @@ def _make_out_dir(path: str) -> None:
         raise _UsageError(f"--out {path}: cannot create the output directory: {exc.strerror}") from None
 
 
-#: Where :func:`_write_json` writes float array k: the JSON of the string
-#: ``"\0k"``. Every array is checked to land at exactly one match.
-_FLOAT_ARRAY_MARK = re.compile(r'"\\u0000(\d+)"')
-
-
 def _write_json(path: str, payload) -> None:
-    """``payload`` as ``json.dump(..., indent=2, sort_keys=True)`` writes it
-    with every ndarray in it replaced by its ``tolist()``.
+    """``payload``, whose dict keys are strings, as ``json.dump(..., indent=2,
+    sort_keys=True)`` writes it, plus a newline, with every ndarray in it
+    replaced by its ``tolist()``.
 
-    That dump writes a skeleton with each nonempty 1-D float64 array of
-    finite values replaced by a marker, and each such array is streamed in
-    at its marker, ``FLOAT_CHUNK`` values per write, one ``float.__repr__``
-    per line, which is how json writes a finite float. The floats are
+    One recursive pass writes straight to the file: dict items in key
+    order, and list and tuple items one a line at json's indentation. Every
+    key and every other scalar is written as ``json.dumps`` writes it. A
+    nonempty 1-D float64 array of finite values is streamed at its
+    indentation, ``FLOAT_CHUNK`` values per write, one ``float.__repr__`` a
+    line, which is how json writes a finite float. Those floats are
     rendered by :func:`repr_join`, a vectorized equivalent of
-    ``float.__repr__``. The bytes are the same, and a long estimate is
-    never held as one list or one string. Every other array goes through
-    ``tolist()``.
+    ``float.__repr__``, so a long estimate is never held as one list or one
+    string. Every other array goes through ``tolist()``.
     """
-    arrays = []
 
-    def stub(value):
-        if isinstance(value, dict):
-            return {key: stub(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [stub(item) for item in value]
+    def write(value, newline: str) -> None:  # newline: a line break and value's indentation
         if isinstance(value, np.ndarray):
             if value.dtype == np.float64 and value.ndim == 1 and value.size and np.isfinite(value).all():
-                arrays.append(value)
-                return f"\0{len(arrays) - 1}"
-            return value.tolist()
-        return value
+                sep = f",{newline}  "
+                fh.write(f"[{newline}  ")
+                for at in range(0, value.size, FLOAT_CHUNK):
+                    items = repr_join(value[at : at + FLOAT_CHUNK], sep)
+                    fh.write(f"{sep}{items}" if at else items)
+                fh.write(f"{newline}]")
+                return
+            value = value.tolist()
+        inner = newline + "  "
+        if isinstance(value, dict) and value:
+            for at, (key, item) in enumerate(sorted(value.items())):
+                fh.write(f"{',' if at else '{'}{inner}{json.dumps(key)}: ")
+                write(item, inner)
+            fh.write(f"{newline}}}")
+        elif isinstance(value, (list, tuple)) and value:
+            for at, item in enumerate(value):
+                fh.write(f"{',' if at else '['}{inner}")
+                write(item, inner)
+            fh.write(f"{newline}]")
+        else:
+            fh.write(json.dumps(value))
 
-    text = json.dumps(stub(payload), indent=2, sort_keys=True)
-    marks = list(_FLOAT_ARRAY_MARK.finditer(text))
-    if sorted(mark[1] for mark in marks) != sorted(map(str, range(len(arrays)))):
-        # a string of the payload looks like a marker
-        marks, text = [], json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
     with _out_file(path) as fh:
-        end = 0
-        for mark in marks:
-            line = text[text.rfind("\n", 0, mark.start()) + 1 : mark.start()]
-            pad = line[: len(line) - len(line.lstrip(" "))]
-            sep, values = f",\n  {pad}", arrays[int(mark[1])]
-            fh.write(f"{text[end : mark.start()]}[\n  {pad}")
-            for at in range(0, values.size, FLOAT_CHUNK):
-                items = repr_join(values[at : at + FLOAT_CHUNK], sep)
-                fh.write(f"{sep}{items}" if at else items)
-            fh.write(f"\n{pad}]")
-            end = mark.end()
-        fh.write(text[end:])
+        write(payload, "\n")
         fh.write("\n")
 
 
@@ -439,6 +431,8 @@ def _cmd_simulate(args) -> int:
         n_grid = _parse_int_list(args.ngrid)
     elif args.n is None:
         raise _UsageError("--coverage needs --n" if mode == "coverage" else "loss simulation needs --n")
+    if args.svg and mode == "coverage":
+        raise _UsageError("--svg draws the loss and risk charts only, not coverage")
     _make_out_dir(args.out)
     artifacts = []
     argv = ["simulate", "--model", args.model, "--reps", str(args.reps), "--est", ",".join(codes),
@@ -607,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandmc", type=_int_in(MIN_QUANTILE_DRAWS, MAX_QUANTILE_DRAWS), default=100_000,
                    help="band quantile draws for coverage mode")
     _add_common(p)
-    p.add_argument("--svg", action="store_true", help="also write a minimal SVG chart")
+    p.add_argument("--svg", action="store_true", help="also write a minimal SVG chart of the losses or risks")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("band", help="global confidence band for a counts file or saved estimate")

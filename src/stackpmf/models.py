@@ -22,8 +22,8 @@ so evaluating, truncating and sampling a Poisson loads no scipy module.
 The negative binomial still uses ``scipy.stats.nbinom``, imported only
 when one is evaluated.
 
-Sampling inverts the cached cumulative table of the truncation through a
-guide table (Chen and Asau's indexed search) built once beside it.
+Sampling inverts the cumulative table of the truncation through a guide
+table (Chen and Asau's indexed search), cached with it per model.
 :func:`sample_stack` draws a round of samples, one generator per row, into
 one ``(B, L)`` count matrix, ``SAMPLE_CHUNK`` uniforms and one ``bincount``
 at a time; :func:`sample` is its one-row case.
@@ -82,15 +82,22 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class UniformRange:
-    """Uniform distribution on ``{0, ..., s}``."""
+class _Range:
+    """A distribution on ``{0, ..., s}``; ``_NAME`` names its family in the error for a bad ``s``."""
 
     s: int
 
     def __post_init__(self):
         if int(self.s) != self.s or self.s < 0:
-            raise ParameterError(f"uniform range needs an integer s >= 0, got {self.s!r}")
+            raise ParameterError(f"{self._NAME} needs an integer s >= 0, got {self.s!r}")
         object.__setattr__(self, "s", int(self.s))
+
+
+@dataclass(frozen=True)
+class UniformRange(_Range):
+    """Uniform distribution on ``{0, ..., s}``."""
+
+    _NAME = "uniform range"
 
 
 @dataclass(frozen=True)
@@ -106,27 +113,17 @@ class Geometric:
 
 
 @dataclass(frozen=True)
-class TriangularDecreasing:
+class TriangularDecreasing(_Range):
     """Strictly decreasing ramp ``p_j`` proportional to ``s + 1 - j`` on ``{0, ..., s}``."""
 
-    s: int
-
-    def __post_init__(self):
-        if int(self.s) != self.s or self.s < 0:
-            raise ParameterError(f"triangular range needs an integer s >= 0, got {self.s!r}")
-        object.__setattr__(self, "s", int(self.s))
+    _NAME = "triangular range"
 
 
 @dataclass(frozen=True)
-class TriangularIncreasing:
+class TriangularIncreasing(_Range):
     """Strictly increasing ramp ``p_j`` proportional to ``j + 1`` on ``{0, ..., s}``."""
 
-    s: int
-
-    def __post_init__(self):
-        if int(self.s) != self.s or self.s < 0:
-            raise ParameterError(f"triangular range needs an integer s >= 0, got {self.s!r}")
-        object.__setattr__(self, "s", int(self.s))
+    _NAME = "triangular range"
 
 
 @dataclass(frozen=True)
@@ -321,42 +318,24 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
     A port of cephes ``lgam`` at the integer ``x = k + 1``: below 13 the log
     of the product ``(x - 1)(x - 2)...2``; from 13 Stirling's
     ``(x - 0.5) log x - x + log sqrt(2 pi)`` plus ``polevl(1/x**2, A, 4) / x``,
-    a three-term correction from 1000, and none past 1e8
-    (:func:`_stirling`). The logs are libm's (``math.log``): numpy's differ
-    from them in the last bit. Runs in blocks of ``_LOG_BLOCK`` values, so
-    the Python floats the logs pass through stay few.
+    a three-term correction from 1000, and none past 1e8. The logs are
+    libm's (``math.log``): numpy's differ from them in the last bit. Runs in
+    blocks of ``_LOG_BLOCK`` values, so the Python floats the logs pass
+    through stay few.
     """
     out = np.empty(k.shape)
     for at in range(0, k.size, _LOG_BLOCK):
         part = k[at : at + _LOG_BLOCK]
         x = (part + 1).astype(float)
-        q, series, three_term = _stirling(x, np.fromiter(map(math.log, x.tolist()), float, x.size))
-        q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, three_term, series))
+        q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, x.size) - x + _LS2PI
+        p = 1.0 / (x * x)
+        series = _LGAM_A[0]
+        for a in _LGAM_A[1:]:
+            series = series * p + a
+        three_term = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+        q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, three_term, series) / x)
         out[at : at + _LOG_BLOCK] = np.where(x < 13.0, _LOG_FACTORIAL_SMALL[np.minimum(part, 11)], q)
     return out
-
-
-def _log_factorial_one(k: int) -> float:
-    """:func:`_log_factorial` of the one integer ``k >= 0``, bitwise, in float
-    arithmetic: the same IEEE operations without an array."""
-    if k < 12:
-        return float(_LOG_FACTORIAL_SMALL[k])
-    x = float(k + 1)
-    q, series, three_term = _stirling(x, math.log(x))
-    return q if x > 1e8 else q + (three_term if x >= 1000.0 else series)
-
-
-def _stirling(x, log_x):
-    """Stirling's ``q`` of cephes ``lgam`` at ``x`` and its two corrections,
-    ``polevl(1 / x**2, A, 4) / x`` and the three-term one, for floats or
-    float arrays ``x`` with their logs ``log_x``."""
-    q = (x - 0.5) * log_x - x + _LS2PI
-    p = 1.0 / (x * x)
-    series = _LGAM_A[0]
-    for a in _LGAM_A[1:]:
-        series = series * p + a
-    three_term = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-    return q, series / x, three_term / x
 
 
 def _tail_mass(model: ModelSpec, length: int) -> float:
@@ -396,7 +375,9 @@ def _poisson_tail(lam: float, length: int) -> float:
     upward from ``p_length``; the terms fall by ``lam / (k + 1)``. At or
     below it the series is ``p_k`` for ``k < length``, summed downward from
     ``p_{length-1}`` with the terms falling by ``k / lam``, and the tail is
-    its complement, at least about 1/2. Either sum runs ``_TAIL_BLOCK``
+    its complement, at least about 1/2. The first term takes ``log k!``
+    from :func:`_log_factorial` on a one-element array, so it is bitwise
+    the ``p_k`` of :func:`pmf_values`. Either sum runs ``_TAIL_BLOCK``
     terms at a time and stops once the geometric bound on the rest is below
     one ulp of it.
     """
@@ -404,7 +385,7 @@ def _poisson_tail(lam: float, length: int) -> float:
         return 1.0
     up = length > lam
     k, step = (length, _TAIL_BLOCK) if up else (length - 1, -_TAIL_BLOCK)
-    term = math.exp(k * math.log(lam) - _log_factorial_one(k) - lam)  # p_k, not yet summed
+    term = math.exp(k * math.log(lam) - float(_log_factorial(np.array([k]))[0]) - lam)  # p_k, not yet summed
     total = 0.0
     while True:
         if up:
@@ -420,7 +401,7 @@ def _poisson_tail(lam: float, length: int) -> float:
 
 def support_size(model: ModelSpec):
     """Size of the support when finite, else ``None``."""
-    if isinstance(model, (UniformRange, TriangularDecreasing, TriangularIncreasing)):
+    if isinstance(model, _Range):
         return model.s + 1
     if isinstance(model, Mixture):
         sizes = [support_size(comp) for _, comp in model.components]
@@ -579,17 +560,13 @@ def _guide_search(guide: tuple, u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _sampling_table(model: ModelSpec) -> np.ndarray:
-    """Read-only cumulative sums of :func:`truncated_probs`."""
+def _guide_table(model: ModelSpec) -> tuple:
+    """The guide table (:func:`_guide`) of the read-only cumulative sums of
+    :func:`truncated_probs`, built once per distinct model per process; its
+    first entry is that sampling table."""
     cum = np.cumsum(truncated_probs(model))
     cum.flags.writeable = False
-    return cum
-
-
-@functools.lru_cache(maxsize=64)
-def _guide_table(model: ModelSpec) -> tuple:
-    """The guide table (:func:`_guide`) of :func:`_sampling_table`."""
-    return _guide(_sampling_table(model))
+    return _guide(cum)
 
 
 @functools.lru_cache(maxsize=64)

@@ -6,8 +6,8 @@ spawn keys. A stream is addressed by a root seed plus a path of integers
 and short string labels, so replication i of an experiment always sees the
 same draws no matter how the work is scheduled or how many workers run it.
 
-A single stream (:func:`substream`, :func:`substream_seed`) comes from
-numpy's ``SeedSequence`` itself. The streams of a block of replications
+A single stream (:func:`substream`) comes from numpy's ``SeedSequence``
+itself. The child seeds and streams of a block of replications
 (:func:`child_seeds`, :func:`keyed_streams`) come from a port of the same
 derivation in ``uint32`` arithmetic, one pass per block: Philox is fixed
 by its 128-bit key and a zero counter, so one generator re-keyed per index
@@ -74,14 +74,6 @@ def substream(seed: int, *path) -> "np.random.Generator":
     Equal (seed, path) pairs always yield identical generators.
     """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
-
-
-def substream_seed(seed: int, *path) -> int:
-    """A 64-bit child seed for the stream addressed by ``seed`` and ``path``.
-
-    Used to hand a single integer to code that derives its own substreams.
-    """
-    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +143,15 @@ def _child_pool(seed: int, path: tuple, indices) -> list:
 
 
 def child_seeds(seed: int, path: tuple, indices) -> np.ndarray:
-    """``substream_seed(seed, *path, i)`` for each i of ``indices`` (below
+    """The 64-bit child seed ``SeedSequence(...).generate_state(1, np.uint64)``
+    of the stream ``(seed, *path, i)`` for each i of ``indices`` (below
     2**32), as one ``uint64`` array from one pass."""
     return _pairs(_generate_state(_child_pool(seed, path, indices), 2))[0]
 
 
 def _philox_keys(seed: int, path: tuple, indices) -> np.ndarray:
-    """The ``(len(indices), 2)`` Philox keys of ``substream(substream_seed(seed, *path, i))``.
+    """The ``(len(indices), 2)`` Philox keys of ``substream(child)`` for each
+    child seed of :func:`child_seeds`.
 
     A child seed below 2**32 is one entropy word to numpy and two here,
     ``[lo, 0]``, which fill the pool alike."""
@@ -167,7 +161,7 @@ def _philox_keys(seed: int, path: tuple, indices) -> np.ndarray:
 
 def keyed_streams(seed: int, path: tuple, indices):
     """For each i of ``indices``, in order, a generator that draws what
-    ``substream(substream_seed(seed, *path, i))`` draws.
+    ``substream(child)`` draws, ``child`` the index's seed from :func:`child_seeds`.
 
     One Philox generator is re-keyed per index, so each yielded stream is
     valid until the next one is taken. Keys are derived ``KEY_BLOCK``

@@ -39,6 +39,8 @@ package's own pass took float input.
 array from a whole chunk of normals, with the centring sum written out in
 its summation order, against the library's sampler that streams the
 normals block by block into reused buffers.
+:func:`substream_seed` is numpy's own derivation of one child seed, which
+``rng.child_seeds`` ports to a block of indices in one pass.
 """
 
 import decimal
@@ -68,7 +70,7 @@ from stackpmf.cli import CountsParseError
 from stackpmf.estimators import A_N_TOL
 from stackpmf.errors import EmptyInputError
 from stackpmf.models import MAX_COUNT, SAMPLING_TRUNCATION
-from stackpmf.rng import substream, substream_seed
+from stackpmf.rng import _seed_sequence, substream
 
 #: Counts vectors with zeros and ties, ending in a positive count; the
 #: single-observation vectors [1] and [0, 0, 1] have n = 1.
@@ -381,6 +383,12 @@ def random_frequency_data(rng: np.random.Generator, max_len: int = 50, max_n: in
     if counts.sum() < 2:
         counts[-1] += 2
     return FrequencyData(counts)
+
+
+def substream_seed(seed: int, *path) -> int:
+    """The 64-bit child seed ``SeedSequence(...).generate_state(1, np.uint64)``
+    of the stream addressed by ``seed`` and ``path``, from numpy itself."""
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
 def reference_sample(model, n: int, seed: int) -> FrequencyData:

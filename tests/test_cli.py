@@ -664,6 +664,13 @@ class TestBadFlagValuesAreUsageErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_coverage_svg_is_usage_error(self, tmp_path, capsys):
+        # the charts are of losses and risks; coverage has none to draw
+        argv = ["simulate", "--model", "M1", "--n", 20, "--reps", 2, "--coverage", "--bandmc", 100, "--svg"]
+        assert run(argv + ["--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: --svg draws the loss and risk charts only, not coverage\n"
+        assert not (tmp_path / "out").exists()
+
     def test_last_coordinate_of_the_support_is_accepted(self, tmp_path):
         assert run(QQ[:3] + ["--coord", 11] + QQ[5:] + ["--out", tmp_path]) == 0
 

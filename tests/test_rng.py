@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import substream_seed
 from stackpmf import ExperimentConfig, builtin_models, quantile_q_alpha, run_loss_experiment, rng
-from stackpmf.rng import child_seeds, keyed_streams, substream, substream_seed
+from stackpmf.rng import child_seeds, keyed_streams, substream
 
 SEEDS = st.integers(0, 2**64 - 1)
 #: ``(prefix, index)``: the replication, risk-grid and band paths.

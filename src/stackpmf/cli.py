@@ -11,12 +11,12 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure or out of 
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import math
 import os
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -255,37 +255,6 @@ def _out_file(path: str):
         raise _UsageError(f"--out {where}: cannot write {name}: {exc.strerror}") from None
 
 
-def _write_csv(path: str, header: list[str], rows: list[list], comments: list[str] = ()) -> None:
-    with _out_file(path) as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-#: Floats :func:`_write_json` and :func:`_write_loss_csv` render into one write.
-FLOAT_CHUNK = 4096
-
-
-def _write_loss_csv(path: str, header: list[str], codes, norm_names, losses: np.ndarray) -> None:
-    """The rows ``rep, code, norm, loss`` of the ``(reps, codes, norms)``
-    array ``losses`` as :func:`_write_csv` writes them: csv leaves these
-    ints and names unquoted and writes floats with ``float.__repr__``,
-    which :func:`repr_join` renders about ``FLOAT_CHUNK`` losses per write."""
-    tails = [f",{code},{norm}," for code in codes for norm in norm_names]
-    flat = losses.reshape(len(losses), -1)
-    step = max(1, FLOAT_CHUNK // len(tails))
-    with _out_file(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(flat), step):
-            block = flat[start : start + step].ravel()
-            finite = np.isfinite(block).all()
-            reprs = iter(repr_join(block, "\n").split("\n") if finite else map(repr, block.tolist()))
-            rows = range(start, min(start + step, len(flat)))
-            fh.write("".join([f"{rep}{tail}{loss}\n" for rep in rows for tail, loss in zip(tails, reprs)]))
-
-
 def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -293,20 +262,17 @@ def _make_out_dir(path: str) -> None:
         raise _UsageError(f"--out {path}: cannot create the output directory: {exc.strerror}") from None
 
 
-def _write_json(path: str, payload) -> None:
-    """``payload``, whose dict keys are strings, as ``json.dump(..., indent=2,
-    sort_keys=True)`` writes it, plus a newline, with every ndarray in it
-    replaced by its ``tolist()``.
+#: Table rows, and ``estimate.json`` floats, rendered into one write.
+FLOAT_CHUNK = 4096
 
-    One recursive pass writes straight to the file: dict items in key
-    order, and list and tuple items one a line at json's indentation. Every
-    key and every other scalar is written as ``json.dumps`` writes it. A
-    nonempty 1-D float64 array of finite values is streamed at its
-    indentation, ``FLOAT_CHUNK`` values per write, one ``float.__repr__`` a
-    line, which is how json writes a finite float. Those floats are
-    rendered by :func:`repr_join`, a vectorized equivalent of
-    ``float.__repr__``, so a long estimate is never held as one list or one
-    string. Every other array goes through ``tolist()``.
+
+def _write_json(path: str, payload) -> None:
+    """``payload`` (``estimate.json`` or a manifest), whose dict keys are
+    strings, as ``json.dump(..., indent=2, sort_keys=True)`` writes it, plus
+    a newline, with every ndarray in it replaced by its ``tolist()``. One
+    recursive pass writes straight to the file. A nonempty 1-D float64 array
+    of finite values is streamed by :func:`repr_join`, ``FLOAT_CHUNK`` values
+    a write, so a long estimate is never held as one list or one string.
     """
 
     def write(value, newline: str) -> None:  # newline: a line break and value's indentation
@@ -339,13 +305,53 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _write_table(args, name: str, header: list[str], rows: list[list], comments: list[str] = ()) -> str:
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it in a row of two or more fields."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text or "\n" in text else text
+
+
+def _write_table(args, name: str, header: list[str], blocks, comments: list[str] = ()) -> str:
+    """Write the rows of ``blocks`` under ``header`` to ``<name>.csv`` or
+    ``<name>.json`` in ``--out`` and return its path. The bytes are those of
+    ``csv.writer(lineterminator="\\n")`` after a ``# `` line per comment, or
+    of ``json.dump(indent=2, sort_keys=True)`` of ``{"columns", "comments",
+    "rows"}`` plus a newline. A block is a list of equal-length columns: int
+    arrays, float64 arrays or lists of one string per row. ``FLOAT_CHUNK``
+    rows are rendered a column at a time: a run of equal ints by one
+    ``str``, a distinct string once, finite floats by :func:`repr_join`.
+    """
+    path = os.path.join(args.out, f"{name}.{args.format}")
     if args.format == "json":
-        path = os.path.join(args.out, f"{name}.json")
-        _write_json(path, {"comments": list(comments), "columns": header, "rows": rows})
+        quote = number = json.dumps
+        head = json.dumps(dict(columns=header, comments=list(comments)), indent=2)[:-2] + ',\n  "rows": ['
+        first, cell_sep, row_sep = "\n    [\n      ", ",\n      ", "\n    ],\n    [\n      "
+        last, tail = "\n    ]\n  ", "]\n}\n"
     else:
-        path = os.path.join(args.out, f"{name}.csv")
-        _write_csv(path, header, rows, comments)
+        quote, number = _csv_field, repr
+        head = "".join(f"# {comment}\n" for comment in comments) + ",".join(map(_csv_field, header)) + "\n"
+        first, cell_sep, row_sep, last, tail = "", ",", "\n", "\n", ""
+
+    def cells(column):
+        if isinstance(column, list):
+            fields = {text: quote(text) for text in set(column)}  # each distinct string quoted once
+            return list(map(fields.__getitem__, column)) if any(k != v for k, v in fields.items()) else column
+        if column.dtype != np.float64:  # one str per run of equal ints
+            starts = np.concatenate(([0], np.flatnonzero(column[1:] != column[:-1]) + 1))
+            runs = np.diff(starts, append=column.size).tolist()
+            return list(chain.from_iterable(map(repeat, map(str, column[starts].tolist()), runs)))
+        if np.isfinite(column).all():
+            return repr_join(column, "\n").split("\n")
+        return list(map(number, column.tolist()))
+
+    with _out_file(path) as fh:
+        fh.write(head)
+        wrote = False
+        for columns in blocks:
+            for at in range(0, len(columns[0]), FLOAT_CHUNK):
+                rows = zip(*[cells(column[at : at + FLOAT_CHUNK]) for column in columns])
+                fh.write((row_sep if wrote else first) + row_sep.join(map(cell_sep.join, rows)))
+                wrote = True
+        fh.write((last if wrote else "") + tail)
     return path
 
 
@@ -363,14 +369,6 @@ def _write_manifest(args, command: str, argv: list[str], config: dict, artifacts
         },
     )
     return path
-
-
-def _jsonable(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +441,9 @@ def _cmd_simulate(args) -> int:
                            seed=seed, workers=args.workers)
     if mode == "risk":
         res = run_risk_curve(cfg)
-        rows = [[n, code, args.reps, risk, se] for n, by_code, se_by_code in
-                zip(n_grid, res.risk_estimates.tolist(), res.risk_se.tolist())
-                for code, risk, se in zip(codes, by_code, se_by_code)]
-        artifacts.append(_write_table(args, "risk", ["n", "estimator", "reps", "risk", "se"], rows))
+        columns = [np.repeat(n_grid, len(codes)), list(codes) * len(n_grid), np.full(res.risk_se.size, args.reps),
+                   res.risk_estimates.ravel(), res.risk_se.ravel()]
+        artifacts.append(_write_table(args, "risk", ["n", "estimator", "reps", "risk", "se"], [columns]))
         argv += ["--risk", "--ngrid", args.ngrid]
         if args.svg:
             series = list(zip(codes, res.risk_estimates.T.tolist()))
@@ -456,24 +453,24 @@ def _cmd_simulate(args) -> int:
             artifacts.append(svg_path)
     elif mode == "coverage":
         res = run_coverage(cfg)
-        rows = [[code, args.model, args.n, repr(args.alpha), args.reps, args.bandmc,
-                 float(res.coverage[code]), float(res.coverage_se[code])] for code in codes]
-        artifacts.append(_write_table(
-            args, "coverage",
-            ["estimator", "model", "n", "alpha", "reps", "band_mc_reps", "coverage", "se"], rows))
+        k = len(codes)
+        columns = [list(codes), [args.model] * k, np.full(k, args.n), [repr(args.alpha)] * k, np.full(k, args.reps),
+                   np.full(k, args.bandmc), np.array([res.coverage[code] for code in codes]),
+                   np.array([res.coverage_se[code] for code in codes])]
+        header = ["estimator", "model", "n", "alpha", "reps", "band_mc_reps", "coverage", "se"]
+        artifacts.append(_write_table(args, "coverage", header, [columns]))
         argv += ["--coverage", "--n", str(args.n), "--alpha", repr(args.alpha), "--bandmc", str(args.bandmc)]
     else:
         res = run_loss_experiment(cfg)
-        norm_names = ["inf" if k == math.inf else str(k) for k in norms]
-        header = ["rep", "estimator", "norm", "loss"]
-        if args.format == "json":
-            rows = [[i, code, norm_name, loss] for i, rep in enumerate(res.per_rep_losses.tolist())
-                    for code, by_norm in zip(codes, rep) for norm_name, loss in zip(norm_names, by_norm)]
-            artifacts.append(_write_table(args, "losses", header, rows))
-        else:
-            path = os.path.join(args.out, "losses.csv")
-            _write_loss_csv(path, header, codes, norm_names, res.per_rep_losses)
-            artifacts.append(path)
+        names = [(code, "inf" if k == math.inf else str(k)) for code in codes for k in norms]
+        step = max(1, FLOAT_CHUNK // len(names))
+
+        def blocks():  # ``step`` replications at a time, so no column spans the whole run
+            for at in range(0, args.reps, step):
+                part = res.per_rep_losses[at : at + step]
+                yield [np.arange(at, at + len(part)).repeat(len(names)), [code for code, _ in names] * len(part),
+                       [norm for _, norm in names] * len(part), part.ravel()]
+        artifacts.append(_write_table(args, "losses", ["rep", "estimator", "norm", "loss"], blocks()))
         argv += ["--n", str(args.n)]
         if args.svg:
             groups = list(zip(codes, res.per_rep_losses[:, :, 0].T.tolist()))  # the first norm
@@ -484,7 +481,7 @@ def _cmd_simulate(args) -> int:
     if args.svg:
         argv += ["--svg"]
     config = {"model": args.model, "mode": mode, "reps": args.reps, "estimators": list(codes),
-              "norms": [_jsonable(k) for k in norms], "n": args.n,
+              "norms": ["inf" if k == math.inf else k for k in norms], "n": args.n,
               "ngrid": args.ngrid, "alpha": args.alpha, "band_mc_reps": args.bandmc,
               "seed": seed, "workers": args.workers}
     _write_manifest(args, "simulate", argv, config, artifacts)
@@ -522,9 +519,9 @@ def _cmd_band(args) -> int:
     q_hat = quantile_q_alpha(center, args.alpha, args.mc, seed)
     cb = make_band(center, n, q_hat, alpha=args.alpha, mc_reps=args.mc, seed=seed)
     _make_out_dir(args.out)
-    rows = [[j, lower, upper] for j, (lower, upper) in enumerate(zip(cb.lower.tolist(), cb.upper.tolist()))]
     comments = [f"q_hat={cb.q_hat!r} alpha={args.alpha!r} n={n} mc_reps={args.mc} seed={seed}"]
-    path = _write_table(args, "band", ["j", "lower", "upper"], rows, comments)
+    path = _write_table(args, "band", ["j", "lower", "upper"], [[np.arange(cb.lower.size), cb.lower, cb.upper]],
+                        comments)
     argv += ["--alpha", repr(args.alpha), "--mc", str(args.mc), "--seed", str(seed),
              "--format", args.format, "--out", args.out]
     config = {"alpha": args.alpha, "mc_reps": args.mc, "seed": seed, "n": n, "q_hat": cb.q_hat, **source}
@@ -543,13 +540,12 @@ def _cmd_qq(args) -> int:
                            seed=seed, workers=args.workers)
     res = run_qq_samples(cfg, args.coord)
     header = ["rank"]
-    columns = []
+    columns = [np.arange(args.reps)]
     for code in codes:
         header += [f"sample_{code}", f"theoretical_{code}"]
-        columns += [np.sort(res.qq_samples[code]).tolist(), res.qq_theoretical[code].tolist()]
-    rows = [[i, *values] for i, values in enumerate(zip(*columns))]
+        columns += [np.sort(res.qq_samples[code]), res.qq_theoretical[code]]
     _make_out_dir(args.out)
-    path = _write_table(args, "qq", header, rows)
+    path = _write_table(args, "qq", header, [columns])
     argv = ["qq", "--model", args.model, "--coord", str(args.coord), "--n", str(args.n),
             "--reps", str(args.reps), "--est", ",".join(codes), "--seed", str(seed),
             "--workers", str(args.workers), "--format", args.format, "--out", args.out]

@@ -21,8 +21,8 @@ table: a round is sampled as one ``(B, L)`` count matrix
 fitted as one ``(B, D)`` stack by the estimator engine
 (:func:`stackpmf.estimators.fit_stack`), whose rows are bitwise the fits
 of each replication alone, so results are byte-equal for any worker count
-or blocking. Only a run of more than one worker imports ``multiprocessing``
-and forks. The truth is the sampler's cached truncation.
+or blocking. Only a run of two or more worker blocks imports
+``multiprocessing`` and forks. The truth is the sampler's cached truncation.
 """
 
 import functools
@@ -139,11 +139,13 @@ def _fit_block(cfg: ExperimentConfig, n: int, path: tuple, reduce, block) -> np.
 
 def _replications(cfg: ExperimentConfig, n: int, reduce, path: tuple = ()) -> np.ndarray:
     """Stacked rows of replications ``0 .. reps - 1``, in order for any
-    worker count."""
+    worker count. Worker blocks are whole rounds, up to 8 a worker, and a
+    run of one block does not fork."""
     fn = functools.partial(_fit_block, cfg, n, path, reduce)
-    if cfg.workers <= 1 or cfg.reps <= 1:
+    per_round = max(1, STACK_CELLS // truncated_probs(cfg.model).size)
+    size = per_round * max(1, cfg.reps // (per_round * cfg.workers * 8))
+    if cfg.workers <= 1 or cfg.reps <= size:
         return fn(range(cfg.reps))
-    size = max(1, cfg.reps // (cfg.workers * 8))
     blocks = [range(start, min(start + size, cfg.reps)) for start in range(0, cfg.reps, size)]
     import multiprocessing
     with multiprocessing.get_context("fork").Pool(cfg.workers) as pool:

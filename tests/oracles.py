@@ -32,6 +32,9 @@ the library did before its Poisson pmf and truncation dropped scipy.
 arithmetic, against the library's float sum of the same series.
 :func:`repr_join` joins ``float.__repr__`` of each value, as the JSON
 writer did before it rendered its float arrays vectorized.
+:func:`reference_csv_table` and :func:`reference_json_table` write a table
+from Python row lists through ``csv.writer`` and ``json.dumps``, as the CLI
+did before it streamed every table from its columns.
 :func:`scipy_isotonic_decreasing` is SciPy's pool-adjacent-violators fit
 of a float vector, as ``isotonic_decreasing`` computed it before the
 package's own pass took float input.
@@ -43,7 +46,10 @@ normals block by block into reused buffers.
 ``rng.child_seeds`` ports to a block of indices in one pass.
 """
 
+import csv
 import decimal
+import io
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -534,3 +540,18 @@ def exact_poisson_tail(lam: float, length: int) -> float:
 def repr_join(values: np.ndarray, sep: str) -> str:
     """How ``json`` writes a finite float, once a value, joined by ``sep``."""
     return sep.join(map(float.__repr__, values.tolist()))
+
+
+def reference_csv_table(header: list, rows: list, comments=()) -> str:
+    """A ``# `` line per comment, then ``header`` and ``rows`` as ``csv.writer`` writes them."""
+    out = io.StringIO()
+    out.writelines(f"# {comment}\n" for comment in comments)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def reference_json_table(header: list, rows: list, comments=()) -> str:
+    """``json.dump(..., indent=2, sort_keys=True)`` of the table, plus a newline."""
+    return json.dumps({"columns": header, "comments": list(comments), "rows": rows}, indent=2, sort_keys=True) + "\n"

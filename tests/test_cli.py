@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stackpmf
-from oracles import reference_read_counts
+from oracles import reference_csv_table, reference_json_table, reference_read_counts
 from stackpmf import cli
 from stackpmf.cli import CountsParseError, build_parser, main
 from stackpmf.confidence import MAX_QUANTILE_DRAWS, MIN_QUANTILE_DRAWS
@@ -267,6 +267,37 @@ json_payloads = st.recursive(
 )
 
 
+_table_text = st.text(alphabet=st.sampled_from(["a", "0", " ", ",", '"', "\r", "\n", "\u00e9", "\u2603"]), max_size=4)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tables(draw):
+    """``(header, columns, cut, comments)``: two to four int, float and string
+    columns of 0, 1, a few or ``FLOAT_CHUNK`` ± 1 rows, each a cycle of drawn
+    values in drawn run lengths, with up to two of nan, ±inf and -0.0 planted
+    in a float column, written as the blocks before and after row ``cut``.
+    A table has at least two columns, because csv writes a row of one empty
+    field as ``""``."""
+    size = draw(st.sampled_from([0, 1, 2, 7, cli.FLOAT_CHUNK - 1, cli.FLOAT_CHUNK + 1]))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["int", "float", "str"]), min_size=2, max_size=4)):
+        values = draw(st.lists({"int": st.integers(-(2**63), 2**63 - 1), "float": _finite, "str": _table_text}[kind],
+                               min_size=1, max_size=5))
+        cycle = [value for value in values for _ in range(draw(st.integers(1, 3)))]
+        cells = (cycle * (size // len(cycle) + 1))[:size]
+        if kind == "str":
+            columns.append(cells)
+            continue
+        column = np.array(cells, dtype=np.int64 if kind == "int" else np.float64)
+        if kind == "float" and size:
+            for _ in range(draw(st.integers(0, 2))):
+                column[draw(st.integers(0, size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+        columns.append(column)
+    header = draw(st.lists(_table_text, min_size=len(columns), max_size=len(columns)))
+    return header, columns, draw(st.integers(0, size)), draw(st.lists(_table_text, max_size=2))
+
+
 class TestWriters:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(json_payloads)
@@ -312,15 +343,16 @@ class TestWriters:
         expected = json.dumps({"estimate": values.tolist()}, indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "out.json").read_text() == expected
 
-    def test_loss_table_gives_csv_writer_bytes(self, tmp_path):
-        losses = np.random.default_rng(3).random((7, 3, 2)) * 10.0 ** np.arange(-8, 10, 3).reshape(1, 3, 2)
-        losses[0, 0] = [math.nan, math.inf]
-        codes, norm_names, header = ["sG", "e", "sG"], ["1", "inf"], ["rep", "estimator", "norm", "loss"]
-        cli._write_loss_csv(str(tmp_path / "fast.csv"), header, codes, norm_names, losses)
-        rows = [[i, code, norm, loss] for i, rep in enumerate(losses.tolist())
-                for code, by_norm in zip(codes, rep) for norm, loss in zip(norm_names, by_norm)]
-        cli._write_csv(str(tmp_path / "rows.csv"), header, rows)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tables(), st.sampled_from(["csv", "json"]))
+    def test_table_writer_gives_csv_writer_and_json_dump_bytes(self, table, fmt):
+        header, columns, cut, comments = table
+        blocks = [[column[:cut] for column in columns], [column[cut:] for column in columns]]
+        rows = [list(row) for row in zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])]
+        reference = reference_json_table if fmt == "json" else reference_csv_table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = cli._write_table(argparse.Namespace(out=tmp, format=fmt), "table", header, blocks, comments)
+            assert Path(path).read_bytes() == reference(header, rows, comments).encode()
 
 
 class TestSimulate:

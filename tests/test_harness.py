@@ -23,6 +23,7 @@ from stackpmf import (
     TriangularIncreasing,
     UniformRange,
     builtin_models,
+    parse_model,
     pmf_truncate,
     run_coverage,
     run_loss_experiment,
@@ -364,6 +365,26 @@ class TestWorkerCount:
         )
         a, b = run_coverage(serial), run_coverage(pooled)
         assert (a.coverage, a.coverage_se) == (b.coverage, b.coverage_se)
+
+    def test_workers_fork_only_for_two_or_more_rounds(self):
+        # a round of tri-dec:3000 is 2**16 // 3001 = 21 replications; each
+        # worker block is whole rounds, and a run of one block does not fork
+        base = dict(model=parse_model("tri-dec:3000"), estimators=("e", "sG"), n=40, band_mc_reps=100, seed=6)
+        serial = ExperimentConfig(**base, reps=50)
+        losses = run_loss_experiment(serial).per_rep_losses
+        with mock.patch("multiprocessing.get_context", side_effect=AssertionError("forked")):
+            one_round = run_loss_experiment(ExperimentConfig(**base, reps=21, workers=2)).per_rep_losses
+            with pytest.raises(AssertionError, match="forked"):
+                run_loss_experiment(ExperimentConfig(**base, reps=22, workers=2))
+        np.testing.assert_array_equal(one_round, losses[:21])
+        # three blocks through the pool, for each driver's reduction
+        pooled = ExperimentConfig(**base, reps=50, workers=2)
+        np.testing.assert_array_equal(run_loss_experiment(pooled).per_rep_losses, losses)
+        a, b = run_coverage(serial), run_coverage(pooled)
+        assert (a.coverage, a.coverage_se) == (b.coverage, b.coverage_se)
+        a, b = run_qq_samples(serial, 2), run_qq_samples(pooled, 2)
+        for code in base["estimators"]:
+            np.testing.assert_array_equal(a.qq_samples[code], b.qq_samples[code])
 
 
 class TestQqSamples:

@@ -20,9 +20,10 @@ a command's run, not of its startup.
 Importing stackpmf and fitting a counts file without a band load neither
 ``numpy.random`` (nor OpenSSL's ``_hashlib``, which it pulls in through
 ``secrets``) nor ``multiprocessing``: the first random stream loads
-``numpy.random``, and only a run with more than one worker loads
-``multiprocessing``. Each check runs in a fresh interpreter, because the
-test process itself has all of them loaded.
+``numpy.random``, and only a run of two or more worker blocks loads
+``multiprocessing``: two workers on one round of replications run in this
+process, and on two rounds they fork. Each check runs in a fresh
+interpreter, because the test process itself has all of them loaded.
 """
 
 import json
@@ -83,7 +84,11 @@ for name, argv in runs.items():
 code = cli.main(["simulate", "--model", "nbin:3,0.5", "--n", "40", "--reps", "2"] + common)
 report["nbin loss"] = [code] + loaded()
 code = cli.main(["simulate", "--model", "M1", "--n", "40", "--reps", "2", "--workers", "2"] + common)
-report["M1 loss, 2 workers"] = [code] + loaded()
+report["M1 loss, 2 workers, one round"] = [code] + loaded()
+# a round of tri-dec:3000 is 2**16 // 3001 = 21 replications
+code = cli.main(["simulate", "--model", "tri-dec:3000", "--n", "40", "--reps", "22", "--est", "e", "--workers", "2"]
+                + common)
+report["tri-dec:3000 loss, 2 workers, two rounds"] = [code] + loaded()
 print(json.dumps(report))
 """
 
@@ -110,6 +115,8 @@ def test_scipy_stats_loads_only_for_negative_binomial_models(tmp_path):
         "M7 qq": [0, "scipy", "scipy.special", "numpy.ma", "numpy.random", "_hashlib"],
         "nbin loss": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma", "numpy.random",
                       "_hashlib"],
-        "M1 loss, 2 workers": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma",
-                               "numpy.random", "_hashlib", "multiprocessing"],
+        "M1 loss, 2 workers, one round": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma",
+                                          "numpy.random", "_hashlib"],
+        "tri-dec:3000 loss, 2 workers, two rounds": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize",
+                                                     "numpy.ma", "numpy.random", "_hashlib", "multiprocessing"],
     }

@@ -121,7 +121,7 @@ def _fit_block(cfg: ExperimentConfig, n: int, path: tuple, reduce, block) -> np.
     fitted as the stack ``counts[rows, :D]``.
     """
     width = truncated_probs(cfg.model).size
-    size = max(1, STACK_CELLS // width)
+    size = _round_size(cfg.model)
     indices = np.asarray(block)
     streams = keyed_streams(cfg.seed, ("rep", *path), block)
     out = None
@@ -137,13 +137,17 @@ def _fit_block(cfg: ExperimentConfig, n: int, path: tuple, reduce, block) -> np.
     return out
 
 
-def _replications(cfg: ExperimentConfig, n: int, reduce, path: tuple = ()) -> np.ndarray:
+def _round_size(model: ModelSpec) -> int:
+    return max(1, STACK_CELLS // truncated_probs(model).size)
+
+
+def _replications(cfg: ExperimentConfig, n: int, reduce, path: tuple = (), unit: int | None = None) -> np.ndarray:
     """Stacked rows of replications ``0 .. reps - 1``, in order for any
-    worker count. Worker blocks are whole rounds, up to 8 a worker, and a
-    run of one block does not fork."""
+    worker count, in worker blocks of whole ``unit``s (a round by default),
+    up to 8 a worker; a run of one block does not fork."""
     fn = functools.partial(_fit_block, cfg, n, path, reduce)
-    per_round = max(1, STACK_CELLS // truncated_probs(cfg.model).size)
-    size = per_round * max(1, cfg.reps // (per_round * cfg.workers * 8))
+    unit = unit or _round_size(cfg.model)
+    size = unit * max(1, cfg.reps // (unit * cfg.workers * 8))
     if cfg.workers <= 1 or cfg.reps <= size:
         return fn(range(cfg.reps))
     blocks = [range(start, min(start + size, cfg.reps)) for start in range(0, cfg.reps, size)]
@@ -206,16 +210,14 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentResult:
     carry the band ``[0, q_hat / sqrt(n)]`` around a zero center. The band
     covers exactly when ``q_hat`` reaches the smallest covering quantile
     (:func:`stackpmf.confidence.band_thresholds`, computed once per round),
-    so a replication draws only until that comparison is settled and builds
-    no band: a hit can stop after ``bandmc - k + 1`` draws, with
-    ``k = ceil((1 - alpha) * bandmc)``, while a miss still draws at least k,
-    nearly all of ``--bandmc`` at the usual alpha. The hits are those of the
-    full-quantile bands.
+    so a replication draws only until that is settled
+    (:func:`stackpmf.confidence.quantile_reaches`). Those draws, not the
+    sampling, take the time, so worker blocks need not be whole rounds.
     """
     if cfg.n is None:
         raise ValueError("coverage experiments need a single sample size n")
     truth = truncated_probs(cfg.model)
-    rows = _replications(cfg, cfg.n, functools.partial(_band_hits, truth=truth, cfg=cfg))
+    rows = _replications(cfg, cfg.n, functools.partial(_band_hits, truth=truth, cfg=cfg), unit=1)
     result = ExperimentResult(config=cfg)
     for a, code in enumerate(cfg.estimators):
         p = float(rows[:, a].mean())
@@ -239,8 +241,7 @@ def run_qq_samples(cfg: ExperimentConfig, coord: int) -> ExperimentResult:
     deviations = functools.partial(_qq_deviations, coord=coord, p_coord=float(truth[coord]))
     rows = _replications(cfg, cfg.n, deviations)
     result = ExperimentResult(config=cfg)
-    positions = (np.arange(cfg.reps) + 0.5) / cfg.reps
-    normal_q = ndtri(positions)
+    normal_q = ndtri((np.arange(cfg.reps) + 0.5) / cfg.reps)
     for a, code in enumerate(cfg.estimators):
         samples = rows[:, a]
         result.qq_samples[code] = samples

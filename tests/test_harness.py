@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -366,9 +367,10 @@ class TestWorkerCount:
         a, b = run_coverage(serial), run_coverage(pooled)
         assert (a.coverage, a.coverage_se) == (b.coverage, b.coverage_se)
 
-    def test_workers_fork_only_for_two_or_more_rounds(self):
-        # a round of tri-dec:3000 is 2**16 // 3001 = 21 replications; each
-        # worker block is whole rounds, and a run of one block does not fork
+    def test_workers_fork_only_for_two_or_more_blocks(self):
+        # a round of tri-dec:3000 is 2**16 // 3001 = 21 replications; loss,
+        # risk and qq blocks are whole rounds, and a run of one block does
+        # not fork
         base = dict(model=parse_model("tri-dec:3000"), estimators=("e", "sG"), n=40, band_mc_reps=100, seed=6)
         serial = ExperimentConfig(**base, reps=50)
         losses = run_loss_experiment(serial).per_rep_losses
@@ -376,6 +378,10 @@ class TestWorkerCount:
             one_round = run_loss_experiment(ExperimentConfig(**base, reps=21, workers=2)).per_rep_losses
             with pytest.raises(AssertionError, match="forked"):
                 run_loss_experiment(ExperimentConfig(**base, reps=22, workers=2))
+            # coverage blocks are single replications: its band decisions,
+            # not its sampling, take the time
+            with pytest.raises(AssertionError, match="forked"):
+                run_coverage(ExperimentConfig(**base, reps=2, workers=2))
         np.testing.assert_array_equal(one_round, losses[:21])
         # three blocks through the pool, for each driver's reduction
         pooled = ExperimentConfig(**base, reps=50, workers=2)
@@ -385,6 +391,11 @@ class TestWorkerCount:
         a, b = run_qq_samples(serial, 2), run_qq_samples(pooled, 2)
         for code in base["estimators"]:
             np.testing.assert_array_equal(a.qq_samples[code], b.qq_samples[code])
+        grid = dict(n=None, n_grid=(40, 90))
+        a = run_risk_curve(replace(serial, **grid))
+        b = run_risk_curve(replace(pooled, **grid))
+        np.testing.assert_array_equal(a.risk_estimates, b.risk_estimates)
+        np.testing.assert_array_equal(a.risk_se, b.risk_se)
 
 
 class TestQqSamples:

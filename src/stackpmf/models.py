@@ -13,14 +13,12 @@ Conventions fixed here:
 * ``NegativeBinomial(r, theta)`` counts successes before the r-th failure:
   ``p_j = C(j + r - 1, j) * theta**j * (1 - theta)**r``.
 
-The Poisson pmf is ``exp(j * log(lam) - log(j!) - lam)`` clipped to
-[0, 1], the formula of ``scipy.stats.poisson`` bit for bit, with
-``log(j!)`` from a numpy port of the cephes ``lgam`` that
-``scipy.special.gammaln`` runs. Its tail, which truncation compares with
-the tolerance, is a sum of that pmf to one ulp (see :func:`_poisson_tail`),
-so evaluating, truncating and sampling a Poisson loads no scipy module.
-The negative binomial still uses ``scipy.stats.nbinom``, imported only
-when one is evaluated.
+The Poisson and negative-binomial pmfs are Loader's saddle-point forms
+(C. Loader, "Fast and accurate computation of binomial probabilities",
+2000), as in R's ``dpois`` and ``dnbinom``, on one numpy core,
+:func:`stirlerr` and :func:`bd0`; no scipy module is loaded. Their tails,
+which truncation compares with the tolerance, are one series of that pmf
+summed to one ulp (:func:`_series_tail`).
 
 Sampling inverts the cumulative table of the truncation through a guide
 table (Chen and Asau's indexed search), cached with it per model.
@@ -58,21 +56,19 @@ MAX_COUNT = np.iinfo(np.int64).max
 
 _MIXTURE_WEIGHT_TOL = 1e-12
 
-#: cephes ``lgam``: ``log(sqrt(2 pi))`` and the coefficients of its Stirling
-#: correction ``polevl(1 / x**2, A, 4) / x``.
-_LS2PI = 0.91893853320467274178
-_LGAM_A = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-_LOG_FACTORIAL_SMALL = np.array([math.log(math.factorial(k)) for k in range(12)])
-_LOG_BLOCK = 2**16
+#: ``stirlerr(k)`` at k = 0, ..., 15, each the float nearest the exact value
+#: (the entry at 0 is a placeholder that no pmf reads).
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
-#: The Poisson tail series is summed ``_TAIL_BLOCK`` terms at a time.
+#: The tail series is summed ``_TAIL_BLOCK`` terms at a time, and a series
+#: that has not met its stopping bound after ``_TAIL_TERMS`` terms is an error.
 _TAIL_BLOCK = 1024
+_TAIL_TERMS = 4 * MAX_SUPPORT
 
 _EPS = float(np.finfo(float).eps)
 
@@ -134,7 +130,7 @@ class NegativeBinomial:
     theta: float
 
     def __post_init__(self):
-        # beyond 2**53 an integer r is no longer exact as the float scipy uses
+        # beyond 2**53 an integer r is no longer exact as the float the pmf uses
         if int(self.r) != self.r or not 1 <= self.r <= 2**53:
             raise ParameterError(f"negative binomial needs an integer r in [1, 2**53], got {self.r!r}")
         if not 0.0 < self.theta < 1.0:
@@ -277,126 +273,128 @@ class FrequencyData:
 
 
 def pmf_eval(model: ModelSpec, j: int) -> float:
-    """Probability of the single point ``j`` under ``model``."""
+    """Probability of the single point ``j`` under ``model``, by the formulas of :func:`pmf_values`."""
     if j < 0:
         raise ValueError(f"support point must be nonnegative, got {j}")
-    return float(pmf_values(model, j + 1)[j])
+    return float(_pmf(model, np.array([j]))[0])
 
 
 def pmf_values(model: ModelSpec, length: int) -> np.ndarray:
     """Vector of ``p_0, ..., p_{length-1}`` under ``model``."""
-    j = np.arange(length)
+    return _pmf(model, np.arange(length))
+
+
+def _pmf(model: ModelSpec, j: np.ndarray) -> np.ndarray:
+    """``p_j`` under ``model`` at each entry of the int64 array ``j >= 0``."""
     if isinstance(model, UniformRange):
         return np.where(j <= model.s, 1.0 / (model.s + 1), 0.0)
     if isinstance(model, Geometric):
         return (1.0 - model.theta) * model.theta ** j
-    if isinstance(model, TriangularDecreasing):
-        total = (model.s + 1) * (model.s + 2) / 2.0
-        return np.where(j <= model.s, (model.s + 1 - j) / total, 0.0)
-    if isinstance(model, TriangularIncreasing):
-        total = (model.s + 1) * (model.s + 2) / 2.0
-        return np.where(j <= model.s, (j + 1) / total, 0.0)
+    if isinstance(model, (TriangularDecreasing, TriangularIncreasing)):
+        weight = model.s + 1 - j if isinstance(model, TriangularDecreasing) else j + 1
+        return np.where(j <= model.s, weight / ((model.s + 1) * (model.s + 2) / 2.0), 0.0)
     if isinstance(model, NegativeBinomial):
-        from scipy.stats import nbinom
-
-        return nbinom.pmf(j, model.r, 1.0 - model.theta)
+        # R's dnbinom: r / n times Loader's binomial probability of r failures in
+        # n = r + j trials, exp(lc) / sqrt(2 pi r j / n); p_0 = (1 - theta)**r
+        r, theta = model.r, model.theta
+        k = np.maximum(j, 1)
+        n = r + k
+        nf = n.astype(float)
+        lc = stirlerr(n) - stirlerr(r) - stirlerr(k) - bd0(float(r), nf * (1.0 - theta)) - bd0(k.astype(float), nf * theta)
+        p = r / nf * np.exp(lc) / np.sqrt(2.0 * math.pi * r * k / nf)
+        return np.where(j == 0, math.exp(r * math.log1p(-theta)), p)
     if isinstance(model, Poisson):
-        log_p = j * math.log(model.lam) - _log_factorial(j) - model.lam
-        return np.clip(np.exp(log_p), 0.0, 1.0)
+        k = np.maximum(j, 1)
+        p = np.exp(-stirlerr(k) - bd0(k.astype(float), model.lam)) / np.sqrt(2.0 * math.pi * k)
+        return np.where(j == 0, math.exp(-model.lam), p)
     if isinstance(model, Mixture):
-        out = np.zeros(length)
+        out = np.zeros(j.shape)
         for w, comp in model.components:
-            out += w * pmf_values(comp, length)
+            out += w * _pmf(comp, j)
         return out
     raise TypeError(f"not a model: {model!r}")
 
 
-def _log_factorial(k: np.ndarray) -> np.ndarray:
-    """``log(k!)`` for an int64 array ``k >= 0``, bitwise equal to
-    ``scipy.special.gammaln(k + 1)``.
+def stirlerr(k) -> np.ndarray:
+    """``log(k!) - (k + 1/2) log(k) + k - log(sqrt(2 pi))`` at integers ``k >= 1``
+    (an int or int64 array; Loader 2000): ``_STIRLERR`` to 15, and above it the
+    series ``1/(12k) - 1/(360k^3) + 1/(1260k^5) - 1/(1680k^7) + 1/(1188k^9)``,
+    whose first omitted term, ``691/(360360 k^11)``, is under 1.1e-16."""
+    x = np.maximum(k, 16).astype(float)
+    w = 1.0 / (x * x)
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - w / 1188) * w) * w) * w) / x
+    return np.where(np.asarray(k) <= 15, _STIRLERR[np.minimum(k, 15)], series)
 
-    A port of cephes ``lgam`` at the integer ``x = k + 1``: below 13 the log
-    of the product ``(x - 1)(x - 2)...2``; from 13 Stirling's
-    ``(x - 0.5) log x - x + log sqrt(2 pi)`` plus ``polevl(1/x**2, A, 4) / x``,
-    a three-term correction from 1000, and none past 1e8. The logs are
-    libm's (``math.log``): numpy's differ from them in the last bit. Runs in
-    blocks of ``_LOG_BLOCK`` values, so the Python floats the logs pass
-    through stay few.
-    """
-    out = np.empty(k.shape)
-    for at in range(0, k.size, _LOG_BLOCK):
-        part = k[at : at + _LOG_BLOCK]
-        x = (part + 1).astype(float)
-        q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), float, x.size) - x + _LS2PI
-        p = 1.0 / (x * x)
-        series = _LGAM_A[0]
-        for a in _LGAM_A[1:]:
-            series = series * p + a
-        three_term = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-        q = np.where(x > 1e8, q, q + np.where(x >= 1000.0, three_term, series) / x)
-        out[at : at + _LOG_BLOCK] = np.where(x < 13.0, _LOG_FACTORIAL_SMALL[np.minimum(part, 11)], q)
-    return out
+
+def bd0(x, m) -> np.ndarray:
+    """Loader's deviance term ``x log(x / m) + m - x`` for floats ``x >= 1``
+    and ``m > 0``. Where ``|x - m| < 0.1 (x + m)`` it is the series ``(x - m) v
+    + 2 x sum_{i >= 1} v**(2i + 1) / (2i + 1)``, ``v = (x - m) / (x + m)``,
+    through i = 9 (the next term is under 1e-18 of the sum); elsewhere the
+    formula, with ``log(x / m) = log(x / 2**-960) - log(m / 2**-960)`` for
+    ``m < 2**-960`` (both quotients exact), so ``x / m`` cannot overflow."""
+    d = x - m
+    v = d / (x + m)
+    w = v * v
+    near = d * v + 2.0 * x * v * w * np.polyval([1 / (2 * i + 1) for i in range(9, 0, -1)], w)
+    far = x * (np.log(x / np.maximum(m, 2.0**-960)) - np.log(np.minimum(m, 2.0**-960) * 2.0**960)) + m - x
+    return np.where(np.abs(d) < 0.1 * (x + m), near, far)
 
 
 def _tail_mass(model: ModelSpec, length: int) -> float:
-    """Probability of values ``>= length`` under ``model``; a Poisson's is
-    :func:`_poisson_tail`."""
+    """Probability of values ``>= length`` under ``model``; a Poisson's or
+    negative binomial's is :func:`_series_tail`."""
     if isinstance(model, UniformRange):
         return max(model.s + 1 - length, 0) / (model.s + 1)
     if isinstance(model, Geometric):
         return float(model.theta ** length)
     if isinstance(model, TriangularDecreasing):
-        if length > model.s:
-            return 0.0
-        total = (model.s + 1) * (model.s + 2) / 2.0
-        m = model.s + 1 - length
-        return m * (m + 1) / 2.0 / total
+        m = max(model.s + 1 - length, 0)
+        return m * (m + 1) / 2.0 / ((model.s + 1) * (model.s + 2) / 2.0)
     if isinstance(model, TriangularIncreasing):
-        if length > model.s:
-            return 0.0
-        total = (model.s + 1) * (model.s + 2) / 2.0
+        total, length = (model.s + 1) * (model.s + 2) / 2.0, min(length, model.s + 1)
         return (total - length * (length + 1) / 2.0) / total
-    if isinstance(model, NegativeBinomial):
-        from scipy.stats import nbinom
-
-        return float(nbinom.sf(length - 1, model.r, 1.0 - model.theta))
-    if isinstance(model, Poisson):
-        return _poisson_tail(model.lam, length)
+    if isinstance(model, (NegativeBinomial, Poisson)):
+        return _series_tail(model, length)
     if isinstance(model, Mixture):
         return float(sum(w * _tail_mass(comp, length) for w, comp in model.components))
     raise TypeError(f"not a model: {model!r}")
 
 
-def _poisson_tail(lam: float, length: int) -> float:
-    """Poisson(lam) probability of values ``>= length``, from one series of
-    its pmf that starts at the series' largest term.
+def _ratio(model, k, up: bool):
+    """``p_{k+1} / p_k`` if ``up``, else ``p_{k-1} / p_k``, of a Poisson or
+    negative binomial at ``k`` (an int or int64 array). Upward it does not
+    grow with k, and downward it does not grow as k falls."""
+    if isinstance(model, Poisson):
+        return model.lam / (k + 1) if up else k / model.lam
+    r, theta = model.r, model.theta
+    return theta * (k + r) / (k + 1) if up else k / (theta * (k + r - 1))
 
-    Above the mean (``length > lam``) the series is the tail itself, summed
-    upward from ``p_length``; the terms fall by ``lam / (k + 1)``. At or
-    below it the series is ``p_k`` for ``k < length``, summed downward from
-    ``p_{length-1}`` with the terms falling by ``k / lam``, and the tail is
-    its complement, at least about 1/2. The first term takes ``log k!``
-    from :func:`_log_factorial` on a one-element array, so it is bitwise
-    the ``p_k`` of :func:`pmf_values`. Either sum runs ``_TAIL_BLOCK``
-    terms at a time and stops once the geometric bound on the rest is below
-    one ulp of it.
-    """
+
+def _series_tail(model, length: int) -> float:
+    """Probability of values ``>= length`` under a Poisson or negative
+    binomial, from one series of its pmf that runs away from the mode: past
+    the mode (``p_{length+1} < p_length``) the tail, summed upward from
+    ``p_length``; otherwise ``p_k`` for ``k < length``, summed downward from
+    ``p_{length-1}``, whose complement, at least about 1/2, is the tail. The
+    first term is the ``p_k`` of :func:`pmf_values` and each next one the last
+    times :func:`_ratio`. The sum runs ``_TAIL_BLOCK`` terms at a time and
+    stops once the geometric bound on the rest is below one ulp of it, or
+    raises :class:`ParameterError` after ``_TAIL_TERMS`` terms."""
     if length <= 0:
         return 1.0
-    up = length > lam
+    up = _ratio(model, length, True) < 1.0
     k, step = (length, _TAIL_BLOCK) if up else (length - 1, -_TAIL_BLOCK)
-    term = math.exp(k * math.log(lam) - float(_log_factorial(np.array([k]))[0]) - lam)  # p_k, not yet summed
+    term = float(_pmf(model, np.array([k]))[0])  # p_k, not yet summed
     total = 0.0
-    while True:
-        if up:
-            run = term * np.cumprod(lam / np.arange(k + 1, k + _TAIL_BLOCK + 1))
-        else:  # a last factor 0 ends the series at p_0
-            run = term * np.cumprod(np.arange(k, max(k - _TAIL_BLOCK, -1), -1) / lam)
+    for _ in range(_TAIL_TERMS // _TAIL_BLOCK):
+        # downward, a last factor 0 (at k = 0) ends the series at p_0
+        run = term * np.cumprod(_ratio(model, np.arange(k, max(k + step, -1), 1 if up else -1), up))
         total += term + float(np.sum(run[:-1]))
         term, k = float(run[-1]), k + step
-        ratio = lam / (k + 1) if up else k / lam  # bounds every later step
-        if term <= (1.0 - ratio) * _EPS * total:  # the rest is at most term / (1 - ratio)
+        if not term or term <= (1.0 - _ratio(model, k, up)) * _EPS * total:  # the rest is at most term / (1 - ratio)
             return total if up else 1.0 - total
+    raise ParameterError(f"the tail series of {model} does not converge within 4 * MAX_SUPPORT = {_TAIL_TERMS} terms")
 
 
 def support_size(model: ModelSpec):

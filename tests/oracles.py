@@ -25,11 +25,12 @@ at a time, as the CLI did before it converted plain files with numpy.
 library did before its stacked engine, and :func:`reference_fit` each
 estimator on one count vector, as the library did before one engine
 fitted every estimate as a stack.
-:func:`reference_poisson_truncation` truncates a Poisson by searching on
-``scipy.special.pdtrc`` and evaluates it with ``scipy.stats.poisson``, as
-the library did before its Poisson pmf and truncation dropped scipy.
-:func:`exact_poisson_tail` sums a Poisson tail in 50-digit decimal
-arithmetic, against the library's float sum of the same series.
+:func:`reference_poisson_length` finds a Poisson's truncation length by
+searching on ``scipy.special.pdtrc``, as the library did before it summed
+its own tails. :func:`exact_pmf`, :func:`exact_log_pmf`, :func:`exact_tail` and
+:func:`exact_stirlerr` evaluate a Poisson or negative-binomial pmf, its
+log, its tail and Stirling's error term in 50-digit decimal arithmetic, against the
+library's float saddle-point core and its float sum of the tail series.
 :func:`repr_join` joins ``float.__repr__`` of each value, as the JSON
 writer did before it rendered its float arrays vectorized.
 :func:`reference_csv_table` and :func:`reference_json_table` write a table
@@ -64,6 +65,7 @@ from stackpmf import (
     FrequencyData,
     InsufficientSampleError,
     LooVectors,
+    Poisson,
     band,
     fit_estimator,
     loo_vectors_fast,
@@ -460,12 +462,11 @@ def reference_sup_norm(theta, reps: int, seed: int) -> np.ndarray:
     return out if np.ndim(theta) == 2 else out[0]
 
 
-def reference_poisson_truncation(lam: float, epsilon: float) -> np.ndarray:
-    """Probabilities of Poisson(lam) up to the shortest length whose tail
-    ``pdtrc(length - 1, lam)`` is at most ``epsilon``, found by doubling and
-    then bisection on that tail."""
+def reference_poisson_length(lam: float, epsilon: float) -> int:
+    """The shortest length whose Poisson(lam) tail ``pdtrc(length - 1, lam)``
+    is at most ``epsilon``, found by doubling and then bisection on that
+    tail."""
     from scipy.special import pdtrc
-    from scipy.stats import poisson
 
     def within(length):
         return float(np.clip(pdtrc(length - 1, lam), 0.0, 1.0)) <= epsilon
@@ -480,7 +481,7 @@ def reference_poisson_truncation(lam: float, epsilon: float) -> np.ndarray:
             hi = mid
         else:
             lo = mid + 1
-    return poisson.pmf(np.arange(hi), lam)
+    return hi
 
 
 def _decimal_pi() -> Decimal:
@@ -508,31 +509,76 @@ def _decimal_log_factorial(k: int) -> Decimal:
     return (x - Decimal("0.5")) * x.ln() - x + (2 * _decimal_pi()).ln() / 2 + series
 
 
-def exact_poisson_tail(lam: float, length: int) -> float:
-    """Probability of values ``>= length`` under Poisson(lam), with the
-    binary value of ``lam`` taken exactly, in 50-digit decimal arithmetic,
-    rounded once to a float. Above the mean it is the upward sum from
+def _fifty_digits(ctx) -> None:
+    ctx.prec, ctx.Emin, ctx.Emax = 50, decimal.MIN_EMIN, decimal.MAX_EMAX
+
+
+def exact_stirlerr(k: int) -> float:
+    """``log(k!) - (k + 1/2) log(k) + k - log(sqrt(2 pi))`` for an integer
+    ``k >= 1``, in 50-digit decimal arithmetic, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        _fifty_digits(ctx)
+        x = Decimal(k)
+        return float(_decimal_log_factorial(k) - (x + Decimal("0.5")) * x.ln() + x - (2 * _decimal_pi()).ln() / 2)
+
+
+def _decimal_log_pmf(model, k: int) -> Decimal:
+    """``log p_k`` of a Poisson or negative binomial, its parameters' binary
+    values taken exactly (and ``1 - theta`` exactly), at the current precision."""
+    if isinstance(model, Poisson):
+        rate = Decimal(model.lam)
+        return k * rate.ln() - _decimal_log_factorial(k) - rate
+    r, theta = model.r, Decimal(model.theta)
+    log_choose = _decimal_log_factorial(k + r - 1) - _decimal_log_factorial(k) - _decimal_log_factorial(r - 1)
+    return log_choose + k * theta.ln() + r * (1 - theta).ln()
+
+
+def _decimal_ratio(model, k: int, up: bool) -> Decimal:
+    """``p_{k+1} / p_k`` if ``up``, else ``p_{k-1} / p_k``, exactly."""
+    if isinstance(model, Poisson):
+        rate = Decimal(model.lam)
+        return rate / (k + 1) if up else k / rate
+    theta = Decimal(model.theta)
+    return theta * (k + model.r) / (k + 1) if up else k / (theta * (k + model.r - 1))
+
+
+def exact_log_pmf(model, k: int) -> float:
+    """``log p_k`` of a Poisson or negative binomial in 50-digit decimal
+    arithmetic, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        _fifty_digits(ctx)
+        return float(_decimal_log_pmf(model, k))
+
+
+def exact_pmf(model, k: int) -> float:
+    """``p_k`` of a Poisson or negative binomial in 50-digit decimal
+    arithmetic, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        _fifty_digits(ctx)
+        return float(_decimal_log_pmf(model, k).exp())
+
+
+def exact_tail(model, length: int) -> float:
+    """Probability of values ``>= length`` under a Poisson or negative
+    binomial, in 50-digit decimal arithmetic, rounded once to a float. Past
+    the mode (``p_{length+1} < p_length``) it is the upward sum from
     ``p_length``; otherwise one minus the downward sum of ``p_k`` for
     ``k < length``. Each sum runs term by term until a geometric bound on
     its rest is below 1e-45 of it."""
     if length <= 0:
         return 1.0
     with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emin, ctx.Emax = 50, decimal.MIN_EMIN, decimal.MAX_EMAX
-        rate, tiny = Decimal(lam), Decimal("1e-45")
-        up = length > lam
+        _fifty_digits(ctx)
+        tiny = Decimal("1e-45")
+        up = _decimal_ratio(model, length, True) < 1
         k = length if up else length - 1
-        term = (k * rate.ln() - _decimal_log_factorial(k) - rate).exp()
+        term = _decimal_log_pmf(model, k).exp()
         total = Decimal(0)
         while term:
             total += term
-            if up:
-                k += 1
-                term, ratio = term * rate / k, rate / (k + 1)
-            else:
-                term, k = term * k / rate, k - 1
-                ratio = max(k, 0) / rate
-            if term <= (1 - ratio) * tiny * total:
+            term *= _decimal_ratio(model, k, up)
+            k += 1 if up else -1
+            if k < 0 or term <= (1 - _decimal_ratio(model, k, up)) * tiny * total:
                 break
         return float(total if up else 1 - total)
 

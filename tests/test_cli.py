@@ -832,6 +832,12 @@ class TestModelStrings:
         # far below one probability vector at the cap (8 * MAX_SUPPORT bytes)
         assert peak < MAX_SUPPORT, peak
 
+    def test_a_large_accepted_poisson_rate_runs(self, tmp_path):
+        # the pmf of exp(j log lam - log j! - lam) drifted to a sum of 1 + 1.3e-9
+        # at this rate and exited 4, although the rate is accepted
+        assert run(["simulate", "--model", "pois:798115.1356974929", "--n", 40, "--reps", 1, "--est", "e",
+                    "--out", tmp_path]) == 0
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(_valid_models)
     def test_valid_strings_parse(self, text):

@@ -571,6 +571,22 @@ class TestCvBeta:
                     assert beta_hat == 0.0
 
 
+    #: Counts at n = 1e8 whose genuine a_n is below ``A_N_TOL``: a_n is
+    #: 2.0e-16 (sr) and 5.0e-17 (sG), b_n 1.0e-8 and 5.0e-9.
+    TINY_A_N = (50_000_000, 50_000_001, 10, 5)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_genuine_a_n_can_fall_below_the_tolerance(self, kind):
+        _, a_n, b_n = cv_beta(fd(*self.TINY_A_N), kind)
+        assert 0.0 < a_n < est.A_N_TOL < b_n
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: A_N_TOL sets beta to 0 where the rule gives 1")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_tiny_a_n_below_b_n_gives_weight_one(self, kind):
+        # cv_beta's documented rule: beta is 1 when 0 < a_n <= b_n
+        assert cv_beta(fd(*self.TINY_A_N), kind)[0] == 1.0
+
+
 class TestStacked:
     def test_grenander_example(self):
         fit = stacked(fd(1, 2), GRENANDER)

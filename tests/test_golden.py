@@ -55,10 +55,10 @@ LOSS_TRI_DEC_FILES = {"losses.csv": "229f981dde00afac6d83f34231ad7a81ab8ada2d3e2
 GOLDEN = {
     "loss-M2-workers-1": (LOSS_M2 + ["--workers", 1], LOSS_M2_FILES),
     "loss-M2-workers-2": (LOSS_M2 + ["--workers", 2], LOSS_M2_FILES),
-    "loss-M7": (LOSS_M7, {"losses.csv": "e75e975e191ee9785f8b0e84eabe2a5afdbe88741e9495b09d075886141e13ed"}),
+    "loss-M7": (LOSS_M7, {"losses.csv": "14d20fbe4b0c742021c6ebe5f907a4f4d16066ff6ea5fc22126bbc658d7396a0"}),
     "loss-M7-json": (
         LOSS_M7 + ["--format", "json"],
-        {"losses.json": "de4b674d6b03811274a2cc52b6a4ea5e37c937b1376dcd5eeac8101715ed272e"},
+        {"losses.json": "2b143cde6c37003d8e2e28e87d154e9058f190284b944a0c418b6e984441e552"},
     ),
     "risk-M4": (RISK_M4, {"risk.csv": "f34d71099d161e8ef95adc040a0888c7151a0e8972fd3910f09b6c888677b268"}),
     "risk-M4-json": (
@@ -80,17 +80,17 @@ GOLDEN = {
     ),
     "qq-M6": (
         ["qq", "--model", "M6", "--coord", 1, "--n", 60, "--reps", 20, "--est", ALL, "--seed", 8],
-        {"qq.csv": "65cc0c9c42b370024c2d041c0b638ff45a49daeedfa34d49cac7eb56002d548b"},
+        {"qq.csv": "62678d8b9310a615212f9bdd6454ef4e6d16787ff13935000f66356814e545c8"},
     ),
     "risk-M7-workers-2": (
         ["simulate", "--risk", "--model", "M7", "--ngrid", "10,300", "--reps", 12, "--est", ALL, "--seed", 12,
          "--workers", 2],
-        {"risk.csv": "0a95c0fd85f24e4d193c9db41cc3036b26daba6031f57f64636390bbe0765258"},
+        {"risk.csv": "078c8f8fd97e488f83365b1e036db34ee2be67498cb1b63da7074607a2660bbc"},
     ),
-    "qq-M7": (QQ_M7, {"qq.csv": "e8ae022d57daec60879df079e7259017d58e5bfed781ecff66cd2da87fdd2b3a"}),
+    "qq-M7": (QQ_M7, {"qq.csv": "313634a47df54e53616caa321870e9aa60988cc9e4288cccf517242c6ad0c5bf"}),
     "qq-M7-json": (
         QQ_M7 + ["--format", "json"],
-        {"qq.json": "bbdfd0f2a31b599474e52b095e101d72fa69812596affbcc0f654b810c90462b"},
+        {"qq.json": "56ce84d162056e6d87bf3379a6304044fbdd7b035203306719d77c6b3c966c1c"},
     ),
     # duplicate and reordered codes share one fit per code
     "loss-M2-duplicate-codes": (
@@ -100,7 +100,7 @@ GOLDEN = {
     # n = 1: the stacked fits fall back to the empirical estimator
     "loss-M7-n-1": (
         ["simulate", "--model", "M7", "--n", 1, "--reps", 12, "--est", "sr,sG", "--norm", "1,2,inf", "--seed", 15],
-        {"losses.csv": "f8483c9ff7af25d2640103a80e65155172d1aa19e616eadae720d4307be7abae"},
+        {"losses.csv": "7be4649fae98ccb65415fbce2069bfffd62526393ffbb8255ee675d52e67ad49"},
     ),
     # D near 2900: the 30 count vectors hold about 87 000 cells, more than one fitting round
     "loss-tri-dec-3000": (LOSS_TRI_DEC, LOSS_TRI_DEC_FILES),

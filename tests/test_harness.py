@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import multiprocessing
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -244,10 +245,15 @@ class TestLossExperiment:
         res = run_loss_experiment(cfg)
         assert np.all(res.per_rep_losses[:, 1, :] <= res.per_rep_losses[:, 0, :] + 1e-12)
 
-    def test_identical_results_for_any_worker_count(self):
+    def test_identical_results_for_any_worker_count(self, monkeypatch):
+        # rounds of 64 // 8 = 8 replications at M3: 24 reps are three worker
+        # blocks, and the forked workers inherit the patched round size
+        monkeypatch.setattr(harness, "STACK_CELLS", 64)
         base = dict(model=M["M3"], reps=24, estimators=("e", "sr", "sG"), n=40, seed=4)
         serial = run_loss_experiment(ExperimentConfig(**base, workers=1))
-        pooled = run_loss_experiment(ExperimentConfig(**base, workers=4))
+        with mock.patch("multiprocessing.get_context", wraps=multiprocessing.get_context) as forks:
+            pooled = run_loss_experiment(ExperimentConfig(**base, workers=4))
+        assert forks.call_count == 1
         np.testing.assert_array_equal(serial.per_rep_losses, pooled.per_rep_losses)
 
     def test_requires_single_n(self):
@@ -353,18 +359,24 @@ class TestWorkerCount:
     @given(
         st.sampled_from(sorted(M)),
         st.integers(1, 200),
-        st.integers(2, 8),
+        st.integers(1, 7),
         st.integers(0, 2**32 - 1),
         st.lists(st.sampled_from(ESTIMATOR_CODES), min_size=1, max_size=3, unique=True),
     )
-    def test_loss_and_coverage_independent_of_workers(self, name, n, reps, seed, codes):
-        base = dict(model=M[name], reps=reps, estimators=tuple(codes), n=n, band_mc_reps=100, seed=seed)
-        serial = ExperimentConfig(**base, workers=1)
-        pooled = ExperimentConfig(**base, workers=2)
-        np.testing.assert_array_equal(
-            run_loss_experiment(serial).per_rep_losses, run_loss_experiment(pooled).per_rep_losses
-        )
-        a, b = run_coverage(serial), run_coverage(pooled)
+    def test_loss_and_coverage_independent_of_workers(self, name, n, extra, seed, codes):
+        # rounds of 64 // L replications (5 at M1, 1 at M7), so one round and
+        # ``extra`` replications are two worker blocks and the pooled loss
+        # run forks; the forked workers inherit the patched round size
+        with mock.patch.object(harness, "STACK_CELLS", 64):
+            reps = harness._round_size(M[name]) + extra
+            base = dict(model=M[name], reps=reps, estimators=tuple(codes), n=n, band_mc_reps=100, seed=seed)
+            serial = ExperimentConfig(**base, workers=1)
+            pooled = ExperimentConfig(**base, workers=2)
+            losses = run_loss_experiment(serial).per_rep_losses
+            with mock.patch("multiprocessing.get_context", wraps=multiprocessing.get_context) as forks:
+                np.testing.assert_array_equal(run_loss_experiment(pooled).per_rep_losses, losses)
+            assert forks.call_count == 1
+            a, b = run_coverage(serial), run_coverage(pooled)
         assert (a.coverage, a.coverage_se) == (b.coverage, b.coverage_se)
 
     def test_workers_fork_only_for_two_or_more_blocks(self):

@@ -1,19 +1,21 @@
 """Tests for the distribution families, truncation and sampling."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.special
-import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    exact_poisson_tail,
+    exact_log_pmf,
+    exact_pmf,
+    exact_stirlerr,
+    exact_tail,
     reference_frequency_total,
-    reference_poisson_truncation,
+    reference_poisson_length,
     reference_sample,
     substream_seed,
 )
@@ -47,9 +49,10 @@ from stackpmf.models import (
     _guide,
     _guide_search,
     _guide_table,
-    _log_factorial,
     _tail_mass,
+    bd0,
     check_support,
+    stirlerr,
     truncated_probs,
 )
 
@@ -87,6 +90,23 @@ class TestPmfEval:
         with pytest.raises(ParameterError):
             Mixture(((0.5, UniformRange(1)), (0.4, UniformRange(2))))
 
+    @pytest.mark.parametrize("model", [Geometric(0.25), Poisson(15.0), NegativeBinomial(7, 0.4), builtin_models()["M7"]])
+    def test_one_point_takes_no_vector(self, model):
+        tracemalloc.start()
+        try:
+            pmf_eval(model, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("name, model", ALL_BUILTIN + (
+        ("pois:1e-300", Poisson(1e-300)), ("pois:3e6", Poisson(3e6)), ("nbin:1,0.9", NegativeBinomial(1, 0.9)),
+        ("nbin:2**53,1e-17", NegativeBinomial(2**53, 1e-17)), ("tri-inc:40", TriangularIncreasing(40)),
+    ))
+    def test_one_point_is_bitwise_its_vector_entry(self, name, model):
+        assert [pmf_eval(model, j) for j in range(100)] == pmf_values(model, 100).tolist()
+
     @pytest.mark.parametrize("name,model", ALL_BUILTIN)
     def test_total_mass_is_one(self, name, model):
         # direct summation over a long prefix plus the analytic tail
@@ -122,15 +142,15 @@ class TestPmfTruncate:
 
     @pytest.mark.parametrize("text, length, tail", [
         ("M4", 20, "0x1.0000000000000p-40"),
-        ("M6", 46, "0x1.20f77577be7f7p-41"),
-        ("M7", 50, "0x1.3ea253c633ecdp-41"),
-        ("pois:0.01", 5, "0x1.d13b77809dadfp-41"),
-        ("pois:1e5", 102_234, "0x1.139acc48132fcp-40"),
-        ("pois:3e6", 3_012_193, "0x1.1914b46cd9132p-40"),
-        ("mix:1/2*uniform:3+1/2*pois:40", 92, "0x1.9b3f90988ca97p-41"),
+        ("M6", 46, "0x1.20f77577be81ep-41"),
+        ("M7", 50, "0x1.3ea253c633e71p-41"),
+        ("pois:0.01", 5, "0x1.d13b77809dad7p-41"),
+        ("pois:1e5", 102_234, "0x1.139acc4737318p-40"),
+        ("pois:3e6", 3_012_193, "0x1.1914b46962347p-40"),
+        ("mix:1/2*uniform:3+1/2*pois:40", 92, "0x1.9b3f90988ccfdp-41"),
     ])
     def test_lengths_and_tail_bits_are_pinned(self, text, length, tail):
-        # a change in the tail series' arithmetic, such as another log(k!), moves these bits
+        # a change in the tail series' arithmetic or in the pmf core moves these bits
         pmf = pmf_truncate(parse_model(text), 1e-12)
         assert (len(pmf.probs), pmf.tail_mass.hex()) == (length, tail)
 
@@ -141,100 +161,175 @@ class TestPmfTruncate:
             assert decreasing == (name in ("M1", "M2", "M3", "M4"))
 
 
-def _bits(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64).view(np.int64)
+_EPS = float(np.finfo(float).eps)
 
 
-class TestPoissonMatchesScipyStats:
-    """The Poisson pmf must equal ``scipy.stats.poisson`` bit for bit, so data
-    files keep their bytes; its tail must lie within a stated relative bound
-    of the exact tail."""
-
-    # tiny, moderate and huge rates, up to the cap 2**53, at lengths -2..3000
-    @settings(max_examples=400, derandomize=True, deadline=None)
-    @given(
-        st.one_of(
-            st.floats(min_value=5e-324, max_value=2.0**53),
-            st.floats(min_value=-1074.0, max_value=53.0).map(lambda e: 2.0**e),
-            st.floats(min_value=0.0, max_value=3000.0, exclude_min=True),
-            st.sampled_from([5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 15.0, 745.0, 2.0**52 + 1, 2.0**53]),
-        ),
-        st.integers(-2, 3000),
-    )
-    @example(2.0, -2)
-    @example(3.0, -1)
-    @example(15.0, 0)
-    @example(2.0**53, 3000)
-    @example(3000.0, 2999)
-    @example(3000.0, 3000)
-    def test_pmf_and_tail_are_bitwise_scipy_stats(self, lam, length):
-        model = Poisson(lam)
-        j = np.arange(max(length, 0))
-        got = pmf_values(model, max(length, 0))
-        want = scipy.stats.poisson.pmf(j, lam)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        np.testing.assert_array_equal(_bits(got), _bits(want))
-        tail = _tail_mass(model, length)
-        assert type(tail) is float and 0.0 <= tail <= 1.0
-        exact = exact_poisson_tail(lam, length)
-        assert abs(tail - exact) <= _tail_bound(lam, length, exact)
+def _ulp_error(got: float, want: float) -> float:
+    """``|got - want|`` in ulps of ``want`` (the smallest subnormal at 0)."""
+    return abs(got - want) / float(np.spacing(want) if want else 5e-324)
 
 
-def _tail_bound(lam: float, length: int, exact: float) -> float:
-    """Error bound of the float Poisson tail at ``length``, fixed before it
-    was first checked: each term carries the rounding of the pmf's exponent,
-    whose parts have magnitude ``S = k |log lam| + log(k!) + lam`` at the
-    series' first index ``k``, and each of at most 4096 further terms adds
-    one multiplication and one addition; 16 eps per unit of ``S + 4096``
-    covers both, relative to a tail (or, below the mean, to the complement
-    of a sum of at most about 1/2), plus 1e-300 for sums that are subnormal.
-    ``exact`` is the exact tail."""
+def _pmf_ulp_bound(model, k: int, log_p: float) -> float:
+    """Error bound, in ulps of the exact value, of the float pmf at ``k``,
+    fixed before it was first checked. Each rounding in ``exp(-stirlerr -
+    bd0) / sqrt(2 pi k)`` is at most one eps relative to a magnitude of the
+    exponent, and an ulp is at least eps/2 relative (below the normal range
+    the error is a few subnormals more). In the series branch of ``bd0``
+    those magnitudes are at most ``|log p|``; in the formula branch, where
+    ``|x - m| >= 0.1 (x + m)``, they are ``x |log(x / m)| + x + m``. The
+    negative binomial also rounds ``1 - theta`` and ``r + k`` into its means,
+    which moves ``log p`` by at most ``(r + k)`` eps. The bound is 16 ulps
+    plus 8 per unit of these magnitudes."""
+    if isinstance(model, Poisson):
+        means, extra = [(k, model.lam)] if k else [], 0
+    else:
+        n, theta = model.r + k, model.theta
+        means, extra = ([(model.r, n * (1 - theta)), (k, n * theta)] if k else []), n
+    far = sum(x * abs(math.log(x) - math.log(m)) + x + m for x, m in means if abs(x - m) >= 0.1 * (x + m))
+    return 16 + 8 * (abs(log_p) + far + extra)
+
+
+def _tail_bound(model, length: int, exact: float) -> float:
+    """Error bound of the float tail at ``length``, fixed before it was first
+    checked: the series' first term ``p_k`` is within
+    :func:`_pmf_ulp_bound` ulps, that many eps relative, and each of at most
+    4096 further terms adds a ratio, a product and a sum, 3 eps relative.
+    Past the mode the sum is the tail; otherwise the tail is the complement
+    of the sum, ``1 - exact``, which adds one rounding. Plus 1e-300 for sums
+    that are subnormal."""
     if length <= 0:
         return 0.0
-    k = length if length > lam else length - 1
-    scale = k * abs(math.log(lam)) + math.lgamma(k + 1) + lam
-    return 16 * np.finfo(float).eps * (scale + 4096) * exact + 1e-300
+    up = models._ratio(model, length, True) < 1.0
+    k = length if up else length - 1
+    rel = _EPS * (_pmf_ulp_bound(model, k, exact_log_pmf(model, k)) + 3 * 4096)
+    return (rel * exact if up else rel * (1 - exact) + _EPS) + 1e-300
+
+
+#: Poisson rates from the smallest subnormal to the cap 2**53: uniform, log-uniform and below 3000.
+_RATES = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.0**53),
+    st.floats(min_value=-1074.0, max_value=53.0).map(lambda e: 2.0**e),
+    st.floats(min_value=0.0, max_value=3000.0, exclude_min=True),
+    st.sampled_from([5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 15.0, 745.0, 2.0**52 + 1, 2.0**53]),
+)
+
+#: Negative binomials: r from 1 to the cap 2**53, theta from the smallest subnormal to 0.9.
+_NEGATIVE_BINOMIALS = st.builds(
+    NegativeBinomial,
+    st.one_of(st.integers(1, 50), st.integers(1, 2**53), st.integers(0, 53).map(lambda e: 2**e)),
+    st.one_of(st.floats(min_value=5e-324, max_value=0.9),
+              st.floats(min_value=-1074.0, max_value=-0.16).map(lambda e: 2.0**e),
+              st.sampled_from([5e-324, 1e-17, 0.05, 0.1, 0.4, 0.5, 0.9])),
+)
+
+
+def _points(model, length: int, offset: int) -> list[int]:
+    """Support points to check: both ends of ``[0, length)``, and the mode
+    moved by ``offset``."""
+    if isinstance(model, Poisson):
+        mode = int(min(model.lam, 2.0**53))
+    else:
+        mode = (model.r - 1) * model.theta // (1 - model.theta)
+    return sorted({0, 1, max(length - 1, 0), max(int(mode) + offset, 0)})
+
+
+class TestSaddlePointCore:
+    """The Poisson and negative-binomial pmfs and tails lie within stated ulp
+    bounds of 50-digit values, and ``stirlerr`` is the exact value rounded:
+    its table once, its series within 2e-16."""
+
+    def _check(self, model, length, offset):
+        points = _points(model, length, offset)
+        got = models._pmf(model, np.array(points))
+        for k, p in zip(points, got.tolist()):
+            log_p = exact_log_pmf(model, k)
+            assert _ulp_error(p, exact_pmf(model, k)) <= _pmf_ulp_bound(model, k, log_p), (model, k)
+        tail = _tail_mass(model, length)
+        assert type(tail) is float and 0.0 <= tail <= 1.0
+        exact = exact_tail(model, length)
+        assert abs(tail - exact) <= _tail_bound(model, length, exact)
+
+    # tiny, moderate and huge rates, up to the cap 2**53, at lengths -2..3000
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_RATES, st.integers(-2, 3000), st.integers(-60, 60))
+    @example(2.0, -2, 0)
+    @example(3.0, -1, 0)
+    @example(15.0, 0, 0)
+    @example(2.0**53, 3000, 0)
+    @example(3000.0, 2999, 0)
+    @example(3000.0, 3000, 0)
+    @example(798115.1356974929, 3000, 0)
+    def test_poisson_pmf_and_tail_within_ulp_bounds(self, lam, length, offset):
+        self._check(Poisson(lam), length, offset)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_NEGATIVE_BINOMIALS, st.integers(-2, 3000), st.integers(-60, 60))
+    @example(NegativeBinomial(7, 0.4), 46, 0)
+    @example(NegativeBinomial(1, 0.9), 3000, 0)
+    @example(NegativeBinomial(2**53, 5e-324), 1, 0)
+    @example(NegativeBinomial(2**53, 0.5), 3000, 0)
+    def test_negative_binomial_pmf_and_tail_within_ulp_bounds(self, model, length, offset):
+        self._check(model, length, offset)
+
+    def test_stirlerr_table_is_the_rounded_exact_value(self):
+        assert models._STIRLERR.tolist()[1:] == [exact_stirlerr(k) for k in range(1, 16)]
+        np.testing.assert_array_equal(stirlerr(np.arange(1, 16)), models._STIRLERR[1:])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(st.integers(16, 100), st.integers(16, 2**53)))
+    @example(16)
+    @example(2**53)
+    def test_stirlerr_series_within_its_bound(self, k):
+        # the series' first omitted term is under 1.1e-16 at k = 16, and its
+        # roundings are a few eps of 1/(12 k)
+        assert abs(float(stirlerr(k)) - exact_stirlerr(k)) <= 1.1e-16 + 4 * _EPS / (12 * k)
+
+    @pytest.mark.parametrize("x, m", [(1.0, 5e-324), (3000.0, 5e-324), (2.0**53, 1e-300), (1.0, 2.0**-960)])
+    def test_bd0_does_not_overflow_at_a_tiny_mean(self, x, m):
+        # x log(x / m) + m - x with x / m past the float range
+        want = x * (math.log(x) - math.log(m)) - x
+        assert abs(float(bd0(x, m)) - want) <= 8 * _EPS * x * (math.log(x) - math.log(m))
 
 
 class TestScipyFreePoisson:
-    """The Poisson pmf takes ``log(j!)`` from a port of cephes ``lgam`` and
-    truncation decides its tails by a direct sum of it; both must give
-    scipy's bytes, and the lengths of a ``pdtrc`` search wherever ``pdtrc``
-    sums its whole series."""
-
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(st.integers(0, MAX_SUPPORT - 1))
-    @example(11)
-    @example(12)
-    @example(998)
-    @example(999)
-    @example(MAX_SUPPORT - 1)
-    def test_log_factorial_is_bitwise_gammaln(self, k):
-        k = np.array([k])
-        assert _bits(_log_factorial(k)) == _bits(scipy.special.gammaln(k + 1))
-
-    def test_log_factorial_is_bitwise_gammaln_below_2p16(self):
-        k = np.arange(2**16)
-        np.testing.assert_array_equal(_bits(_log_factorial(k)), _bits(scipy.special.gammaln(k + 1)))
+    """Truncation decides its tails by a direct sum of the pmf, and keeps
+    the lengths of a ``pdtrc`` search wherever ``pdtrc`` sums its whole
+    series."""
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-10])
     def test_truncation_matches_a_pdtrc_search(self, eps):
         for lam in np.geomspace(0.01, 1e5, 701):
             got = pmf_truncate(Poisson(lam), eps)
-            want = reference_poisson_truncation(float(lam), eps)
-            assert got.probs.size == want.size, lam
-            assert got.probs.tobytes() == want.tobytes(), lam
+            assert got.probs.size == reference_poisson_length(float(lam), eps), lam
             assert got.tail_mass <= eps
 
     def test_a_tail_just_above_epsilon_is_not_kept(self):
         # the exact tail at 3 008 237 points is 1.00077e-6; pdtrc, which cuts its
         # series at 2000 terms, puts it below 1e-6
-        got = pmf_truncate(Poisson(3e6), 1e-6)
+        model = Poisson(3e6)
+        got = pmf_truncate(model, 1e-6)
         assert got.probs.size == 3_008_238
-        exact = exact_poisson_tail(3e6, 3_008_238)
-        assert exact_poisson_tail(3e6, 3_008_237) > 1e-6 >= exact
+        exact = exact_tail(model, 3_008_238)
+        assert exact_tail(model, 3_008_237) > 1e-6 >= exact
         assert got.tail_mass <= 1e-6
-        assert abs(got.tail_mass - exact) <= _tail_bound(3e6, 3_008_238, exact)
+        assert abs(got.tail_mass - exact) <= _tail_bound(model, 3_008_238, exact)
+
+    def test_every_accepted_rate_truncates(self):
+        # the largest rate parse_model accepts, by bisection, ends a log-uniform
+        # grid; before the saddle-point pmf about half the rates from 7e5 on
+        # failed the sum-to-one check
+        lo, hi = 1e6, 1e7
+        while hi - lo > 1.0:
+            mid = (lo + hi) / 2
+            try:
+                parse_model(f"pois:{mid!r}")
+                lo = mid
+            except ParameterError:
+                hi = mid
+        assert 4e6 < lo < 4194304
+        for lam in np.geomspace(1e-3, lo, 61).tolist():
+            pmf = pmf_truncate(parse_model(f"pois:{lam!r}"), SAMPLING_TRUNCATION)
+            assert abs(math.fsum(pmf.probs) + pmf.tail_mass - 1.0) <= 64 * _EPS, lam
 
     @pytest.mark.parametrize("model", [Poisson(2.0), Poisson(15.0), Poisson(1234.5), builtin_models()["M7"]])
     def test_a_tail_equal_to_epsilon_keeps_its_length(self, model):
@@ -266,6 +361,11 @@ class TestSupportCap:
             check_support(model, 1e-12)
         with pytest.raises(ParameterError, match=f"MAX_SUPPORT = {MAX_SUPPORT}"):
             pmf_truncate(model, 1e-12)
+
+    def test_a_tail_series_that_does_not_converge_is_rejected(self):
+        # the terms fall by a factor 1 - 1e-10: the series would need about 3.6e11 of them
+        with pytest.raises(ParameterError, match=r"does not converge within 4 \* MAX_SUPPORT"):
+            parse_model("nbin:1,0.9999999999")
 
     def test_negative_binomial_r_is_capped_at_2p53(self):
         NegativeBinomial(2**53, 0.5)

@@ -1,8 +1,7 @@
 """The package imports SciPy only inside function bodies, and only where a
-command needs it: ``scipy.stats`` in :mod:`stackpmf.models` (negative-binomial
-models) and ``scipy.special`` in :mod:`stackpmf.harness` (the normal
-quantiles of ``qq``). A top-level SciPy import would load it on
-``import stackpmf``.
+command needs it: ``scipy.special`` in :mod:`stackpmf.harness` (the normal
+quantiles of ``qq``). :mod:`stackpmf.models` evaluates every family with
+numpy alone. A top-level SciPy import would load it on ``import stackpmf``.
 """
 
 import ast
@@ -13,7 +12,7 @@ import stackpmf
 PACKAGE = Path(stackpmf.__file__).resolve().parent
 
 #: The SciPy modules each package module may import, in a function body.
-ALLOWED = {"models": {"scipy.stats"}, "harness": {"scipy.special"}}
+ALLOWED = {"models": set(), "harness": {"scipy.special"}}
 
 
 def scipy_imports(tree: ast.Module) -> list[tuple[str, bool]]:

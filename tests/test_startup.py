@@ -1,12 +1,11 @@
 """Importing stackpmf, running Poisson and uniform models, and fitting and
 banding a counts file load no scipy module and not ``numpy.ma``.
 
-The Poisson pmf and its truncation are scipy-free, so rejecting
-``pois:1e12`` and running ``pois:3e6``, a rate far past M7's, load no
-scipy either. ``qq`` loads ``scipy.special`` for its normal quantiles, and
-nothing more of scipy.
-``scipy.stats`` is imported only by the negative-binomial branches of
-:mod:`stackpmf.models`, and ``scipy.optimize`` only as part of it:
+The Poisson and negative-binomial pmfs and their truncation are
+scipy-free, so rejecting ``pois:1e12`` and running ``pois:3e6``, a rate
+far past M7's, or ``nbin:3,0.5`` load no scipy module either. ``qq`` loads
+``scipy.special`` for its normal quantiles, and nothing more of scipy: no
+command loads ``scipy.stats`` or ``scipy.optimize``.
 ``isotonic_decreasing`` projects a float vector with the package's own
 pool-adjacent-violators pass, the one the estimators fit counts with, so
 it loads no watched module. ``numpy.ma`` is loaded lazily by some numpy
@@ -74,6 +73,7 @@ runs = {
     "M1 coverage": ["simulate", "--model", "M1", "--n", "40", "--reps", "3", "--coverage", "--bandmc", "200"],
     "M7 loss": ["simulate", "--model", "M7", "--n", "40", "--reps", "3", "--est", "e,r,G,mm,sr,sG"],
     "pois:3e6 loss": ["simulate", "--model", "pois:3e6", "--n", "40", "--reps", "1", "--est", "e"],
+    "nbin loss": ["simulate", "--model", "nbin:3,0.5", "--n", "40", "--reps", "2"],
     "M7 qq": ["qq", "--model", "M7", "--coord", "2", "--n", "40", "--reps", "5"],
 }
 for name, argv in runs.items():
@@ -81,8 +81,6 @@ for name, argv in runs.items():
     report[name] = [code] + loaded()
     if name == "estimate sG":
         report["tables after estimate"] = tables()
-code = cli.main(["simulate", "--model", "nbin:3,0.5", "--n", "40", "--reps", "2"] + common)
-report["nbin loss"] = [code] + loaded()
 code = cli.main(["simulate", "--model", "M1", "--n", "40", "--reps", "2", "--workers", "2"] + common)
 report["M1 loss, 2 workers, one round"] = [code] + loaded()
 # a round of tri-dec:3000 is 2**16 // 3001 = 21 replications
@@ -93,7 +91,7 @@ print(json.dumps(report))
 """
 
 
-def test_scipy_stats_loads_only_for_negative_binomial_models(tmp_path):
+def test_only_qq_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, capture_output=True,
                           text=True, timeout=300, check=False)
@@ -113,10 +111,8 @@ def test_scipy_stats_loads_only_for_negative_binomial_models(tmp_path):
         "M7 loss": [0, "numpy.random", "_hashlib"],
         "pois:3e6 loss": [0, "numpy.random", "_hashlib"],
         "M7 qq": [0, "scipy", "scipy.special", "numpy.ma", "numpy.random", "_hashlib"],
-        "nbin loss": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma", "numpy.random",
-                      "_hashlib"],
-        "M1 loss, 2 workers, one round": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize", "numpy.ma",
-                                          "numpy.random", "_hashlib"],
-        "tri-dec:3000 loss, 2 workers, two rounds": [0, "scipy", "scipy.special", "scipy.stats", "scipy.optimize",
-                                                     "numpy.ma", "numpy.random", "_hashlib", "multiprocessing"],
+        "nbin loss": [0, "numpy.random", "_hashlib"],
+        "M1 loss, 2 workers, one round": [0, "scipy", "scipy.special", "numpy.ma", "numpy.random", "_hashlib"],
+        "tri-dec:3000 loss, 2 workers, two rounds": [0, "scipy", "scipy.special", "numpy.ma", "numpy.random",
+                                                     "_hashlib", "multiprocessing"],
     }

@@ -1,6 +1,6 @@
 """Stacked Grenander and rearrangement estimation of a discrete pmf.
 
-A numpy/scipy library for estimating a discrete probability mass function
+A numpy library for estimating a discrete probability mass function
 by stacking the empirical estimator with a shape-constrained one (the
 isotonic projection or the decreasing rearrangement), with a closed-form
 cross-validated mixture weight, Monte-Carlo global confidence bands, and a

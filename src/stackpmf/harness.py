@@ -228,10 +228,8 @@ def run_coverage(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_qq_samples(cfg: ExperimentConfig, coord: int) -> ExperimentResult:
     """Samples of ``sqrt(n) * (estimate_coord - p_coord)`` per estimator,
-    with normal quantiles scaled by the sample standard deviation. The
-    quantiles come from ``scipy.special.ndtri``, which only this driver
-    loads."""
-    from scipy.special import ndtri
+    with normal quantiles scaled by the sample standard deviation."""
+    from statistics import NormalDist
 
     if cfg.n is None:
         raise ValueError("QQ sampling needs a single sample size n")
@@ -241,7 +239,8 @@ def run_qq_samples(cfg: ExperimentConfig, coord: int) -> ExperimentResult:
     deviations = functools.partial(_qq_deviations, coord=coord, p_coord=float(truth[coord]))
     rows = _replications(cfg, cfg.n, deviations)
     result = ExperimentResult(config=cfg)
-    normal_q = ndtri((np.arange(cfg.reps) + 0.5) / cfg.reps)
+    positions = (np.arange(cfg.reps) + 0.5) / cfg.reps
+    normal_q = np.fromiter(map(NormalDist().inv_cdf, positions.tolist()), float, cfg.reps)
     for a, code in enumerate(cfg.estimators):
         samples = rows[:, a]
         result.qq_samples[code] = samples

@@ -45,6 +45,8 @@ its summation order, against the library's sampler that streams the
 normals block by block into reused buffers.
 :func:`substream_seed` is numpy's own derivation of one child seed, which
 ``rng.child_seeds`` ports to a block of indices in one pass.
+:func:`exact_normal_quantiles` gives standard normal quantiles in 40-digit
+mpmath arithmetic, against the float quantiles of ``qq``.
 """
 
 import csv
@@ -55,6 +57,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from hypothesis import strategies as st
 
@@ -397,6 +400,24 @@ def substream_seed(seed: int, *path) -> int:
     """The 64-bit child seed ``SeedSequence(...).generate_state(1, np.uint64)``
     of the stream addressed by ``seed`` and ``path``, from numpy itself."""
     return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+
+
+def exact_normal_quantiles(positions, guesses) -> list:
+    """``sqrt(2) * erfinv(2p - 1)``, the standard normal p-quantile x, for
+    each position p, in 40-digit arithmetic: one Newton step on ``ncdf(x) =
+    p`` from its float guess.
+
+    The step leaves an error of about ``|x| (guess - x)**2 / 2``, which for
+    a guess within a few ulps of x is below 1e-11 of an ulp of x. The
+    step's divisor, the density at the guess, needs only float accuracy.
+    So this gives ``mp.erfinv``'s values at a tenth of its time."""
+    root_2pi = math.sqrt(2 * math.pi)
+    with mpmath.workdps(40):
+        root2 = mpmath.sqrt(2)
+        return [
+            guess + (mpmath.mpf(p) - mpmath.erfc(-guess / root2) / 2) * root_2pi * math.exp(guess * guess / 2)
+            for p, guess in zip(positions, guesses)
+        ]
 
 
 def reference_sample(model, n: int, seed: int) -> FrequencyData:

@@ -6,10 +6,12 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import stackpmf
 from oracles import reference_csv_table, reference_json_table, reference_read_counts
-from stackpmf import cli
+from stackpmf import cli, harness
 from stackpmf.cli import CountsParseError, build_parser, main
 from stackpmf.confidence import MAX_QUANTILE_DRAWS, MIN_QUANTILE_DRAWS
 from stackpmf.harness import MAX_REPS
@@ -38,6 +40,14 @@ def write_counts(tmp_path, text, name="counts.txt"):
 def read_rows(path):
     with open(path, newline="") as fh:
         return [line for line in fh]
+
+
+def run_forked(args):
+    """``run(args)``, asserting that its replications went through a worker pool."""
+    with mock.patch("multiprocessing.get_context", wraps=multiprocessing.get_context) as forks:
+        code = run(args)
+    assert forks.call_count >= 1
+    return code
 
 
 class TestEstimate:
@@ -386,11 +396,14 @@ class TestSimulate:
         norm = lambda p: p.read_text().replace(str(tmp_path / p.parent.name), "OUT")
         assert norm(tmp_path / "a/simulate.manifest.json") == norm(tmp_path / "b/simulate.manifest.json")
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # rounds of 64 // 12 = 5 replications at M1, so 12 reps are three
+        # worker blocks; the forked workers inherit the patched round size
+        monkeypatch.setattr(harness, "STACK_CELLS", 64)
         base = ["simulate", "--model", "M1", "--n", 25, "--reps", 12, "--est", "e,sG",
                 "--norm", "1", "--seed", 13]
         assert run(base + ["--workers", 1, "--out", tmp_path / "w1"]) == 0
-        assert run(base + ["--workers", 4, "--out", tmp_path / "w4"]) == 0
+        assert run_forked(base + ["--workers", 4, "--out", tmp_path / "w4"]) == 0
         assert (tmp_path / "w1/losses.csv").read_bytes() == (tmp_path / "w4/losses.csv").read_bytes()
 
     def test_svg_written(self, tmp_path):
@@ -483,11 +496,13 @@ class TestQq:
         assert len(header) == 1 + 2 * 5
         assert len(rows) == 1 + 30
 
-    def test_rerun_identical(self, tmp_path):
+    def test_rerun_identical(self, tmp_path, monkeypatch):
+        # rounds of 64 // 20 = 3 replications at M4: four worker blocks
+        monkeypatch.setattr(harness, "STACK_CELLS", 64)
         args = ["qq", "--model", "M4", "--coord", 0, "--n", 50, "--reps", 10,
                 "--est", "e,sG", "--seed", 21]
         assert run(args + ["--out", tmp_path / "a"]) == 0
-        assert run(args + ["--out", tmp_path / "b", "--workers", 4]) == 0
+        assert run_forked(args + ["--out", tmp_path / "b", "--workers", 4]) == 0
         assert (tmp_path / "a/qq.csv").read_bytes() == (tmp_path / "b/qq.csv").read_bytes()
 
 

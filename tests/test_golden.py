@@ -7,9 +7,12 @@ purpose updates this table and says which files moved and why.
 """
 
 import hashlib
+import multiprocessing
+from unittest import mock
 
 import pytest
 
+from stackpmf import harness
 from stackpmf.cli import main
 
 ALL = "e,mm,r,G,sr,sG"
@@ -80,17 +83,17 @@ GOLDEN = {
     ),
     "qq-M6": (
         ["qq", "--model", "M6", "--coord", 1, "--n", 60, "--reps", 20, "--est", ALL, "--seed", 8],
-        {"qq.csv": "62678d8b9310a615212f9bdd6454ef4e6d16787ff13935000f66356814e545c8"},
+        {"qq.csv": "8c2c81ee6f57c59ef57bb21023d88a0dce06eed161ec565d6910df63bc1f0827"},
     ),
     "risk-M7-workers-2": (
         ["simulate", "--risk", "--model", "M7", "--ngrid", "10,300", "--reps", 12, "--est", ALL, "--seed", 12,
          "--workers", 2],
         {"risk.csv": "078c8f8fd97e488f83365b1e036db34ee2be67498cb1b63da7074607a2660bbc"},
     ),
-    "qq-M7": (QQ_M7, {"qq.csv": "313634a47df54e53616caa321870e9aa60988cc9e4288cccf517242c6ad0c5bf"}),
+    "qq-M7": (QQ_M7, {"qq.csv": "29af14483e94012fd9e0ce47dcbb9ac6b16ff67feb7369f486b743f1a2dab645"}),
     "qq-M7-json": (
         QQ_M7 + ["--format", "json"],
-        {"qq.json": "56ce84d162056e6d87bf3379a6304044fbdd7b035203306719d77c6b3c966c1c"},
+        {"qq.json": "4d95d817fb47deec30b6d5d7896166e065bac05716b40d4e7995a32dd659b279"},
     ),
     # duplicate and reordered codes share one fit per code
     "loss-M2-duplicate-codes": (
@@ -138,13 +141,22 @@ GOLDEN = {
 }
 
 
+#: case id -> ``harness.STACK_CELLS`` for a run that must fork. At 64 cells
+#: a round holds 5 replications at M2 and 1 at M7, so each of these runs
+#: spans several rounds and its two workers get two or more blocks; the
+#: forked workers inherit the patched round size.
+FORKED = {"loss-M2-workers-2": 64, "risk-M7-workers-2": 64}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_data_files_keep_their_bytes(case, tmp_path):
+def test_data_files_keep_their_bytes(case, tmp_path, monkeypatch):
     argv, files = GOLDEN[case]
+    if case in FORKED:
+        monkeypatch.setattr(harness, "STACK_CELLS", FORKED[case])
     counts = tmp_path / "counts.txt"
     counts.write_text(COUNTS)
     wide = tmp_path / "wide.txt"
@@ -154,5 +166,8 @@ def test_data_files_keep_their_bytes(case, tmp_path):
         assert main(["estimate", "--input", str(counts), "--kind", "sG", "--out", str(theta.parent)]) == 0
     fill = {"{counts}": str(counts), "{wide}": str(wide), "{theta}": str(theta)}
     out = tmp_path / "out"
-    assert main([fill.get(str(a), str(a)) for a in argv] + ["--out", str(out)]) == 0
+    with mock.patch("multiprocessing.get_context", wraps=multiprocessing.get_context) as forks:
+        assert main([fill.get(str(a), str(a)) for a in argv] + ["--out", str(out)]) == 0
+    if case in FORKED:
+        assert forks.call_count >= 1
     assert {name: _sha256(out / name) for name in files} == files

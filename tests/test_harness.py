@@ -6,16 +6,22 @@ import math
 import multiprocessing
 import tracemalloc
 from dataclasses import replace
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
 
-from oracles import counts_vectors, reference_coverage, reference_cv_beta, reference_fit, scaled_risk_closed_form
+from oracles import (
+    counts_vectors,
+    exact_normal_quantiles,
+    reference_coverage,
+    reference_cv_beta,
+    reference_fit,
+    scaled_risk_closed_form,
+)
 from stackpmf import (
     ESTIMATOR_CODES,
     GRENANDER,
@@ -421,7 +427,7 @@ class TestQqSamples:
     def test_theoretical_quantiles_are_scaled_normal(self):
         cfg = ExperimentConfig(model=M["M2"], reps=50, estimators=("e", "sG"), n=200, seed=11)
         res = run_qq_samples(cfg, coord=1)
-        normal_q = scipy.stats.norm.ppf((np.arange(50) + 0.5) / 50)
+        normal_q = np.array([NormalDist().inv_cdf(p) for p in ((np.arange(50) + 0.5) / 50).tolist()])
         for code in ("e", "sG"):
             theo = res.qq_theoretical[code]
             assert theo.shape == (50,)
@@ -429,18 +435,33 @@ class TestQqSamples:
             want = float(res.qq_samples[code].std(ddof=1)) * normal_q
             np.testing.assert_array_equal(theo.view(np.int64), want.view(np.int64))
 
-    # the QQ positions use scipy.special.ndtri, which must equal norm.ppf bit for bit
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    # qq's quantiles are NormalDist's (Wichura's AS 241). The bound of 8 ulps
+    # was fixed before the first run; the largest error measured, over every
+    # position of 1 to 199, 4097 and 100 000 reps, is 5.52 ulps. Each example
+    # checks every position qq asks for.
+    @settings(max_examples=10, derandomize=True, deadline=None)
     @given(st.integers(1, 100_000))
     @example(1)
     @example(2)
     @example(3)
     @example(4097)
     @example(100_000)
-    def test_normal_quantiles_are_bitwise_norm_ppf(self, reps):
-        positions = (np.arange(reps) + 0.5) / reps
-        got, want = ndtri(positions), scipy.stats.norm.ppf(positions)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    def test_normal_quantiles_are_within_8_ulps(self, reps):
+        used = []
+
+        class Recording(NormalDist):
+            def inv_cdf(self, p):
+                q = super().inv_cdf(p)
+                used.append((p, q))
+                return q
+
+        cfg = ExperimentConfig(model=UniformRange(2), reps=reps, estimators=("e",), n=1, seed=reps)
+        with mock.patch("statistics.NormalDist", Recording):
+            run_qq_samples(cfg, coord=0)
+        positions, quantiles = zip(*used)
+        assert list(positions) == ((np.arange(reps) + 0.5) / reps).tolist()
+        exact = exact_normal_quantiles(positions, quantiles)
+        assert max(abs(q - x) / math.ulp(float(x)) for q, x in zip(quantiles, exact)) <= 8
 
     def test_single_rep(self):
         cfg = ExperimentConfig(model=M["M4"], reps=1, estimators=("e",), n=50, seed=12)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module.
+"""The package's imports: each is used, and each is numpy's, the standard
+library's or the package's own.
 
 A name a module imports but never reads is left over from code that was
 deleted or moved. The one exception is a ``noqa`` re-export that the
@@ -6,15 +7,25 @@ benchmark tracer (``perfbench/tracer.py``) patches through its
 ``PLAIN_PATCHES``: the tracer wraps the name where the caller looks it up,
 so it must stay bound there. A re-export the tracer stops looking up is
 reported like any other unused import.
+
+numpy is the only runtime dependency, so every import anywhere in a
+module, at top level or in a function body, names numpy, a standard
+library module or the package itself, and ``pyproject.toml`` lists numpy
+alone in ``[project].dependencies``. scipy and mpmath serve the tests only.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import stackpmf
 from test_tracer_lookups import _load_tracer
 
 PACKAGE = Path(stackpmf.__file__).resolve().parent
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def unused_imports(source: str) -> list[tuple[str, bool]]:
@@ -55,3 +66,35 @@ def test_every_module_level_import_is_used():
 def test_an_unused_import_is_found():
     source = "import re\nimport os\nfrom math import inf, pi  # noqa: F401\n\nprint(os.sep, pi)\n"
     assert unused_imports(source) == [("re", False), ("inf", True)]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Each module that ``source`` imports, in any scope, that is neither
+    numpy, nor in the standard library, nor the package itself."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "stackpmf"}
+    return [name for name in names if name.split(".")[0] not in allowed]
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    offending = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        offending += [f"{path.name}: {name}" for name in foreign_imports(path.read_text(encoding="utf-8"))]
+    assert offending == []
+
+
+def test_a_foreign_import_is_found_in_any_scope():
+    source = ("import scipy\nimport os.path, numpy as np\nfrom . import models\nfrom scipy import optimize\n"
+              "def f():\n    from scipy.special import ndtri\n    import math, mpmath\n")
+    assert foreign_imports(source) == ["scipy", "scipy", "scipy.special", "mpmath"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]] == ["numpy"]
